@@ -18,9 +18,9 @@ from .convert import (
 )
 from .errors import BlueprintError
 from .graph import LintFinding, build_graph, emit_dot, graph_json_data, run_lints
-from .infer import is_upstream, part_status
+from .infer import part_status
 from .latex import first_placement
-from .store import NodeStore
+from .store import NodeStore, is_upstream
 
 
 def _dump_json(data) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -37,11 +36,40 @@ class PartStatus:
 
 
 @dataclass
+class _ClosureGraph:
+    """The reference graph that `reference_closure` walks, interned to ints.
+
+    Every declaration, every tagged name and `sorryAx` has a dense id.
+    `sink[i]` is set for the ids a closure collects without entering them
+    (tagged names and `sorryAx`).  `refs[i]` is a declaration's `all_refs()`
+    as ids, filled the first time a closure enters it; a name without an id
+    can be neither collected nor entered, so it is left out.
+    """
+
+    names: list[Name]
+    ids: dict[Name, int]
+    sink: bytearray
+    refs: list[tuple[int, ...] | None]
+
+
+def _closure_graph(store: NodeStore) -> _ClosureGraph:
+    ids: dict[Name, int] = {}
+    for name in (SORRY_AX, *store.by_name, *store.declarations):
+        ids.setdefault(name, len(ids))
+    sink = bytearray(len(ids))
+    sink[ids[SORRY_AX]] = 1
+    for name in store.by_name:
+        sink[ids[name]] = 1
+    return _ClosureGraph(names=list(ids), ids=ids, sink=sink, refs=[None] * len(ids))
+
+
+@dataclass
 class _InferCache:
     refs: dict[Name, RefSets] = field(default_factory=dict)
     status: dict[tuple[Name, str], PartStatus] = field(default_factory=dict)
     effective: dict[tuple[Name, str], tuple[str, ...]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    graph: _ClosureGraph | None = None
 
 
 def _cache(store: NodeStore) -> _InferCache:
@@ -139,41 +167,45 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     return refs
 
 
-def reference_closure(
-    start: Iterable[Name],
-    store: NodeStore,
-    refs_of: Callable[[Name], tuple[Name, ...]] | None = None,
-) -> tuple[Name, ...]:
+def reference_closure(start: Iterable[Name], store: NodeStore) -> tuple[Name, ...]:
     """Breadth-first closure that stops at blueprint-tagged constants.
 
     Tagged constants and `sorryAx` are collected; untagged project constants
     are traversed transparently; anything else is ignored.  Output keeps
-    first-discovery order.
+    breadth-first first-discovery order: the start names in order, then the
+    references of each entered constant in `all_refs()` order, level by level.
     """
 
-    if refs_of is None:
+    cache = _cache(store)
+    if cache.graph is None:
+        cache.graph = _closure_graph(store)
+    graph = cache.graph
+    ids, sink, refs = graph.ids, graph.sink, graph.refs
 
-        def refs_of(name: Name) -> tuple[Name, ...]:
-            decl = store.declarations.get(name)
-            if decl is None:
-                return ()
-            return resolve_references(decl, store).all_refs()
-
-    seen: set[Name] = set()
-    out: list[Name] = []
-    queue: deque[Name] = deque(start)
-    while queue:
-        cur = queue.popleft()
-        if cur in seen:
+    seen = bytearray(len(ids))
+    # `order` is also the FIFO queue: marking ids when they are queued makes
+    # queue order the first-discovery order.  The for loop also visits the
+    # ids appended while it runs.
+    order: list[int] = []
+    for name in start:
+        i = ids.get(name)
+        if i is not None and not seen[i]:
+            seen[i] = 1
+            order.append(i)
+    for cur in order:
+        if sink[cur]:
             continue
-        seen.add(cur)
-        if cur == SORRY_AX or cur in store.by_name:
-            out.append(cur)
-            continue
-        for ref in refs_of(cur):
-            if ref not in seen:
-                queue.append(ref)
-    return tuple(out)
+        succ = refs[cur]
+        if succ is None:
+            decl = store.declarations[graph.names[cur]]
+            succ = tuple(ids[n] for n in resolve_references(decl, store).all_refs() if n in ids)
+            refs[cur] = succ
+        for i in succ:
+            if not seen[i]:
+                seen[i] = 1
+                order.append(i)
+    names = graph.names
+    return tuple(names[i] for i in order if sink[i])
 
 
 def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:

@@ -464,7 +464,19 @@ def _parse_attribute_tokens(
         return tuple(out)
 
     seen: set[str] = set()
+
+    def claim(key: str, key_tok: Token) -> None:
+        if key in seen:
+            raise err(f"duplicate blueprint option '{key}'", key_tok)
+        seen.add(key)
+
     while (tok := peek()) is not None:
+        if tok.kind == "ident" and tok.text == "notReady":
+            # the bare flag is short for `(notReady := true)`
+            take()
+            claim("notReady", tok)
+            fields["notReady"] = True
+            continue
         if tok.kind != "symbol" or tok.text != "(":
             raise err(f"unexpected token {tok.text!r} in blueprint attribute", tok)
         take()
@@ -474,15 +486,18 @@ def _parse_attribute_tokens(
         key = key_tok.text
         if key not in ATTRIBUTE_KEYS:
             raise err(f"unknown blueprint option '{key}'", key_tok)
-        if key in seen:
-            raise err(f"duplicate blueprint option '{key}'", key_tok)
-        seen.add(key)
+        claim(key, key_tok)
         expect_symbol(":=")
 
-        if key in ("statement", "proof", "title"):
+        if key in ("statement", "proof"):
             val = take()
             if val.kind != "docstring":
                 raise err(f"option '{key}' expects a /-- ... -/ docstring", val)
+            fields[key] = val.value
+        elif key == "title":
+            val = take()
+            if val.kind not in ("docstring", "string"):
+                raise err("option 'title' expects a /-- ... -/ docstring or a string", val)
             fields[key] = val.value
         elif key in ("hasProof", "notReady"):
             val = take()

@@ -61,19 +61,16 @@ class NodeStore:
     by_label: dict[str, tuple[Name, ...]]
     import_graph: dict[Name, tuple[Name, ...]]
     topo_order: tuple[Name, ...]
+    topo_positions: dict[Name, int]  # module -> index in topo_order
     declarations: dict[Name, Declaration]
     decl_module: dict[Name, Name]
     placements: dict[tuple[Name, int], Name]  # (module, item index) -> node name
     upstream_index: frozenset[Name]
     upstream_prefixes: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
     _infer_cache: object = field(default=None, repr=False, compare=False)
 
     def topo_index(self, module: Name) -> int:
-        try:
-            return self.topo_order.index(module)
-        except ValueError:
-            return len(self.topo_order)
+        return self.topo_positions.get(module, len(self.topo_order))
 
     def node(self, name: Name) -> Node:
         node = self.by_name.get(name)
@@ -248,7 +245,6 @@ def build_store(
     by_name: dict[Name, Node] = {}
     by_label: dict[str, list[Name]] = {}
     placements: dict[tuple[Name, int], Name] = {}
-    warnings: list[str] = []
 
     def register(node: Node) -> None:
         if node.name in by_name:
@@ -315,12 +311,12 @@ def build_store(
         by_label={label: tuple(names) for label, names in by_label.items()},
         import_graph=import_graph,
         topo_order=topo,
+        topo_positions={name: i for i, name in enumerate(topo)},
         declarations=declarations,
         decl_module=decl_module,
         placements=placements,
         upstream_index=upstream_index,
         upstream_prefixes=tuple(upstream_prefixes),
-        warnings=tuple(warnings),
     )
 
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
+from archforge import infer
 from archforge.errors import NotFoundError, ResolutionError
 from archforge.infer import (
     effective_uses,
@@ -16,6 +18,7 @@ from archforge.infer import (
     resolve_references,
 )
 from archforge.names import Name
+from archforge.source import scan_identifiers
 from archforge.store import SORRY_AX
 
 from conftest import store_from
@@ -371,6 +374,79 @@ def test_generated_closures_match_oracle():
             start = [N(s) for s in _gen.gt_statement_start(d)]
             got = set(str(n) for n in reference_closure(start, store))
             assert got == _gen.oracle_closure(gp, _gen.gt_statement_start(d))
+
+
+def naive_closure(start, store):
+    """Reference closure walked over `Name`s with a plain queue: the order oracle."""
+
+    seen = set()
+    out = []
+    queue = deque(start)
+    while queue:
+        cur = queue.popleft()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        if cur == SORRY_AX or cur in store.by_name:
+            out.append(cur)
+            continue
+        decl = store.declarations.get(cur)
+        if decl is not None:
+            queue.extend(n for n in resolve_references(decl, store).all_refs() if n not in seen)
+    return tuple(out)
+
+
+def untagged_cycle(store) -> bool:
+    """Whether some untagged declaration reaches itself through untagged ones."""
+
+    def succ(name):
+        refs = resolve_references(store.declarations[name], store).all_refs()
+        return [r for r in refs if r in store.declarations and r not in store.by_name]
+
+    for name in store.declarations:
+        if name in store.by_name:
+            continue
+        seen = set()
+        stack = succ(name)
+        while stack:
+            cur = stack.pop()
+            if cur == name:
+                return True
+            if cur not in seen:
+                seen.add(cur)
+                stack.extend(succ(cur))
+    return False
+
+
+def test_generated_closures_keep_oracle_order():
+    cyclic = 0
+    for seed in range(40):
+        gp = _gen.gen_project(seed, max_decls=30)
+        store = _gen.build_gen_store(gp)
+        cyclic += untagged_cycle(store)
+        for d in gp.decls:
+            for start in (_gen.gt_statement_start(d), _gen.gt_proof_start(d), [d.name]):
+                names = [N(s) for s in start]
+                assert reference_closure(names, store) == naive_closure(names, store)
+    assert cyclic >= 5
+
+
+def test_warm_statuses_resolves_each_declaration_once(monkeypatch):
+    scanned = []
+
+    def counting_scan(text):
+        scanned.append(text)
+        return scan_identifiers(text)
+
+    monkeypatch.setattr(infer, "scan_identifiers", counting_scan)
+    for seed in range(20):
+        scanned.clear()
+        store = _gen.build_gen_store(_gen.gen_project(seed, max_decls=30))
+        # resolving again afterwards must hit the cache for every declaration
+        for decl in store.declarations.values():
+            resolve_references(decl, store)
+        decls = store.declarations.values()
+        assert len(scanned) == sum(1 + bool(d.body_text) for d in decls)
 
 
 def test_generated_lean_ok_matches_oracle():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,38 @@ def test_config_flags_and_env():
     assert spec.not_ready is True
     assert spec.has_proof is False
     assert spec.latex_env == "corollary"
+
+
+def test_readme_attribute_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### The `@[blueprint]` attribute", 1)[1]
+    block = section.split("```lean\n", 1)[1].split("```", 1)[0]
+    assert block.endswith("theorem ...\n")
+    text = "def OtherDecl := 1\ndef NoisyDep := 2\n\n" + block.replace(
+        "theorem ...", "theorem comm : OtherDecl = OtherDecl := rfl"
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    assert unit.warnings == ()
+    spec = decls(unit)[-1].attribute
+    assert spec is not None
+    assert spec.label == "label"
+    assert spec.statement == "LaTeX statement text."
+    assert spec.proof == "LaTeX proof sketch."
+    assert spec.title == "Commutativity"
+    assert spec.uses == (LabelRef("def:nat"), Name.parse("OtherDecl"))
+    assert spec.proof_uses == (LabelRef("lem:aux"),)
+    assert spec.excludes == (Name.parse("NoisyDep"),)
+    assert spec.latex_env == "proposition"
+    assert spec.has_proof is True
+    assert spec.discussion == 142
+    assert spec.not_ready is True
+
+
+def test_config_bare_not_ready_flag():
+    assert parse_attribute_config('"x" notReady').not_ready is True
+    assert parse_attribute_config('notReady (hasProof := false)').not_ready is True
+    with pytest.raises(ParseError, match="duplicate blueprint option 'notReady'"):
+        parse_attribute_config("notReady (notReady := false)")
 
 
 def test_config_proof_uses_and_excludes():

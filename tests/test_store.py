@@ -288,6 +288,12 @@ def test_topo_order_ties_sorted():
     assert [str(m) for m in store.topo_order] == ["A", "B"]
 
 
+def test_topo_index_positions_and_unknown_fallback():
+    store = store_from({"B": "import A\n\ndef b := 1\n", "A": "def a := 1\n"})
+    assert [store.topo_index(m) for m in store.topo_order] == [0, 1]
+    assert store.topo_index(Name.parse("Elsewhere")) == 2
+
+
 def test_unknown_imports_ignored():
     store = store_from({"M": "import Architect\nimport Std.Data\n\ndef x := 1\n"})
     assert [str(m) for m in store.topo_order] == ["M"]
