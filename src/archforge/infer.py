@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import NotFoundError, ResolutionError
-from .names import LabelRef, Name
-from .source import Declaration, scan_identifiers
+from .names import LabelRef, Name, name_candidates
+from .source import Declaration
 from .store import Node, NodePart, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream
 
 
@@ -86,23 +86,17 @@ def resolve_name(
 ) -> Name | None:
     """Resolve a written name against enclosing namespaces and opens.
 
-    Innermost namespace prefixes win, then opened namespaces in order, then
-    the bare name.  Dotted names that still miss retry with their leading
-    segment stripped, which covers projection-style calls like `b.zero_add`.
+    The first known `name_candidates` entry wins: innermost namespace
+    prefixes, then opened namespaces in order, then the bare name.  Dotted
+    names that still miss retry with their leading segment stripped, which
+    covers projection-style calls like `b.zero_add`.
     """
 
     probe: Name | None = raw
     while probe is not None:
-        for i in range(len(context), 0, -1):
-            cand = Name(context[:i] + probe.segments)
+        for cand in name_candidates(probe, context, opens):
             if known(cand):
                 return cand
-        for opened in opens:
-            cand = opened.join(probe)
-            if known(cand):
-                return cand
-        if known(probe):
-            return probe
         probe = probe.drop_head()
     return None
 
@@ -122,9 +116,9 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     def known(name: Name) -> bool:
         return name in store.declarations or name in store.by_name or name in store.upstream_index
 
-    def resolve_many(text: str) -> list[Name]:
+    def resolve_many(idents: tuple[str, ...]) -> list[Name]:
         out: list[Name] = []
-        for tok in scan_identifiers(text):
+        for tok in idents:
             hit = resolve_name(Name.parse(tok), decl.namespace_context, decl.opens, known)
             if hit is not None:
                 out.append(hit)
@@ -139,11 +133,9 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
                 out.append(n)
         return tuple(out)
 
-    statement_refs = dedup(resolve_many(decl.signature_text))
+    statement_refs = dedup(resolve_many(decl.signature_idents))
 
-    body: list[Name] = []
-    if decl.body_text:
-        body.extend(resolve_many(decl.body_text))
+    body = resolve_many(decl.body_idents)
     for marker in decl.sorry_markers:
         for entry in marker.using:
             if isinstance(entry, LabelRef):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -57,6 +58,22 @@ class Name:
 
     def is_prefix_of(self, other: "Name") -> bool:
         return other.segments[: len(self.segments)] == self.segments
+
+
+def name_candidates(
+    raw: Name, context: tuple[str, ...], opens: tuple[Name, ...]
+) -> Iterator[Name]:
+    """The names `raw` may stand for, written under `context` and `opens`.
+
+    Innermost namespace prefixes come first, then opened namespaces in
+    order, then the bare name.
+    """
+
+    for i in range(len(context), 0, -1):
+        yield Name(context[:i] + raw.segments)
+    for opened in opens:
+        yield opened.join(raw)
+    yield raw
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,19 @@ from .names import LabelRef, Name, SourceSpan
 # Keyword tables
 
 DECL_KEYWORDS = frozenset(
-    {"def", "abbrev", "theorem", "lemma", "inductive", "structure", "instance", "axiom"}
+    {
+        "def", "abbrev", "theorem", "lemma", "inductive", "structure", "instance",
+        "axiom", "constant",
+    }
 )
+
+# May precede a declaration keyword; the declaration keeps its plain name.
+DECL_MODIFIERS = frozenset({"private", "protected", "noncomputable", "partial", "unsafe"})
 
 # Commands that may only begin at the start of a line at top level.
 COMMAND_KEYWORDS = frozenset(
-    {"import", "namespace", "end", "open", "attribute", "blueprint_comment"}
-) | DECL_KEYWORDS
+    {"import", "namespace", "section", "end", "open", "attribute", "blueprint_comment"}
+) | DECL_KEYWORDS | DECL_MODIFIERS
 
 # Term/tactic-level words that must never be reported as identifiers.
 _TERM_KEYWORDS = frozenset(
@@ -35,11 +41,14 @@ _TERM_KEYWORDS = frozenset(
         "show", "from", "if", "then", "else", "calc", "at", "exact",
         "intro", "intros", "rfl", "rw", "simp", "induction", "cases",
         "constructor", "apply", "trivial", "deriving", "mutual", "variable",
-        "section", "Type", "Prop", "Sort", "sorry", "sorry_using",
+        "Type", "Prop", "Sort", "sorry", "sorry_using",
     }
 )
 
 RESERVED_WORDS = COMMAND_KEYWORDS | _TERM_KEYWORDS
+
+# Identifiers that are never candidate constant references.
+_NOT_REFERENCES = RESERVED_WORDS | {"true", "false"}
 
 ATTRIBUTE_KEYS = (
     "statement", "hasProof", "proof", "uses", "proofUses", "excludes",
@@ -124,12 +133,11 @@ class _Scanner:
         return ParseError(message, path=self.path, line=line if line is not None else self.line)
 
 
-def tokenize(text: str, *, path: str | None = None, lenient: bool = False) -> list[Token]:
+def tokenize(text: str, *, path: str | None = None) -> list[Token]:
     """Split source text into tokens, dropping comments.
 
     Docstrings survive as tokens because blueprint extraction consumes them.
-    With ``lenient=True`` unterminated constructs swallow the rest of the
-    input instead of raising.
+    Unterminated docstrings, comments and strings raise ParseError.
     """
 
     sc = _Scanner(text, path)
@@ -174,8 +182,6 @@ def tokenize(text: str, *, path: str | None = None, lenient: bool = False) -> li
             depth = 1
             while depth:
                 if sc.eof():
-                    if lenient:
-                        break
                     raise sc.error("unterminated docstring", start_line)
                 if sc.startswith("/-"):
                     depth += 1
@@ -187,8 +193,7 @@ def tokenize(text: str, *, path: str | None = None, lenient: bool = False) -> li
                 else:
                     sc.advance()
             body = text[body_start : sc.pos]
-            if not sc.eof():
-                sc.advance(2)
+            sc.advance(2)
             emit("docstring", start, start_line, start_col, value=_clean_docstring(body))
             continue
 
@@ -197,8 +202,6 @@ def tokenize(text: str, *, path: str | None = None, lenient: bool = False) -> li
             depth = 1
             while depth:
                 if sc.eof():
-                    if lenient:
-                        break
                     raise sc.error("unterminated block comment", start_line)
                 if sc.startswith("/-"):
                     depth += 1
@@ -215,8 +218,6 @@ def tokenize(text: str, *, path: str | None = None, lenient: bool = False) -> li
             buf: list[str] = []
             while True:
                 if sc.eof() or sc.peek() == "\n":
-                    if lenient:
-                        break
                     raise sc.error("unterminated string literal", start_line)
                 c = sc.peek()
                 if c == '"':
@@ -227,10 +228,7 @@ def tokenize(text: str, *, path: str | None = None, lenient: bool = False) -> li
                     esc = sc.peek()
                     mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "'": "'"}.get(esc)
                     if mapped is None:
-                        if lenient:
-                            mapped = esc
-                        else:
-                            raise sc.error(f"unsupported string escape '\\{esc}'", sc.line)
+                        raise sc.error(f"unsupported string escape '\\{esc}'", sc.line)
                     buf.append(mapped)
                     sc.advance()
                 else:
@@ -325,6 +323,9 @@ class Declaration:
     other_attributes: tuple[str, ...]
     signature_text: str
     body_text: str | None
+    # candidate constant references, in source order with duplicates kept
+    signature_idents: tuple[str, ...]
+    body_idents: tuple[str, ...]
     tactic_docstrings: tuple[str, ...]
     sorry_markers: tuple[SorryMarker, ...]
     namespace_context: tuple[str, ...]
@@ -540,6 +541,10 @@ def _parse_attribute_tokens(
 # Module parsing
 
 
+def _reference_candidates(toks: list[Token]) -> tuple[str, ...]:
+    return tuple(t.text for t in toks if t.kind == "ident" and t.text not in _NOT_REFERENCES)
+
+
 @dataclass
 class _AttrItem:
     name: str
@@ -554,18 +559,12 @@ class _ModuleParser:
         self.path = path
         self.tokens = tokenize(text, path=path)
         self.pos = 0
-        self.namespaces: list[tuple[str, ...]] = []
-        self.opens: list[tuple[int, Name]] = []  # (namespace depth, opened name)
+        self.scopes: list[tuple[str, tuple[str, ...]]] = []  # ("namespace" | "section", name)
+        self.opens: list[tuple[int, Name]] = []  # (scope depth, opened name)
         self.imports: list[Name] = []
         self.items: list[Declaration | RawComment | UpstreamAttribution] = []
         self.open_commands: list[OpenCommand] = []
         self.warnings: list[ParseWarning] = []
-        line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                line_starts.append(i + 1)
-        self._line_starts = line_starts
-        self._byte_of = _Scanner(text, path).byte_of
 
     # -- helpers
 
@@ -585,15 +584,17 @@ class _ModuleParser:
 
     def context(self) -> tuple[str, ...]:
         out: list[str] = []
-        for entry in self.namespaces:
-            out.extend(entry)
+        for kind, name in self.scopes:
+            if kind == "namespace":
+                out.extend(name)
         return tuple(out)
 
     def visible_opens(self) -> tuple[Name, ...]:
         return tuple(name for _, name in self.opens)
 
     def line_start_byte(self, tok: Token) -> int:
-        return self._byte_of[self._line_starts[tok.line - 1]]
+        before = self.text[tok.start - tok.col : tok.start]
+        return tok.byte_start - len(before.encode("utf-8"))
 
     def span_between(self, first: Token, last: Token) -> SourceSpan:
         return SourceSpan(first.start, last.end, first.byte_start, last.byte_end, first.line)
@@ -620,6 +621,9 @@ class _ModuleParser:
                 self.parse_import()
             elif word == "namespace":
                 self.parse_namespace()
+            elif word == "section":
+                self.take()
+                self.scopes.append(("section", self.name_on_line(tok)))
             elif word == "end":
                 self.parse_end()
             elif word == "open":
@@ -628,14 +632,17 @@ class _ModuleParser:
                 self.parse_attribute_command()
             elif word == "blueprint_comment":
                 self.parse_blueprint_comment()
-            elif word in DECL_KEYWORDS:
+            elif self.at_declaration():
                 self.parse_declaration([], None, tok)
             else:
                 self.skip_unrecognized(tok)
 
-        if self.namespaces:
-            open_names = ".".join(".".join(e) for e in self.namespaces)
+        namespaces = [".".join(name) for kind, name in self.scopes if kind == "namespace"]
+        if namespaces:
+            open_names = ".".join(namespaces)
             self.warn(f"namespace '{open_names}' not closed at end of file", self.tokens[-1].line)
+        if any(kind == "section" for kind, _ in self.scopes):
+            self.warn("section not closed at end of file", self.tokens[-1].line)
 
         return ModuleUnit(
             name=self.module_name,
@@ -686,23 +693,27 @@ class _ModuleParser:
             self.warn("namespace without name", kw.line)
             return
         self.take()
-        self.namespaces.append(tuple(tok.text.split(".")))
+        self.scopes.append(("namespace", tuple(tok.text.split("."))))
+
+    def name_on_line(self, kw: Token) -> tuple[str, ...]:
+        """Take the optional name after `section` or `end`, on the keyword's line."""
+
+        tok = self.peek()
+        if tok is None or tok.kind != "ident" or tok.line != kw.line:
+            return ()
+        self.take()
+        return tuple(tok.text.split("."))
 
     def parse_end(self) -> None:
         kw = self.take()
-        tok = self.peek()
-        name = None
-        if tok is not None and tok.kind == "ident" and tok.line == kw.line:
-            self.take()
-            name = tuple(tok.text.split("."))
-        if not self.namespaces:
+        name = self.name_on_line(kw)
+        if not self.scopes:
             self.warn("'end' without open namespace", kw.line)
             return
-        top = self.namespaces[-1]
-        if name is not None and name != top:
-            self.warn(f"'end {'.'.join(name)}' does not match namespace '{'.'.join(top)}'", kw.line)
-        self.namespaces.pop()
-        depth = len(self.namespaces)
+        kind, top = self.scopes.pop()
+        if name and name != top:
+            self.warn(f"'end {'.'.join(name)}' does not match {kind} '{'.'.join(top)}'", kw.line)
+        depth = len(self.scopes)
         self.opens = [(d, n) for d, n in self.opens if d <= depth]
 
     def parse_open(self) -> None:
@@ -714,7 +725,7 @@ class _ModuleParser:
         if not names:
             self.warn("'open' without names", kw.line)
             return
-        depth = len(self.namespaces)
+        depth = len(self.scopes)
         for n in names:
             self.opens.append((depth, n))
         self.open_commands.append(
@@ -810,7 +821,7 @@ class _ModuleParser:
             if nxt is not None and nxt.kind == "symbol" and nxt.text == "[":
                 self.parse_attributed_block(doc)
                 return
-        if tok is not None and tok.kind == "ident" and tok.text in DECL_KEYWORDS:
+        if self.at_declaration():
             self.parse_declaration([], doc, doc)
             return
         self.warn("docstring is not attached to a declaration; ignored", doc.line)
@@ -822,11 +833,18 @@ class _ModuleParser:
         tok = self.peek()
         if doc is None and tok is not None and tok.kind == "docstring":
             doc = self.take()
-            tok = self.peek()
-        if tok is None or tok.kind != "ident" or tok.text not in DECL_KEYWORDS:
+        if not self.at_declaration():
             self.warn("attribute block is not attached to a declaration; ignored", at.line)
             return
         self.parse_declaration(attrs, doc, first, attr_close=close)
+
+    def at_declaration(self) -> bool:
+        """Whether modifiers, if any, then a declaration keyword come next."""
+
+        ahead = 0
+        while (tok := self.peek(ahead)) is not None and tok.text in DECL_MODIFIERS:
+            ahead += 1
+        return tok is not None and tok.kind == "ident" and tok.text in DECL_KEYWORDS
 
     def parse_declaration(
         self,
@@ -835,7 +853,9 @@ class _ModuleParser:
         first_tok: Token,
         attr_close: Token | None = None,
     ) -> None:
-        kw = self.take()
+        lead = kw = self.take()  # the first modifier, else the keyword
+        while kw.text in DECL_MODIFIERS:
+            kw = self.take()
         name_tok = self.peek()
         if name_tok is None or name_tok.kind != "ident":
             self.warn(f"'{kw.text}' without a name; skipped", kw.line)
@@ -930,12 +950,14 @@ class _ModuleParser:
                 other_attributes=others,
                 signature_text=signature_text,
                 body_text=body_text,
+                signature_idents=_reference_candidates(sig_tokens),
+                body_idents=_reference_candidates(body_tokens),
                 tactic_docstrings=tuple(tactic_docs),
                 sorry_markers=tuple(markers),
                 namespace_context=self.context(),
                 opens=self.visible_opens(),
                 span=self.span_between(first_tok, last),
-                keyword_line_byte=self.line_start_byte(kw),
+                keyword_line_byte=self.line_start_byte(lead),
                 attr_close_byte=attr_close.byte_start if attr_close is not None else None,
             )
         )
@@ -992,29 +1014,6 @@ def parse_module(path: str | Path, module_name: Name) -> ModuleUnit:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", path=str(p)) from exc
     return parse_module_text(text, module_name, path=str(p))
-
-
-# ---------------------------------------------------------------------------
-# Identifier scanning
-
-
-def scan_identifiers(text: str) -> list[str]:
-    """All candidate constant references in a code fragment, in source order.
-
-    Strings, comments, docstrings, numbers, and reserved words never appear.
-    Dotted names are kept intact.  Never raises; garbage yields fewer tokens.
-    """
-
-    out: list[str] = []
-    for tok in tokenize(text, lenient=True):
-        if tok.kind != "ident":
-            continue
-        if tok.text in RESERVED_WORDS:
-            continue
-        if tok.text in ("true", "false"):
-            continue
-        out.append(tok.text)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import NotFoundError, StoreError
-from .names import LabelRef, Name
+from .names import LabelRef, Name, name_candidates
 from .source import (
     AttributeSpec,
     Declaration,
@@ -271,8 +271,11 @@ def build_store(
                     )
                 )
             elif isinstance(item, UpstreamAttribution):
-                target = _resolve_attribution_target(
-                    item, declarations, upstream_index
+                # exact candidates only: unlike reference resolution there is no
+                # drop-head retry, which would tag `thing` for `Mathlib.Ghost.thing`
+                candidates = name_candidates(item.target, item.namespace_context, item.opens)
+                target = next(
+                    (c for c in candidates if c in declarations or c in upstream_index), None
                 )
                 if target is None:
                     raise StoreError(
@@ -318,28 +321,6 @@ def build_store(
         upstream_index=upstream_index,
         upstream_prefixes=tuple(upstream_prefixes),
     )
-
-
-def _resolve_attribution_target(
-    item: UpstreamAttribution,
-    declarations: dict[Name, Declaration],
-    upstream_index: frozenset[Name],
-) -> Name | None:
-    def known(name: Name) -> bool:
-        return name in declarations or name in upstream_index
-
-    ctx = item.namespace_context
-    for i in range(len(ctx), 0, -1):
-        cand = Name(ctx[:i] + item.target.segments)
-        if known(cand):
-            return cand
-    for opened in item.opens:
-        cand = opened.join(item.target)
-        if known(cand):
-            return cand
-    if known(item.target):
-        return item.target
-    return None
 
 
 def merged_nodes(store: NodeStore, label: str) -> list[Node]:

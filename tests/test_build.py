@@ -66,6 +66,23 @@ def test_discover_missing_root_errors(tmp_path):
         discover_modules(project_config(tmp_path))
 
 
+def test_load_project_tokenizes_each_module_once(tmp_path, monkeypatch):
+    from archforge import source
+
+    make_project(tmp_path, {"MyNat": golden_text(), **CHAIN})
+    tokenized = []
+    tokenize = source.tokenize
+
+    def counting_tokenize(text, **kwargs):
+        tokenized.append(kwargs.get("path"))
+        return tokenize(text, **kwargs)
+
+    monkeypatch.setattr(source, "tokenize", counting_tokenize)
+    project = load_project_at(tmp_path)
+    assert len(project.store.modules) == 4
+    assert sorted(tokenized) == sorted(str(p) for p in project.module_paths.values())
+
+
 def test_load_project_collects_warnings(tmp_path):
     make_project(tmp_path, {"M": "namespace A\ndef x := 1\n"})
     project = load_project_at(tmp_path)

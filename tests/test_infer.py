@@ -18,8 +18,8 @@ from archforge.infer import (
     resolve_references,
 )
 from archforge.names import Name
-from archforge.source import scan_identifiers
-from archforge.store import SORRY_AX
+from archforge.source import parse_module_text
+from archforge.store import SORRY_AX, build_store
 
 from conftest import store_from
 
@@ -431,22 +431,36 @@ def test_generated_closures_keep_oracle_order():
     assert cyclic >= 5
 
 
-def test_warm_statuses_resolves_each_declaration_once(monkeypatch):
-    scanned = []
+class IdentReads:
+    """A declaration stand-in that records each read of its identifiers."""
 
-    def counting_scan(text):
-        scanned.append(text)
-        return scan_identifiers(text)
+    def __init__(self, decl, reads):
+        self._decl = decl
+        self._reads = reads
 
-    monkeypatch.setattr(infer, "scan_identifiers", counting_scan)
+    def __getattr__(self, attr):
+        if attr in ("signature_idents", "body_idents"):
+            self._reads.append((self._decl.name, attr))
+        return getattr(self._decl, attr)
+
+
+def test_warm_statuses_resolves_each_declaration_once():
     for seed in range(20):
-        scanned.clear()
-        store = _gen.build_gen_store(_gen.gen_project(seed, max_decls=30))
+        gp = _gen.gen_project(seed, max_decls=30)
+        units = [
+            parse_module_text(_gen.render_module_source(gp, m, tagged=True), N(m))
+            for m in gp.module_names
+        ]
+        store = build_store(units, gp.upstream_index)
+        reads = []
+        for name, decl in store.declarations.items():
+            store.declarations[name] = IdentReads(decl, reads)
+        infer.warm_statuses(store)
         # resolving again afterwards must hit the cache for every declaration
         for decl in store.declarations.values():
             resolve_references(decl, store)
-        decls = store.declarations.values()
-        assert len(scanned) == sum(1 + bool(d.body_text) for d in decls)
+        fields = ("signature_idents", "body_idents")
+        assert sorted(reads) == sorted((n, f) for n in store.declarations for f in fields)
 
 
 def test_generated_lean_ok_matches_oracle():

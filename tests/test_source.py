@@ -10,6 +10,7 @@ import pytest
 from archforge.errors import ParseError
 from archforge.names import LabelRef, Name
 from archforge.source import (
+    RESERVED_WORDS,
     Declaration,
     ModuleUnit,
     RawComment,
@@ -17,7 +18,6 @@ from archforge.source import (
     module_source,
     parse_attribute_config,
     parse_module_text,
-    scan_identifiers,
     tokenize,
     units_equivalent,
 )
@@ -87,32 +87,62 @@ def test_unterminated_string_raises():
         tokenize('x "open')
 
 
-def test_lenient_mode_swallows_unterminated():
-    # identifier scanning must work on arbitrary fragments
-    toks = tokenize("a /- open", lenient=True)
-    assert [t.text for t in toks if t.kind == "ident"] == ["a"]
-
-
 # ---------------------------------------------------------------------------
-# scan_identifiers
+# reference candidates captured on declarations
 
 
-def test_scan_identifiers_keeps_duplicates_in_order():
-    assert scan_identifiers("add zero a = a") == ["add", "zero", "a", "a"]
+def only_decl(text: str) -> Declaration:
+    (d,) = decls(parse_module_text(text, Name.parse("M")))
+    return d
 
 
-def test_scan_identifiers_ignores_comments():
-    got = scan_identifiers("exact b.zero_add -- comment with fake_name")
-    assert got == ["b.zero_add"]
+def test_decl_idents_keep_duplicates_in_order():
+    d = only_decl("theorem t (a : Nat) : add zero a = a := rfl\n")
+    assert d.signature_idents == ("a", "Nat", "add", "zero", "a", "a")
+    assert d.body_idents == ()
 
 
-def test_scan_identifiers_skips_keywords_and_bools():
-    assert scan_identifiers("by exact true false sorry foo") == ["foo"]
+def test_decl_idents_ignore_comments():
+    d = only_decl("theorem t : P := by\n  exact b.zero_add -- comment with fake_name\n")
+    assert d.body_idents == ("b.zero_add",)
 
 
-def test_scan_identifiers_empty():
-    assert scan_identifiers("") == []
-    assert scan_identifiers("  -- nothing\n") == []
+def test_decl_idents_skip_comments_docstrings_and_strings():
+    d = only_decl('def f := a /- b /- c -/ d -/ "e" e\n  /-- g -/ h\n')
+    assert d.body_idents == ("a", "e", "h")
+
+
+def test_decl_idents_skip_keywords_and_bools():
+    d = only_decl("def f := by exact true false sorry foo\n")
+    assert d.signature_idents == () and d.body_idents == ("foo",)
+
+
+def test_decl_idents_empty():
+    d = only_decl("def f :=\n  -- nothing\n")
+    assert d.body_text == "" and d.signature_idents == d.body_idents == ()
+    d = only_decl("inductive T\n")
+    assert d.body_text is None and d.signature_idents == d.body_idents == ()
+
+
+def relexed_idents(text: str | None) -> tuple[str, ...]:
+    toks = tokenize(text or "")
+    skip = RESERVED_WORDS | {"true", "false"}
+    return tuple(t.text for t in toks if t.kind == "ident" and t.text not in skip)
+
+
+def test_decl_idents_match_relexed_text():
+    # the captured tokens are exactly what re-tokenizing the sliced text yields
+    units = [parse_module_text(golden_text(), Name.parse("MyNat"))]
+    for seed in range(10):
+        gp = _gen.gen_project(seed, max_decls=30)
+        units += [
+            parse_module_text(_gen.render_module_source(gp, m, tagged=True), Name.parse(m))
+            for m in gp.module_names
+        ]
+    for unit in units:
+        for d in decls(unit):
+            assert d.signature_idents == relexed_idents(d.signature_text)
+            assert d.body_idents == relexed_idents(d.body_text)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +437,90 @@ def test_unclosed_namespace_warns():
     unit = parse_module_text("namespace A\ndef x := 1\n", Name.parse("M"))
     assert [str(d.name) for d in decls(unit)] == ["A.x"]
     assert len(unit.warnings) == 1
+
+
+def test_section_end_keeps_enclosing_namespace():
+    unit = parse_module_text(
+        "namespace A\nsection S\ndef f := 1\nend S\ndef g := 2\nend A\n",
+        Name.parse("M"),
+    )
+    assert [str(d.name) for d in decls(unit)] == ["A.f", "A.g"]
+    assert unit.warnings == ()
+
+
+def test_open_inside_section_ends_at_its_end():
+    unit = parse_module_text(
+        "namespace A\nsection\nopen P\ndef f := 1\nend\ndef g := 2\nend A\n",
+        Name.parse("M"),
+    )
+    f, g = decls(unit)
+    assert f.opens == (Name.parse("P"),) and g.opens == ()
+    assert g.namespace_context == ("A",)
+    assert unit.warnings == ()
+
+
+def test_section_end_mismatch_and_unclosed_section_warn():
+    unit = parse_module_text("section S\ndef f := 1\nend T\nsection\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["f"]
+    assert [w.message for w in unit.warnings] == [
+        "'end T' does not match section 'S'",
+        "section not closed at end of file",
+    ]
+
+
+def test_section_starts_a_block():
+    unit = parse_module_text("def f := 1\nsection S\ndef g := 2\nend S\n", Name.parse("M"))
+    assert decls(unit)[0].body_text == "1"
+
+
+MODIFIERS = ("private", "protected", "noncomputable", "partial", "unsafe")
+
+
+@pytest.mark.parametrize("modifier", MODIFIERS)
+def test_modifier_keeps_blueprint_tag(modifier):
+    unit = parse_module_text(
+        f'@[blueprint "l:h"]\n{modifier} def h : Nat := 1\n', Name.parse("M")
+    )
+    (d,) = decls(unit)
+    assert d.name == Name.parse("h") and d.kind == "def"
+    assert d.attribute.label == "l:h"
+    assert unit.warnings == ()
+
+
+def test_modifiers_after_docstring_and_attributes():
+    unit = parse_module_text(
+        "/-- Doc. -/\nprivate noncomputable def f := 1\n"
+        "@[blueprint]\n/-- Claim. -/\nprotected theorem t : f := by trivial\n",
+        Name.parse("M"),
+    )
+    f, t = decls(unit)
+    assert (f.name, f.docstring) == (Name.parse("f"), "Doc.")
+    assert (t.name, t.docstring, t.kind) == (Name.parse("t"), "Claim.", "theorem")
+    assert t.attribute is not None
+    assert unit.warnings == ()
+
+
+def test_modifier_at_column_zero_ends_previous_body():
+    text = "def f := 1\nprivate def h := 2\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    f, h = decls(unit)
+    assert f.body_text == "1" and h.name == Name.parse("h")
+    # an attribute block is inserted in front of the modifiers
+    assert h.keyword_line_byte == text.index("private")
+
+
+def test_modifier_without_declaration_warns():
+    unit = parse_module_text("private x\ndef y := 1\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["y"]
+    assert any("unrecognized" in str(w) for w in unit.warnings)
+
+
+def test_constant_is_a_declaration():
+    unit = parse_module_text("def f := 1\nconstant c : Nat\n", Name.parse("M"))
+    f, c = decls(unit)
+    assert f.body_text == "1"
+    assert (c.name, c.kind) == (Name.parse("c"), "constant")
+    assert unit.warnings == ()
 
 
 def test_warning_str_carries_location():

@@ -196,6 +196,19 @@ def test_upstream_attribution_unknown_target_errors():
         )
 
 
+def test_upstream_attribution_target_matches_exactly():
+    # unlike reference resolution, an attribution target never retries with
+    # its leading segment dropped: that would tag the unrelated project `thing`
+    with pytest.raises(StoreError, match="unknown constant 'Mathlib.Ghost.thing'"):
+        store_from(
+            {"M": 'def thing := 1\nattribute [blueprint "x"] Mathlib.Ghost.thing\n'},
+        )
+    store = store_from(
+        {"M": 'namespace A\ndef thing := 1\nattribute [blueprint "x"] thing\nend A\n'},
+    )
+    assert store.by_label["x"] == (Name.parse("A.thing"),)
+
+
 def test_is_upstream_by_module_head():
     store = store_from(
         {"M": 'attribute [blueprint "ml:le"] Mathlib.Order.le_trans\n\ndef local_d := 1\n'},
