@@ -132,35 +132,21 @@ def compute_staleness(
 ) -> set[Name]:
     """Modules whose artifacts cannot be trusted and must be rewritten."""
 
-    all_modules = set(store.topo_order)
     if manifest is None or manifest.get("toolVersion") != TOOL_VERSION:
-        return all_modules
+        return set(store.topo_order)
 
     entries = manifest["entries"]
     stale: set[Name] = set()
+    # topo_order lists imports first, and a stale import invalidates every importer
     for name in store.topo_order:
         entry = entries.get(str(name))
-        if not isinstance(entry, dict):
+        if (
+            not isinstance(entry, dict)
+            or entry.get("transitiveHash") != transitive[name]
+            or any(imp in stale for imp in store.import_graph[name])
+            or not all((out_dir / rel).is_file() for rel in artifacts[name])
+        ):
             stale.add(name)
-            continue
-        if entry.get("transitiveHash") != transitive[name]:
-            stale.add(name)
-            continue
-        for rel in artifacts[name]:
-            if not (out_dir / rel).is_file():
-                stale.add(name)
-                break
-
-    # a stale import conservatively invalidates every importer
-    changed = True
-    while changed:
-        changed = False
-        for name in store.topo_order:
-            if name in stale:
-                continue
-            if any(imp in stale for imp in store.import_graph[name]):
-                stale.add(name)
-                changed = True
     return stale
 
 

@@ -56,9 +56,6 @@ class Name:
             return None
         return Name(self.segments[1:])
 
-    def is_prefix_of(self, other: "Name") -> bool:
-        return other.segments[: len(self.segments)] == self.segments
-
 
 def name_candidates(
     raw: Name, context: tuple[str, ...], opens: tuple[Name, ...]

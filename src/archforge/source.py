@@ -8,6 +8,7 @@ purely lexical: no type checking or elaboration happens here.
 from __future__ import annotations
 
 import hashlib
+import re
 import textwrap
 import unicodedata
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ DECL_MODIFIERS = frozenset({"private", "protected", "noncomputable", "partial", 
 
 # Commands that may only begin at the start of a line at top level.
 COMMAND_KEYWORDS = frozenset(
-    {"import", "namespace", "section", "end", "open", "attribute", "blueprint_comment"}
+    {"import", "namespace", "section", "end", "open", "attribute", "blueprint_comment", "variable"}
 ) | DECL_KEYWORDS | DECL_MODIFIERS
 
 # Term/tactic-level words that must never be reported as identifiers.
@@ -40,7 +41,7 @@ _TERM_KEYWORDS = frozenset(
         "by", "match", "with", "where", "fun", "do", "let", "in", "have",
         "show", "from", "if", "then", "else", "calc", "at", "exact",
         "intro", "intros", "rfl", "rw", "simp", "induction", "cases",
-        "constructor", "apply", "trivial", "deriving", "mutual", "variable",
+        "constructor", "apply", "trivial", "deriving", "mutual",
         "Type", "Prop", "Sort", "sorry", "sorry_using",
     }
 )
@@ -90,47 +91,55 @@ def _is_ident_cont(ch: str) -> bool:
     return cat.startswith("L") or cat in ("Nd", "No", "Mn")
 
 
-class _Scanner:
-    """Character cursor with line/column and byte-offset bookkeeping."""
+def _word_end(text: str, start: int, kind: str) -> int:
+    """End of the identifier or number at `start`, by the Unicode rules above."""
 
-    def __init__(self, text: str, path: str | None):
-        self.text = text
-        self.path = path
-        self.pos = 0
-        self.line = 1
-        self.col = 0
-        # byte offset of each char offset; one extra entry for EOF
-        offsets = [0] * (len(text) + 1)
-        total = 0
-        for i, ch in enumerate(text):
-            offsets[i] = total
-            total += len(ch.encode("utf-8"))
-        offsets[len(text)] = total
-        self.byte_of = offsets
+    n = len(text)
+    i = start + 1
+    if kind == "number":
+        while i < n and text[i].isdigit():
+            i += 1
+        return i
+    while True:
+        while i < n and _is_ident_cont(text[i]):
+            i += 1
+        # dotted names stay one token: `MyNat.add`, `b.zero_add`
+        if i + 1 < n and text[i] == "." and _is_ident_start(text[i + 1]):
+            i += 2
+            continue
+        return i
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
 
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
+# The ASCII cases of the rules above; `tokenize` hands any token that touches
+# a non-ASCII character to `_word_end`, because `\w` and `\d` disagree with
+# them on Nl, No and Mn characters.
+_STRING_BODY = r"""(?:[^"\\\n]|\\[nt"\\'])*"""
+_TOKEN = re.compile(
+    r"""(?P<space>(?:[ \t\r\n]+|--[^\n]*)+)
+      | (?P<comment>/-)
+      | (?P<string>"%s")
+      | (?P<ident>[A-Za-z_][\w'!?]*(?:\.[A-Za-z_][\w'!?]*)*)
+      | (?P<number>\d+)
+      | (?P<symbol>:=|.)"""
+    % _STRING_BODY,
+    re.VERBOSE | re.DOTALL | re.ASCII,
+)
+_UNCLOSED_STRING = re.compile(_STRING_BODY)
+_COMMENT_DELIMITER = re.compile(r"/-|-/")
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "'": "'"}
 
-    def startswith(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
 
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos >= len(self.text):
-                return
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 0
-            else:
-                self.col += 1
-            self.pos += 1
+def _comment_close(text: str, pos: int) -> int:
+    """Offset of the `-/` closing a comment whose body starts at `pos`, or -1."""
 
-    def error(self, message: str, line: int | None = None) -> ParseError:
-        return ParseError(message, path=self.path, line=line if line is not None else self.line)
+    depth = 1
+    while m := _COMMENT_DELIMITER.search(text, pos):
+        depth += 1 if m[0] == "/-" else -1
+        if not depth:
+            return m.start()
+        pos = m.end()
+    return -1
 
 
 def tokenize(text: str, *, path: str | None = None) -> list[Token]:
@@ -140,131 +149,60 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
     Unterminated docstrings, comments and strings raise ParseError.
     """
 
-    sc = _Scanner(text, path)
     tokens: list[Token] = []
+    ascii_only = text.isascii()
+    pos = 0
+    line, line_start, counted = 1, 0, 0  # `line` and `line_start` hold at `counted`
+    char_at = byte_at = 0  # a char offset and its byte offset, for non-ASCII text
     line_of_last_token = 0
-
-    def emit(kind: str, start: int, start_line: int, start_col: int, value: str | None = None) -> None:
-        nonlocal line_of_last_token
-        raw = text[start : sc.pos]
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind, start, pos = m.lastgroup, m.start(), m.end()
+        if kind == "space":
+            continue
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", counted, start) + 1
+        counted = start
+        value = None
+        if kind == "comment":
+            doc = text.startswith("/--", start) and not text.startswith("/--/", start)
+            close = _comment_close(text, start + 3 if doc else start + 2)
+            if close < 0:
+                what = "docstring" if doc else "block comment"
+                raise ParseError(f"unterminated {what}", path=path, line=line)
+            pos = close + 2
+            if not doc:
+                continue
+            kind, value = "docstring", _clean_docstring(text[start + 3 : close])
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[start + 1 : pos - 1])
+        elif text[start] == '"':
+            bad = _UNCLOSED_STRING.match(text, start + 1).end()
+            if text.startswith("\\", bad):
+                esc = text[bad + 1 : bad + 2]
+                raise ParseError(f"unsupported string escape '\\{esc}'", path=path, line=line)
+            raise ParseError("unterminated string literal", path=path, line=line)
+        elif not ascii_only and not text[start : pos + 2].isascii():
+            if kind == "ident" or _is_ident_start(text[start]):
+                kind, pos = "ident", _word_end(text, start, "ident")
+            elif kind == "number" or text[start].isdigit():
+                kind, pos = "number", _word_end(text, start, "number")
+        raw = text[start:pos]
+        if ascii_only:
+            byte_start, byte_end = start, pos
+        else:
+            byte_start = byte_at + len(text[char_at:start].encode("utf-8"))
+            byte_end = byte_start + len(raw.encode("utf-8"))
+            char_at, byte_at = pos, byte_end
         tokens.append(
             Token(
-                kind=kind,
-                text=raw,
-                value=raw if value is None else value,
-                start=start,
-                end=sc.pos,
-                byte_start=sc.byte_of[start],
-                byte_end=sc.byte_of[sc.pos],
-                line=start_line,
-                col=start_col,
-                first_on_line=start_line != line_of_last_token,
+                kind, raw, raw if value is None else value, start, pos,
+                byte_start, byte_end, line, start - line_start, line != line_of_last_token,
             )
         )
-        line_of_last_token = start_line
-
-    while not sc.eof():
-        ch = sc.peek()
-        if ch in " \t\r\n":
-            sc.advance()
-            continue
-
-        start, start_line, start_col = sc.pos, sc.line, sc.col
-
-        if sc.startswith("--"):
-            while not sc.eof() and sc.peek() != "\n":
-                sc.advance()
-            continue
-
-        if sc.startswith("/--") and not sc.startswith("/--/"):
-            sc.advance(3)
-            body_start = sc.pos
-            depth = 1
-            while depth:
-                if sc.eof():
-                    raise sc.error("unterminated docstring", start_line)
-                if sc.startswith("/-"):
-                    depth += 1
-                    sc.advance(2)
-                elif sc.startswith("-/"):
-                    depth -= 1
-                    if depth:
-                        sc.advance(2)
-                else:
-                    sc.advance()
-            body = text[body_start : sc.pos]
-            sc.advance(2)
-            emit("docstring", start, start_line, start_col, value=_clean_docstring(body))
-            continue
-
-        if sc.startswith("/-"):
-            sc.advance(2)
-            depth = 1
-            while depth:
-                if sc.eof():
-                    raise sc.error("unterminated block comment", start_line)
-                if sc.startswith("/-"):
-                    depth += 1
-                    sc.advance(2)
-                elif sc.startswith("-/"):
-                    depth -= 1
-                    sc.advance(2)
-                else:
-                    sc.advance()
-            continue
-
-        if ch == '"':
-            sc.advance()
-            buf: list[str] = []
-            while True:
-                if sc.eof() or sc.peek() == "\n":
-                    raise sc.error("unterminated string literal", start_line)
-                c = sc.peek()
-                if c == '"':
-                    sc.advance()
-                    break
-                if c == "\\":
-                    sc.advance()
-                    esc = sc.peek()
-                    mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "'": "'"}.get(esc)
-                    if mapped is None:
-                        raise sc.error(f"unsupported string escape '\\{esc}'", sc.line)
-                    buf.append(mapped)
-                    sc.advance()
-                else:
-                    buf.append(c)
-                    sc.advance()
-            emit("string", start, start_line, start_col, value="".join(buf))
-            continue
-
-        if _is_ident_start(ch):
-            sc.advance()
-            while not sc.eof() and _is_ident_cont(sc.peek()):
-                sc.advance()
-            # dotted names stay one token: `MyNat.add`, `b.zero_add`
-            while sc.peek() == "." and sc.peek(1) and _is_ident_start(sc.peek(1)):
-                sc.advance()
-                sc.advance()
-                while not sc.eof() and _is_ident_cont(sc.peek()):
-                    sc.advance()
-            emit("ident", start, start_line, start_col)
-            continue
-
-        if ch.isdigit():
-            sc.advance()
-            while not sc.eof() and sc.peek().isdigit():
-                sc.advance()
-            emit("number", start, start_line, start_col)
-            continue
-
-        if sc.startswith(":="):
-            sc.advance(2)
-            emit("symbol", start, start_line, start_col)
-            continue
-
-        sc.advance()
-        emit("symbol", start, start_line, start_col)
-
+        line_of_last_token = line
     return tokens
 
 
@@ -632,6 +570,8 @@ class _ModuleParser:
                 self.parse_attribute_command()
             elif word == "blueprint_comment":
                 self.parse_blueprint_comment()
+            elif word == "variable":
+                self.skip_command(tok)  # declares no constant
             elif self.at_declaration():
                 self.parse_declaration([], None, tok)
             else:
@@ -657,6 +597,11 @@ class _ModuleParser:
 
     def skip_unrecognized(self, tok: Token) -> None:
         self.warn(f"unrecognized top-level command starting at {tok.text!r}", tok.line)
+        self.skip_command(tok)
+
+    def skip_command(self, tok: Token) -> None:
+        """Take tokens up to the next block start on a later line."""
+
         line = tok.line
         while (tok := self.peek()) is not None:
             if tok.col == 0 and tok.line != line and self.is_block_start(tok):
@@ -857,12 +802,16 @@ class _ModuleParser:
         while kw.text in DECL_MODIFIERS:
             kw = self.take()
         name_tok = self.peek()
+        blueprint = [a for a in attrs if a.name == "blueprint"]
         if name_tok is None or name_tok.kind != "ident":
+            if blueprint:
+                raise ParseError(
+                    f"'{kw.text}' tagged with blueprint needs a name", path=self.path, line=kw.line
+                )
             self.warn(f"'{kw.text}' without a name; skipped", kw.line)
             return
         self.take()
 
-        blueprint = [a for a in attrs if a.name == "blueprint"]
         if len(blueprint) > 1:
             self.warn("duplicate blueprint attribute; keeping the first", kw.line)
         spec = None
@@ -1014,99 +963,3 @@ def parse_module(path: str | Path, module_name: Name) -> ModuleUnit:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", path=str(p)) from exc
     return parse_module_text(text, module_name, path=str(p))
-
-
-# ---------------------------------------------------------------------------
-# Module printing (canonical source reconstruction)
-
-
-def module_source(unit: ModuleUnit) -> str:
-    """Reconstruct compilable source for a parsed module.
-
-    Items are emitted verbatim from their original spans, wrapped in the
-    namespace and open commands they were parsed under.  Reparsing the result
-    yields an equivalent unit (spans and hashes aside).
-    """
-
-    text = unit.source_text
-    lines: list[str] = [f"import {imp}" for imp in unit.imports]
-
-    ctx: tuple[str, ...] = ()
-
-    def shift(target: tuple[str, ...]) -> None:
-        nonlocal ctx
-        common = 0
-        while common < len(ctx) and common < len(target) and ctx[common] == target[common]:
-            common += 1
-        for seg in reversed(ctx[common:]):
-            lines.append(f"end {seg}")
-            lines.append("")
-        for seg in target[common:]:
-            lines.append(f"namespace {seg}")
-            lines.append("")
-        ctx = target
-
-    events: list[tuple[int, int, object]] = []
-    for oc in unit.open_commands:
-        events.append((oc.index, 0, oc))
-    for idx, item in enumerate(unit.items):
-        events.append((idx, 1, item))
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    if lines:
-        lines.append("")
-    for _, _, obj in events:
-        if isinstance(obj, OpenCommand):
-            shift(obj.namespace_context)
-            lines.append("open " + " ".join(str(n) for n in obj.names))
-            lines.append("")
-        else:
-            item = obj  # Declaration | RawComment | UpstreamAttribution
-            shift(item.namespace_context)  # type: ignore[union-attr]
-            span = item.span  # type: ignore[union-attr]
-            lines.append(text[span.start : span.end])
-            lines.append("")
-    shift(())
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def units_equivalent(a: ModuleUnit, b: ModuleUnit) -> bool:
-    """Structural equality that ignores spans, hashes, and file paths."""
-
-    if a.name != b.name or a.imports != b.imports:
-        return False
-    if len(a.items) != len(b.items):
-        return False
-    for x, y in zip(a.items, b.items):
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, RawComment):
-            if x.text != y.text:
-                return False
-        elif isinstance(x, UpstreamAttribution):
-            if (x.target, x.attribute, x.namespace_context) != (
-                y.target,
-                y.attribute,
-                y.namespace_context,
-            ):
-                return False
-        else:
-            assert isinstance(x, Declaration) and isinstance(y, Declaration)
-            key = lambda d: (
-                d.name,
-                d.kind,
-                d.docstring,
-                d.attribute,
-                d.other_attributes,
-                d.signature_text,
-                d.body_text,
-                d.tactic_docstrings,
-                tuple(m.using for m in d.sorry_markers),
-                d.namespace_context,
-                d.opens,
-            )
-            if key(x) != key(y):
-                return False
-    return True

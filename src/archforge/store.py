@@ -72,12 +72,6 @@ class NodeStore:
     def topo_index(self, module: Name) -> int:
         return self.topo_positions.get(module, len(self.topo_order))
 
-    def node(self, name: Name) -> Node:
-        node = self.by_name.get(name)
-        if node is None:
-            raise NotFoundError(f"no blueprint node for declaration '{name}'")
-        return node
-
     def labels(self) -> list[str]:
         return sorted(self.by_label)
 
