@@ -11,7 +11,7 @@ from . import __version__ as TOOL_VERSION
 from .config import ProjectConfig
 from .errors import LockError, StoreError
 from .graph import build_graph, emit_dot, graph_json_data
-from .infer import inference_warnings, warm_statuses
+from .infer import inference_warnings, label_view, warm_statuses
 from .latex import (
     RenderOptions,
     blueprint_json_data,
@@ -170,20 +170,17 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     owners: dict[str, Name | None] = {}
     artifacts: dict[Name, list[str]] = {name: [] for name in store.topo_order}
 
-    for label in sorted(store.by_label):
+    rendered = {label: render_node(store, label, options) for label in sorted(store.by_label)}
+    for label, node in rendered.items():
         rel = node_paths[label]
-        rendered = render_node(store, label, options)
-        files[rel] = rendered.tex + "\n"
-        first = min(
-            (store.by_name[n] for n in store.by_label[label]),
-            key=lambda n: (store.topo_index(n.placement_module), n.placement_index),
-        )
-        owners[rel] = first.placement_module
-        artifacts[first.placement_module].append(rel)
+        files[rel] = node.tex + "\n"
+        anchor_module = label_view(store, label).anchor[0]
+        owners[rel] = anchor_module
+        artifacts[anchor_module].append(rel)
 
     for name in store.topo_order:
         rel = module_fragment_path(name)
-        files[rel] = render_module_fragment(store, name, options)
+        files[rel] = render_module_fragment(store, name, options, rendered)
         owners[rel] = name
         artifacts[name].append(rel)
 
@@ -191,7 +188,7 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     files["macros.tex"] = render_macros(store, node_paths)
     files["graph.dot"] = emit_dot(graph)
     files["graph.json"] = _dump_json(graph_json_data(graph))
-    files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths, options))
+    files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths))
     for rel in GLOBAL_FILES:
         owners[rel] = None
 

@@ -11,15 +11,14 @@ from .build import Project, extract, load_project
 from .config import load_config
 from .convert import (
     ConversionOptions,
-    _TexScanner,
     apply_plan,
+    find_input_macros,
     parse_legacy_blueprint,
     plan_conversion,
 )
 from .errors import BlueprintError
 from .graph import LintFinding, build_graph, emit_dot, graph_json_data, run_lints
-from .infer import part_status
-from .latex import first_placement
+from .infer import label_view, part_status
 from .store import NodeStore, is_upstream
 
 
@@ -88,19 +87,9 @@ def blueprint_cross_findings(project: Project) -> list[LintFinding]:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise BlueprintError(f"cannot read blueprint file '{path}': {exc}") from exc
-        sc = _TexScanner(text, str(path))
-        for macro, bag in (
-            ("inputleannode", referenced_labels),
-            ("inputleanmodule", referenced_modules),
-        ):
-            pos = 0
-            while True:
-                i = sc.find_macro(macro, pos)
-                if i == -1:
-                    break
-                arg, past = sc.balanced_arg(i + 1 + len(macro))
-                bag.add(arg.strip())
-                pos = past
+        labels, modules = find_input_macros(text, str(path))
+        referenced_labels |= labels
+        referenced_modules |= modules
 
     if not project.config.blueprint_tex_files:
         return findings
@@ -127,7 +116,7 @@ def blueprint_cross_findings(project: Project) -> list[LintFinding]:
     for label in sorted(store.by_label):
         if label in referenced_labels:
             continue
-        anchor_module, _ = first_placement(store, label)
+        anchor_module, _ = label_view(store, label).anchor
         if str(anchor_module) in referenced_modules:
             continue
         findings.append(

@@ -170,6 +170,19 @@ class _TexScanner:
         raise ConversionError(f"{self.path}:{self.line_of(pos)}: unbalanced '{open_ch}'")
 
 
+def find_input_macros(text: str, path: str) -> tuple[set[str], set[str]]:
+    """(labels, modules) named by `\\inputleannode` and `\\inputleanmodule` outside % comments."""
+
+    sc = _TexScanner(text, path)
+    found: dict[str, set[str]] = {"inputleannode": set(), "inputleanmodule": set()}
+    for macro, bag in found.items():
+        pos = 0
+        while (i := sc.find_macro(macro, pos)) != -1:
+            arg, pos = sc.balanced_arg(i + 1 + len(macro))
+            bag.add(arg.strip())
+    return found["inputleannode"], found["inputleanmodule"]
+
+
 def _find_env_end(sc: _TexScanner, env: str, body_start: int) -> tuple[int, int]:
     """(start of \\end{env}, offset past it), honoring nested same-name envs."""
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .infer import effective_uses, part_status
-from .store import NodeStore, is_upstream, merged_nodes
+from .infer import label_view
+from .store import NodeStore
 
 
 @dataclass(frozen=True)
@@ -51,44 +51,31 @@ LINT_SEVERITY = {
 }
 
 
+_DANGLING = VertexInfo(
+    env="", statement_ok=False, proof_ok=None, upstream=False, not_ready=False, dangling=True
+)
+
+
 def build_graph(store: NodeStore) -> DepGraph:
     """One vertex per label; an edge u->v when v uses u in some part."""
 
-    vertices: dict[str, VertexInfo] = {}
-    edges: set[Edge] = set()
-
-    for label in sorted(store.by_label):
-        nodes = merged_nodes(store, label)
-        proved = [n for n in nodes if n.proof is not None]
-        vertices[label] = VertexInfo(
-            env=nodes[0].statement.latex_env,
-            statement_ok=all(part_status(store, n, "statement").lean_ok for n in nodes),
-            proof_ok=(
-                all(part_status(store, n, "proof").lean_ok for n in proved)
-                if proved
-                else None
-            ),
-            upstream=any(is_upstream(store, n.name) for n in nodes),
-            not_ready=any(n.not_ready for n in nodes),
+    views = [label_view(store, label) for label in sorted(store.by_label)]
+    vertices: dict[str, VertexInfo] = {
+        view.label: VertexInfo(
+            env=view.envs[0],
+            statement_ok=view.statement_ok,
+            proof_ok=view.proof_ok,
+            upstream=view.upstream,
+            not_ready=view.not_ready,
         )
-
-    for label in sorted(store.by_label):
-        for node in merged_nodes(store, label):
-            parts = ["statement"] + (["proof"] if node.proof is not None else [])
-            for part in parts:
-                for dep in effective_uses(store, node, part):
-                    if dep == label:
-                        continue
-                    if dep not in vertices:
-                        vertices[dep] = VertexInfo(
-                            env="",
-                            statement_ok=False,
-                            proof_ok=None,
-                            upstream=False,
-                            not_ready=False,
-                            dangling=True,
-                        )
-                    edges.add(Edge(src=dep, dst=label, kind=part))
+        for view in views
+    }
+    edges: set[Edge] = set()
+    for view in views:
+        for part, uses in (("statement", view.statement_uses), ("proof", view.proof_uses)):
+            for dep in uses:
+                vertices.setdefault(dep, _DANGLING)
+                edges.add(Edge(src=dep, dst=view.label, kind=part))
 
     ordered = tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.kind)))
     return DepGraph(vertices=vertices, edges=ordered)
@@ -169,14 +156,13 @@ def run_lints(store: NodeStore, graph: DepGraph | None = None, strict: bool = Fa
             )
             continue
 
-        nodes = merged_nodes(store, label)
-        envs = sorted({n.statement.latex_env for n in nodes})
-        if len(envs) > 1:
-            names = ", ".join(str(n.name) for n in nodes)
+        view = label_view(store, label)
+        if len(view.envs) > 1:
+            names = ", ".join(view.names)
             add(
                 "env-mismatch",
                 label,
-                f"environments {envs} conflict across declarations {names}",
+                f"environments {sorted(view.envs)} conflict across declarations {names}",
             )
 
         incoming = label in has_incoming
@@ -187,16 +173,12 @@ def run_lints(store: NodeStore, graph: DepGraph | None = None, strict: bool = Fa
             if not (info.upstream and not strict):
                 add("unused-node", label, "nothing depends on this node")
 
-        proved = [n for n in nodes if n.proof is not None]
-        if proved and not info.upstream:
-            proof_ok = all(part_status(store, n, "proof").lean_ok for n in proved)
-            union = [lbl for n in proved for lbl in effective_uses(store, n, "proof")]
-            if proof_ok and not union:
-                add(
-                    "empty-proof-uses",
-                    label,
-                    "proof is complete but no dependencies were inferred or declared",
-                )
+        if view.proof_ok and not view.proof_uses and not info.upstream:
+            add(
+                "empty-proof-uses",
+                label,
+                "proof is complete but no dependencies were inferred or declared",
+            )
 
     findings.sort(key=lambda f: (f.code, f.label))
     return findings

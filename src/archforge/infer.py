@@ -8,7 +8,17 @@ from typing import Callable, Iterable
 from .errors import NotFoundError, ResolutionError
 from .names import LabelRef, Name, name_candidates
 from .source import Declaration
-from .store import Node, NodePart, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream
+from .store import Node, NodePart, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream, merged_nodes
+
+
+def _dedup(seq: Iterable) -> tuple:
+    """The items of `seq` in order, each kept at its first position."""
+
+    return tuple(dict.fromkeys(seq))
+
+
+def _merge_texts(texts: Iterable[str]) -> str:
+    return "\n".join(_dedup(t for t in texts if t))
 
 
 @dataclass(frozen=True)
@@ -19,13 +29,7 @@ class RefSets:
     body_refs: tuple[Name, ...]
 
     def all_refs(self) -> tuple[Name, ...]:
-        out: list[Name] = list(self.statement_refs)
-        seen = set(out)
-        for n in self.body_refs:
-            if n not in seen:
-                seen.add(n)
-                out.append(n)
-        return tuple(out)
+        return _dedup((*self.statement_refs, *self.body_refs))
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,33 @@ class PartStatus:
     inferred_uses: tuple[Name, ...]
     lean_ok: bool
     mathlib_ok: bool
+
+
+@dataclass(frozen=True)
+class LabelView:
+    """Every fact the emitters need about one label, merged over its nodes.
+
+    `nodes` are in placement order (module topo index, item index).  Flags
+    and texts merge as README's merged-label paragraph says.  `proof_ok` is
+    None when no constituent has a proof; `proof_uses` and `proof_text` are
+    then empty.
+    """
+
+    label: str
+    nodes: tuple[Node, ...]
+    names: tuple[str, ...]
+    envs: tuple[str, ...]  # deduplicated; more than one is a conflict
+    title: str | None
+    discussion: int | None
+    not_ready: bool
+    upstream: bool
+    statement_ok: bool
+    statement_uses: tuple[str, ...]
+    statement_text: str
+    proof_ok: bool | None
+    proof_uses: tuple[str, ...]
+    proof_text: str
+    anchor: tuple[Name, int]  # (placement_module, placement_index) of the first node
 
 
 @dataclass
@@ -68,6 +99,7 @@ class _InferCache:
     refs: dict[Name, RefSets] = field(default_factory=dict)
     status: dict[tuple[Name, str], PartStatus] = field(default_factory=dict)
     effective: dict[tuple[Name, str], tuple[str, ...]] = field(default_factory=dict)
+    views: dict[str, LabelView] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     graph: _ClosureGraph | None = None
 
@@ -125,13 +157,7 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
         return out
 
     def dedup(names: Iterable[Name]) -> tuple[Name, ...]:
-        seen: set[Name] = set()
-        out: list[Name] = []
-        for n in names:
-            if n != decl.name and n not in seen:
-                seen.add(n)
-                out.append(n)
-        return tuple(out)
+        return _dedup(n for n in names if n != decl.name)
 
     statement_refs = dedup(resolve_many(decl.signature_idents))
 
@@ -226,17 +252,12 @@ def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:
 
     decl = store.declarations[node.name]
     refs = resolve_references(decl, store)
-    if part == "statement":
-        start = list(refs.statement_refs)
-        if decl.kind not in PROOF_KINDS:
-            # a definition's value is part of what it states
-            seen = set(start)
-            for n in refs.body_refs:
-                if n not in seen:
-                    seen.add(n)
-                    start.append(n)
+    if part == "proof":
+        start = refs.body_refs
+    elif decl.kind in PROOF_KINDS:
+        start = refs.statement_refs
     else:
-        start = list(refs.body_refs)
+        start = refs.all_refs()  # a definition's value is part of what it states
 
     collected = reference_closure(start, store)
     inferred = tuple(n for n in collected if n != SORRY_AX and n != node.name)
@@ -307,33 +328,64 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
         excluded.add(store.by_name[hit].latex_label)
     excluded.update(part_obj.excludes_labels)
 
-    seen: set[str] = set()
-    out: list[str] = []
-    for lbl in labels:
-        if lbl in excluded or lbl in seen:
-            continue
-        seen.add(lbl)
-        out.append(lbl)
-
-    result = tuple(out)
+    result = _dedup(lbl for lbl in labels if lbl not in excluded)
     cache.effective[key] = result
     return result
 
 
+def label_view(store: NodeStore, label: str) -> LabelView:
+    """The merged record of one label, built once per store."""
+
+    cache = _cache(store)
+    cached = cache.views.get(label)
+    if cached is not None:
+        return cached
+
+    nodes = merged_nodes(store, label)
+    stmt_ok = proof_ok = True
+    stmt_uses: list[str] = []
+    proof_uses: list[str] = []
+    proved: list[Node] = []
+    # statement status, statement uses, then proof, node by node: that order
+    # fixes which inference warning or error comes first
+    for node in nodes:
+        stmt_ok &= part_status(store, node, "statement").lean_ok
+        stmt_uses.extend(effective_uses(store, node, "statement"))
+        if node.proof is not None:
+            proved.append(node)
+            proof_ok &= part_status(store, node, "proof").lean_ok
+            proof_uses.extend(effective_uses(store, node, "proof"))
+
+    head = nodes[0]
+    view = LabelView(
+        label=label,
+        nodes=tuple(nodes),
+        names=tuple(str(n.name) for n in nodes),
+        envs=_dedup(n.statement.latex_env for n in nodes),
+        title=next((n.title for n in nodes if n.title is not None), None),
+        discussion=next((n.discussion for n in nodes if n.discussion is not None), None),
+        not_ready=any(n.not_ready for n in nodes),
+        upstream=any(is_upstream(store, n.name) for n in nodes),
+        statement_ok=stmt_ok,
+        statement_uses=_dedup(stmt_uses),
+        statement_text=_merge_texts(n.statement.text for n in nodes),
+        proof_ok=proof_ok if proved else None,
+        proof_uses=_dedup(proof_uses),
+        proof_text=_merge_texts(n.proof.text for n in proved),
+        anchor=(head.placement_module, head.placement_index),
+    )
+    cache.views[label] = view
+    return view
+
+
 def warm_statuses(store: NodeStore) -> None:
-    """Precompute every status and effective-uses set in store order.
+    """Precompute every status, effective-uses set and label view in store order.
 
     Keeps warning order deterministic no matter which consumer runs first.
     """
 
     for label in sorted(store.by_label):
-        for name in store.by_label[label]:
-            node = store.by_name[name]
-            part_status(store, node, "statement")
-            effective_uses(store, node, "statement")
-            if node.proof is not None:
-                part_status(store, node, "proof")
-                effective_uses(store, node, "proof")
+        label_view(store, label)
 
 
 def inference_warnings(store: NodeStore) -> tuple[str, ...]:

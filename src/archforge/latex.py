@@ -7,10 +7,10 @@ import re
 from dataclasses import dataclass
 
 from .errors import RenderError
-from .infer import effective_uses, part_status
+from .infer import label_view
 from .names import Name
-from .store import Node, NodeStore, is_upstream, merged_nodes
-from .source import Declaration, RawComment, UpstreamAttribution
+from .store import NodeStore
+from .source import RawComment
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,6 @@ def fragment_paths(store: NodeStore) -> dict[str, str]:
     return out
 
 
-def _dedup(seq) -> list:
-    seen = set()
-    out = []
-    for x in seq:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
-
-
-def _merge_texts(texts) -> str:
-    return "\n".join(_dedup([t for t in texts if t]))
-
-
 def _status_line(tokens: list[str]) -> list[str]:
     return ["  " + " ".join(tokens)] if tokens else []
 
@@ -85,72 +71,53 @@ def _body_lines(text: str) -> list[str]:
 def render_node(store: NodeStore, label: str, options: RenderOptions = RenderOptions()) -> RenderedNode:
     """Render the merged LaTeX fragment for one label."""
 
-    nodes = merged_nodes(store, label)
-
-    envs = _dedup(n.statement.latex_env for n in nodes)
-    if len(envs) > 1:
-        names = ", ".join(str(n.name) for n in nodes)
+    view = label_view(store, label)
+    if len(view.envs) > 1:
         raise RenderError(
-            f"label '{label}' maps to conflicting environments {envs} (declarations: {names})"
+            f"label '{label}' maps to conflicting environments {list(view.envs)} "
+            f"(declarations: {', '.join(view.names)})"
         )
-    env = envs[0]
-
-    names = [str(n.name) for n in nodes]
-    title = next((n.title for n in nodes if n.title is not None), None)
-    discussion = next((n.discussion for n in nodes if n.discussion is not None), None)
-    not_ready = any(n.not_ready for n in nodes)
-    upstream = any(is_upstream(store, n.name) for n in nodes)
-    stmt_ok = all(part_status(store, n, "statement").lean_ok for n in nodes)
-    stmt_uses = _dedup(
-        lbl for n in nodes for lbl in effective_uses(store, n, "statement")
-    )
-    stmt_text = _merge_texts(n.statement.text for n in nodes)
+    env = view.envs[0]
 
     header = f"\\begin{{{env}}}"
-    if title is not None:
-        header += f"[{title}]"
-    lines = [header, f"  \\label{{{label}}} \\lean{{{', '.join(names)}}}"]
+    if view.title is not None:
+        header += f"[{view.title}]"
+    lines = [header, f"  \\label{{{label}}} \\lean{{{', '.join(view.names)}}}"]
 
     status: list[str] = []
-    if upstream:
+    if view.upstream:
         status.append("\\mathlibok")
-        if options.emit_leanok_with_mathlibok and stmt_ok:
+        if options.emit_leanok_with_mathlibok and view.statement_ok:
             status.append("\\leanok")
-    elif stmt_ok:
+    elif view.statement_ok:
         status.append("\\leanok")
-    if stmt_uses:
-        status.append("\\uses{" + ", ".join(stmt_uses) + "}")
-    if not_ready:
+    if view.statement_uses:
+        status.append("\\uses{" + ", ".join(view.statement_uses) + "}")
+    if view.not_ready:
         status.append("\\notready")
-    if discussion is not None:
-        status.append(f"\\discussion{{{discussion}}}")
+    if view.discussion is not None:
+        status.append(f"\\discussion{{{view.discussion}}}")
     lines += _status_line(status)
-    lines += _body_lines(stmt_text)
+    lines += _body_lines(view.statement_text)
     lines.append(f"\\end{{{env}}}")
     statement_tex = "\n".join(lines)
 
-    proved = [n for n in nodes if n.proof is not None]
     proof_tex = None
-    if proved:
-        proof_ok = all(part_status(store, n, "proof").lean_ok for n in proved)
-        proof_uses = _dedup(
-            lbl for n in proved for lbl in effective_uses(store, n, "proof")
-        )
-        proof_text = _merge_texts(n.proof.text for n in proved)
+    if view.proof_ok is not None:
         plines = ["\\begin{proof}"]
         pstatus: list[str] = []
-        if proof_ok:
+        if view.proof_ok:
             pstatus.append("\\leanok")
-        if proof_uses:
-            pstatus.append("\\uses{" + ", ".join(proof_uses) + "}")
+        if view.proof_uses:
+            pstatus.append("\\uses{" + ", ".join(view.proof_uses) + "}")
         plines += _status_line(pstatus)
-        plines += _body_lines(proof_text)
+        plines += _body_lines(view.proof_text)
         plines.append("\\end{proof}")
         proof_tex = "\n".join(plines)
 
     rendered = RenderedNode(
         label=label,
-        names=tuple(names),
+        names=view.names,
         env=env,
         statement_tex=statement_tex,
         proof_tex=proof_tex,
@@ -160,20 +127,17 @@ def render_node(store: NodeStore, label: str, options: RenderOptions = RenderOpt
     return rendered
 
 
-def first_placement(store: NodeStore, label: str) -> tuple[Name, int]:
-    """Module and item index where a label's fragment is anchored."""
-
-    head = merged_nodes(store, label)[0]
-    return head.placement_module, head.placement_index
-
-
 def render_module_fragment(
-    store: NodeStore, module: Name, options: RenderOptions = RenderOptions()
+    store: NodeStore,
+    module: Name,
+    options: RenderOptions = RenderOptions(),
+    rendered: dict[str, RenderedNode] | None = None,
 ) -> str:
     """Concatenate a module's comments and node fragments in source order.
 
     A label renders where its first constituent is placed; later placements
-    leave a pointer comment so the fragment appears exactly once.
+    leave a pointer comment so the fragment appears exactly once.  When
+    given, `rendered` holds every label's fragment, so none renders again.
     """
 
     unit = store.modules.get(module)
@@ -188,11 +152,11 @@ def render_module_fragment(
         name = store.placements.get((module, idx))
         if name is None:
             continue
-        node = store.by_name[name]
-        label = node.latex_label
-        anchor_module, anchor_idx = first_placement(store, label)
+        label = store.by_name[name].latex_label
+        anchor_module, anchor_idx = label_view(store, label).anchor
         if (anchor_module, anchor_idx) == (module, idx):
-            blocks.append(render_node(store, label, options).tex)
+            node = rendered[label] if rendered is not None else render_node(store, label, options)
+            blocks.append(node.tex)
         else:
             blocks.append(f"% node {label} appears in module {anchor_module}")
     if not blocks:
@@ -239,47 +203,34 @@ def render_macros(store: NodeStore, node_paths: dict[str, str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def blueprint_json_data(
-    store: NodeStore, node_paths: dict[str, str], options: RenderOptions = RenderOptions()
-) -> dict:
+def blueprint_json_data(store: NodeStore, node_paths: dict[str, str]) -> dict:
     """Machine-readable summary of every rendered label."""
 
     nodes = []
     for label in sorted(store.by_label):
-        merged = merged_nodes(store, label)
-        rendered = render_node(store, label, options)
-        stmt_ok = all(part_status(store, n, "statement").lean_ok for n in merged)
-        proved = [n for n in merged if n.proof is not None]
-        proof_entry = None
-        if proved:
-            proof_entry = {
-                "leanOk": all(part_status(store, n, "proof").lean_ok for n in proved),
-                "uses": _dedup(
-                    lbl for n in proved for lbl in effective_uses(store, n, "proof")
-                ),
-                "text": _merge_texts(n.proof.text for n in proved),
-            }
+        view = label_view(store, label)
+        proof_entry = {
+            "leanOk": view.proof_ok,
+            "uses": list(view.proof_uses),
+            "text": view.proof_text,
+        }
         nodes.append(
             {
                 "label": label,
-                "names": [str(n.name) for n in merged],
-                "env": rendered.env,
-                "title": next((n.title for n in merged if n.title is not None), None),
+                "names": list(view.names),
+                "env": view.envs[0],
+                "title": view.title,
                 "statement": {
-                    "leanOk": stmt_ok,
-                    "mathlibOk": any(is_upstream(store, n.name) for n in merged),
-                    "uses": _dedup(
-                        lbl for n in merged for lbl in effective_uses(store, n, "statement")
-                    ),
-                    "text": _merge_texts(n.statement.text for n in merged),
+                    "leanOk": view.statement_ok,
+                    "mathlibOk": view.upstream,
+                    "uses": list(view.statement_uses),
+                    "text": view.statement_text,
                 },
-                "proof": proof_entry,
-                "notReady": any(n.not_ready for n in merged),
-                "discussion": next(
-                    (n.discussion for n in merged if n.discussion is not None), None
-                ),
+                "proof": proof_entry if view.proof_ok is not None else None,
+                "notReady": view.not_ready,
+                "discussion": view.discussion,
                 "file": node_paths[label],
-                "module": str(merged[0].placement_module),
+                "module": str(view.anchor[0]),
             }
         )
     return {

@@ -23,7 +23,7 @@ from .names import LabelRef, Name, SourceSpan
 DECL_KEYWORDS = frozenset(
     {
         "def", "abbrev", "theorem", "lemma", "inductive", "structure", "instance",
-        "axiom", "constant",
+        "axiom", "constant", "example",
     }
 )
 
@@ -695,12 +695,16 @@ class _ModuleParser:
             self.warn("'attribute' without '[...]' list", kw.line)
             return
         attrs, _close = self.parse_attr_list()
+        blueprint = [a for a in attrs if a.name == "blueprint"]
         tok = self.peek()
-        if tok is None or tok.kind != "ident":
+        if tok is None or tok.kind != "ident" or tok.text in RESERVED_WORDS:
+            if blueprint:
+                raise ParseError(
+                    "'attribute [blueprint ...]' needs a target name", path=self.path, line=kw.line
+                )
             self.warn("'attribute [...]' without target name", kw.line)
             return
         self.take()
-        blueprint = [a for a in attrs if a.name == "blueprint"]
         if not blueprint:
             self.warn("attribute command carries no blueprint attribute; ignored", kw.line)
             return
@@ -803,12 +807,15 @@ class _ModuleParser:
             kw = self.take()
         name_tok = self.peek()
         blueprint = [a for a in attrs if a.name == "blueprint"]
-        if name_tok is None or name_tok.kind != "ident":
+        if kw.text == "example" or name_tok is None or name_tok.kind != "ident":
             if blueprint:
                 raise ParseError(
                     f"'{kw.text}' tagged with blueprint needs a name", path=self.path, line=kw.line
                 )
-            self.warn(f"'{kw.text}' without a name; skipped", kw.line)
+            if kw.text == "example":
+                self.skip_command(kw)  # declares no constant
+            else:
+                self.warn(f"'{kw.text}' without a name; skipped", kw.line)
             return
         self.take()
 

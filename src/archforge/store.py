@@ -318,14 +318,15 @@ def build_store(
 
 
 def merged_nodes(store: NodeStore, label: str) -> list[Node]:
-    """All nodes sharing a label, ordered by (module topo index, placement)."""
+    """All nodes sharing a label, ordered by (module topo index, placement).
+
+    `build_store` registers nodes in that order, so `by_label` already is.
+    """
 
     names = store.by_label.get(label)
     if not names:
         raise NotFoundError(f"no blueprint node with label '{label}'")
-    nodes = [store.by_name[n] for n in names]
-    nodes.sort(key=lambda n: (store.topo_index(n.placement_module), n.placement_index))
-    return nodes
+    return [store.by_name[n] for n in names]
 
 
 def is_upstream(store: NodeStore, name: Name) -> bool:

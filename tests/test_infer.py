@@ -12,6 +12,7 @@ from archforge.errors import NotFoundError, ResolutionError
 from archforge.infer import (
     effective_uses,
     inference_warnings,
+    label_view,
     part_status,
     reference_closure,
     resolve_name,
@@ -342,6 +343,40 @@ def test_own_label_removed_from_uses():
     )
     node = store.by_name[N("b")]
     assert "pair" not in effective_uses(store, node, "statement")
+
+
+def test_label_view_merges_constituents():
+    store = store_from(
+        {
+            "Zeta": '@[blueprint "solo"]\ndef solo := 1\n\n'
+            '@[blueprint "pair" (statement := /-- Shared. -/) (uses := ["solo"])]\n'
+            "def first := solo\n",
+            "Alpha": "import Zeta\n\n"
+            '@[blueprint "pair" (statement := /-- Shared. -/) (title := "Second")'
+            " (discussion := 7) notReady]\n"
+            "theorem second : first = first := by\n  /-- By sorry. -/\n  sorry\n\n"
+            '@[blueprint "pair" (title := "Third") (discussion := 8)]\n'
+            "theorem third : True := by\n  /-- Trivially. -/\n  exact trivial\n",
+        }
+    )
+    view = label_view(store, "pair")
+    assert view is infer._cache(store).views["pair"]  # filled by warm_statuses
+    assert view.names == ("first", "second", "third")
+    assert [n.name for n in view.nodes] == [N("first"), N("second"), N("third")]
+    assert view.envs == ("definition", "theorem")
+    assert (view.title, view.discussion) == ("Second", 7)
+    assert (view.not_ready, view.upstream) == (True, False)
+    assert (view.statement_ok, view.statement_uses, view.statement_text) == (
+        True, ("solo",), "Shared."
+    )
+    assert (view.proof_ok, view.proof_uses, view.proof_text) == (
+        False, (), "By sorry.\nTrivially."
+    )
+    assert view.anchor == (N("Zeta"), 1)
+    solo = label_view(store, "solo")
+    assert (solo.proof_ok, solo.proof_uses, solo.proof_text) == (None, (), "")
+    with pytest.raises(NotFoundError):
+        label_view(store, "no:such")
 
 
 def test_effective_uses_idempotent(addcomm_store):

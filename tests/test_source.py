@@ -409,6 +409,25 @@ def test_attribute_command_parses_target():
     assert item.attribute.label == "ml:x"
 
 
+def test_attribute_command_rejects_keyword_target():
+    with pytest.raises(ParseError, match=r"'attribute \[blueprint \.\.\.\]' needs a target name") as info:
+        parse_module_text('def g := 2\nattribute [blueprint "x"]\ndef f := 1\n', Name.parse("M"))
+    assert info.value.line == 2
+    unit = parse_module_text("attribute [simp]\ndef f := 1\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["f"]
+    assert [w.message for w in unit.warnings] == ["'attribute [...]' without target name"]
+
+
+def test_readme_attribute_command_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```lean\nattribute [", 1)[1].split("```", 1)[0]
+    unit = parse_module_text("attribute [" + block, Name.parse("M"))
+    assert unit.warnings == ()
+    (item,) = unit.items
+    assert item.target == Name.parse("Mathlib.Order.le_trans")
+    assert item.attribute.label == "ml:le-trans"
+
+
 def test_declaration_docstring_captured():
     unit = parse_module_text(
         "/-- Adds one. -/\n@[blueprint]\ndef bump (n : Nat) : Nat := n + 1\n",
@@ -614,6 +633,23 @@ def test_variable_ends_the_previous_declaration():
     assert unit.warnings == ()
 
 
+def test_example_ends_the_previous_declaration():
+    unit = parse_module_text(
+        "def f := 1\nexample : f = 1 := rfl\n@[simp]\nexample : 2 = 2 := rfl\ndef g := 2\n",
+        Name.parse("M"),
+    )
+    f, g = decls(unit)
+    assert (f.body_text, f.body_idents) == ("1", ())
+    assert g.name == Name.parse("g")
+    assert unit.warnings == ()
+
+
+def test_tagged_example_raises():
+    with pytest.raises(ParseError, match="'example' tagged with blueprint needs a name") as info:
+        parse_module_text('def f := 1\n@[blueprint "x"]\nexample : 1 = 1 := rfl\n', Name.parse("M"))
+    assert info.value.line == 3
+
+
 def test_tagged_anonymous_instance_raises():
     with pytest.raises(ParseError, match="'instance' tagged with blueprint needs a name") as info:
         parse_module_text('def f := 1\n@[blueprint "i"]\ninstance : Foo Nat := 1\n', Name.parse("M"))
@@ -762,12 +798,19 @@ NAMELESS_LINES = ("instance : C T where", "theorem : x := by trivial")
 
 
 def parse_soup(text: str) -> ModuleUnit | None:
-    """Parse soup; None when it tags a nameless declaration, which must raise."""
+    """Parse soup; None when a blueprint tag has nothing to attach to, which must raise.
+
+    That is a tagged nameless declaration, or `attribute [blueprint]` whose
+    next token is not a plain name.
+    """
 
     try:
         return parse_module_text(text, Name.parse("Soup"))
     except ParseError as exc:
         lines = text.split("\n")
+        if exc.message == "'attribute [blueprint ...]' needs a target name":
+            assert lines[exc.line - 1] == "attribute [blueprint]", exc
+            return None
         assert exc.message.endswith("tagged with blueprint needs a name"), exc
         assert lines[exc.line - 1] in NAMELESS_LINES, exc
         tag_lines = lines[max(0, exc.line - 3) : exc.line - 1]
@@ -778,8 +821,9 @@ def parse_soup(text: str) -> ModuleUnit | None:
 def test_parser_never_raises_on_tokenizable_soup():
     """Malformed but tokenizable files degrade instead of raising.
 
-    The one exception is a blueprint tag on a declaration without a name:
-    that raises rather than drop the tag.
+    The exceptions are a blueprint tag with nothing to attach to (a
+    declaration without a name, an attribute command without a target):
+    they raise rather than drop the tag.
     """
 
     rng = random.Random(20260814)

@@ -4,16 +4,25 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import shutil
 from pathlib import Path
 
+from archforge.cli import main
+
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_tracing_targets_resolve():
     # a renamed function would make `run.py --trace 1` die with AttributeError
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     assert tracing.TARGETS
     missing = [
         (module, function)
@@ -21,3 +30,19 @@ def test_tracing_targets_resolve():
         if not hasattr(importlib.import_module(f"archforge.{module}"), function)
     ]
     assert missing == []
+
+
+def test_traced_extract_renders_and_tokenizes_once(tmp_path, monkeypatch):
+    # the counters read call arguments, so this also pins what the tracer observes
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    monkeypatch.chdir(tmp_path / "golden")
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["extract", "--force"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["latex.render_node_calls"] > 0
+    assert metrics["latex.renders_per_label"] == 1.0
+    assert metrics["source.tokenize_calls_per_module"] == 1.0
