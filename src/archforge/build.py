@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__ as TOOL_VERSION
 from .config import ProjectConfig
-from .errors import LockError, StoreError
+from .errors import BlueprintError, LockError, StoreError
 from .graph import build_graph, emit_dot, graph_json_data
 from .infer import inference_warnings, label_view, warm_statuses
 from .latex import (
@@ -22,12 +24,14 @@ from .latex import (
     render_node,
 )
 from .names import Name
-from .source import ModuleUnit, parse_module
+from .source import ModuleUnit, parse_module, read_source, source_hash
 from .store import NodeStore, build_store, load_upstream_index
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_TMP = MANIFEST_NAME + ".tmp"  # written in full, then renamed over the manifest
 LOCK_NAME = ".lock"
 GLOBAL_FILES = ("macros.tex", "blueprint.json", "graph.dot", "graph.json")
+MANAGED_DIRS = ("nodes", "modules")  # swept of files the plan does not hold
 
 
 @dataclass
@@ -70,10 +74,7 @@ def load_project(config: ProjectConfig) -> Project:
     for name, path in discover_modules(config):
         units.append(parse_module(path, name))
         paths[name] = path
-    upstream = frozenset()
-    if config.upstream_index_path is not None:
-        upstream = load_upstream_index(config.upstream_index_path)
-    store = build_store(units, upstream, config.upstream_prefixes)
+    store = build_store(units, _upstream_names(config), config.upstream_prefixes)
     warm_statuses(store)
     return Project(config=config, store=store, module_paths=paths)
 
@@ -82,14 +83,20 @@ def load_project(config: ProjectConfig) -> Project:
 # Manifest and staleness
 
 
-def _env_fingerprint(config: ProjectConfig, store: NodeStore) -> str:
+def _upstream_names(config: ProjectConfig) -> frozenset[Name]:
+    if config.upstream_index_path is None:
+        return frozenset()
+    return load_upstream_index(config.upstream_index_path)
+
+
+def _env_fingerprint(config: ProjectConfig, upstream: frozenset[Name]) -> str:
     """Non-source inputs that invalidate artifacts when they change."""
 
     h = hashlib.blake2b(digest_size=8)
     h.update(TOOL_VERSION.encode())
     h.update(repr(sorted(config.upstream_prefixes)).encode())
     h.update(repr(config.emit_leanok_with_mathlibok).encode())
-    h.update(repr(sorted(str(n) for n in store.upstream_index)).encode())
+    h.update(repr(sorted(str(n) for n in upstream)).encode())
     return h.hexdigest()
 
 
@@ -121,6 +128,58 @@ def load_manifest(out_dir: Path) -> dict | None:
     if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
         return None
     return data
+
+
+class _Digest:
+    """One digest over (key, bytes) pairs.  A key may join fields with NUL, which no field holds."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.blake2b(digest_size=16)
+
+    def add(self, key: str, data: bytes) -> None:
+        self._hash.update(f"{key}\0{len(data)}\0".encode("utf-8"))
+        self._hash.update(data)
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def _sources_digest(modules: Iterable[tuple[Name, Path, str]]) -> str:
+    """Digest of every module's name, path string and source hash, in discovery order."""
+
+    digest = _Digest()
+    for name, path, text_hash in modules:
+        digest.add(f"{name}\0{path}", text_hash.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _managed_files(out: Path) -> list[str]:
+    """Relative paths of the files under `MANAGED_DIRS`, in sweep order.
+
+    Like `Path.rglob`, this lists symlinks to files but does not descend
+    into symlinked directories.  The files of each managed directory are
+    sorted as paths, component by component.
+    """
+
+    found: list[str] = []
+    for sub in MANAGED_DIRS:
+        files: list[str] = []
+        pending = [sub]
+        while pending:
+            rel_dir = pending.pop()
+            try:
+                entries = os.scandir(os.path.join(out, rel_dir))
+            except OSError:
+                continue
+            with entries:
+                for entry in entries:
+                    rel = f"{rel_dir}/{entry.name}"
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append(rel)
+                    elif entry.is_file():
+                        files.append(rel)
+        found.extend(sorted(files, key=lambda rel: rel.split("/")))
+    return found
 
 
 def compute_staleness(
@@ -259,7 +318,9 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
     Content is always rendered in memory; staleness decides what gets
     reported as rebuilt, and on-disk byte comparison guarantees the tree
     matches a clean build exactly (including merged labels that cross
-    module boundaries).
+    module boundaries).  The manifest is replaced last: a crash before that
+    leaves the previous manifest, whose artifact digest no longer matches
+    the tree, so the next extract takes this path again and repairs it.
     """
 
     store = project.store
@@ -273,7 +334,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         )
         plan = render_project(store, options)
 
-        fingerprint = _env_fingerprint(config, store)
+        fingerprint = _env_fingerprint(config, store.upstream_index)
         transitive = transitive_hashes(store, fingerprint)
         manifest = load_manifest(out)
         stale = compute_staleness(manifest, store, transitive, plan.artifacts, out)
@@ -281,8 +342,10 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             stale = set(store.topo_order)
 
         written: list[str] = []
+        digest = _Digest()  # artifact paths and bytes, in path order
         for rel in sorted(plan.files):
             content = plan.files[rel].encode("utf-8")
+            digest.add(rel, content)
             target = out / rel
             owner = plan.owners[rel]
             if force or (owner is not None and owner in stale):
@@ -297,18 +360,15 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             target.write_bytes(content)
             written.append(rel)
 
-        deleted: list[str] = []
-        for sub in ("nodes", "modules"):
-            base = out / sub
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob("*")):
-                if path.is_file():
-                    rel = str(path.relative_to(out)).replace("\\", "/")
-                    if rel not in plan.files:
-                        path.unlink()
-                        deleted.append(rel)
+        deleted = [rel for rel in _managed_files(out) if rel not in plan.files]
+        for rel in deleted:
+            (out / rel).unlink()
 
+        sources = _sources_digest(
+            (name, path, store.modules[name].source_hash)
+            for name, path in project.module_paths.items()
+        )
+        warnings = project.warnings
         entries = {
             str(name): {
                 "sourceHash": store.modules[name].source_hash,
@@ -317,8 +377,17 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             }
             for name in store.topo_order
         }
-        manifest_data = {"toolVersion": TOOL_VERSION, "entries": entries}
-        (out / MANIFEST_NAME).write_text(_dump_json(manifest_data), encoding="utf-8")
+        manifest_data = {
+            "toolVersion": TOOL_VERSION,
+            "envFingerprint": fingerprint,
+            "sourcesDigest": sources,
+            "artifactDigest": digest.hexdigest(),
+            "warnings": warnings,
+            "entries": entries,
+        }
+        tmp = out / MANIFEST_TMP
+        tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
+        os.replace(tmp, out / MANIFEST_NAME)
 
     fresh = set(store.topo_order) - stale
     return ExtractResult(
@@ -326,6 +395,75 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         fresh=fresh,
         written=written,
         deleted=deleted,
-        warnings=project.warnings,
+        warnings=warnings,
         node_count=len(store.by_label),
     )
+
+
+def up_to_date(config: ProjectConfig, out_dir: Path | None = None) -> ExtractResult | None:
+    """What `extract` would return if it had nothing to write, or None.
+
+    Under the build lock, checks the manifest against the tool version, the
+    configuration and upstream index, the discovered modules' names, paths
+    and source hashes, and every artifact's path and bytes.  No file in
+    `nodes/` or `modules/` may be one the sweep would delete, and no
+    half-written manifest may be left over.  Parses nothing and writes
+    nothing.  Any mismatch, unreadable file or malformed manifest gives
+    None; the caller then runs the full `extract`, which reports errors as
+    it always has.
+    """
+
+    out = out_dir if out_dir is not None else config.resolved_out_dir()
+    try:
+        with _BuildLock(out):
+            return _unchanged_result(config, out)
+    except (OSError, ValueError, BlueprintError):
+        return None
+
+
+def _unchanged_result(config: ProjectConfig, out: Path) -> ExtractResult | None:
+    manifest = load_manifest(out)
+    if (
+        manifest is None
+        or manifest.get("toolVersion") != TOOL_VERSION
+        or manifest.get("envFingerprint") != _env_fingerprint(config, _upstream_names(config))
+    ):
+        return None
+    modules = discover_modules(config)
+    sources = _sources_digest(
+        (name, path, source_hash(read_source(path).encode("utf-8"))) for name, path in modules
+    )
+    if sources != manifest.get("sourcesDigest"):
+        return None
+    artifacts = list(GLOBAL_FILES)
+    for entry in manifest["entries"].values():
+        owned = entry.get("artifactPaths") if isinstance(entry, dict) else None
+        if not _is_str_list(owned):
+            return None
+        artifacts.extend(owned)
+    warnings = manifest.get("warnings")
+    if (
+        not _is_str_list(warnings)
+        or not set(_managed_files(out)) <= set(artifacts)
+        or os.path.lexists(out / MANIFEST_TMP)
+    ):
+        return None
+    digest = _Digest()
+    root = os.fspath(out)
+    for rel in sorted(artifacts):
+        with open(f"{root}/{rel}", "rb") as f:
+            digest.add(rel, f.read())
+    if digest.hexdigest() != manifest.get("artifactDigest"):
+        return None
+    return ExtractResult(
+        stale=set(),
+        fresh={name for name, _ in modules},
+        written=[],
+        deleted=[],
+        warnings=warnings,
+        node_count=sum(1 for rel in artifacts if rel.startswith("nodes/")),
+    )
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)

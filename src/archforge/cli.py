@@ -7,15 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-from .build import Project, extract, load_project
+from .build import Project, extract, load_project, up_to_date
 from .config import load_config
-from .convert import (
-    ConversionOptions,
-    apply_plan,
-    find_input_macros,
-    parse_legacy_blueprint,
-    plan_conversion,
-)
 from .errors import BlueprintError
 from .graph import LintFinding, build_graph, emit_dot, graph_json_data, run_lints
 from .infer import label_view, part_status
@@ -32,9 +25,10 @@ def _dump_json(data) -> str:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = load_config()
-    project = load_project(config)
     out = Path(args.out) if args.out else None
-    result = extract(project, out_dir=out, force=args.force)
+    result = None if args.force else up_to_date(config, out)
+    if result is None:
+        result = extract(load_project(config), out_dir=out, force=args.force)
     for line in result.summary_lines():
         print(line)
     for warning in result.warnings:
@@ -76,6 +70,8 @@ _CROSS_SEVERITY = {
 
 def blueprint_cross_findings(project: Project) -> list[LintFinding]:
     """Cross-check configured blueprint .tex files against the store."""
+
+    from .convert import find_input_macros  # imported here so other commands skip its import
 
     store = project.store
     referenced_labels: set[str] = set()
@@ -193,6 +189,8 @@ def _describe_legacy(node) -> str:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    from .convert import ConversionOptions, apply_plan, parse_legacy_blueprint, plan_conversion
+
     config = load_config()
     project = load_project(config)
     legacy = parse_legacy_blueprint(args.blueprint)

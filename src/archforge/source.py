@@ -961,12 +961,22 @@ def parse_module_text(text: str, module_name: Name, *, path: str | None = None) 
     return _ModuleParser(text, module_name, path).parse()
 
 
+def read_source(path: str | Path) -> str:
+    """A module's text as the parser sees it: UTF-8, newlines translated.
+
+    `ModuleUnit.source_hash` hashes this text, so whatever compares a file
+    against a recorded hash must read it here.  Decoding errors surface as
+    ParseError.
+    """
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", path=str(path)) from exc
+
+
 def parse_module(path: str | Path, module_name: Name) -> ModuleUnit:
-    """Parse a module from disk.  Decoding errors surface as ParseError."""
+    """Parse a module from disk."""
 
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", path=str(p)) from exc
-    return parse_module_text(text, module_name, path=str(p))
+    return parse_module_text(read_source(p), module_name, path=str(p))

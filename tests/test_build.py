@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from archforge.build import (
     GLOBAL_FILES,
     MANIFEST_NAME,
+    MANIFEST_TMP,
     discover_modules,
     extract,
     load_manifest,
     load_project,
+    up_to_date,
 )
+from archforge.config import load_config
 from archforge.errors import LockError, StoreError
 from archforge.names import Name
 
@@ -138,7 +143,15 @@ def test_manifest_schema(tmp_path):
     manifest = json.loads(
         (tmp_path / "build" / "blueprint" / MANIFEST_NAME).read_text(encoding="utf-8")
     )
-    assert set(manifest) == {"toolVersion", "entries"}
+    assert set(manifest) == {
+        "toolVersion",
+        "envFingerprint",
+        "sourcesDigest",
+        "artifactDigest",
+        "warnings",
+        "entries",
+    }
+    assert manifest["warnings"] == []
     entry = manifest["entries"]["MyNat"]
     assert set(entry) == {"sourceHash", "transitiveHash", "artifactPaths"}
     assert "modules/MyNat.tex" in entry["artifactPaths"]
@@ -302,3 +315,142 @@ def test_extract_to_explicit_out_dir(tmp_path):
     extract(project, out_dir=alt)
     assert (alt / "graph.dot").is_file()
     assert not (tmp_path / "build").exists()
+
+
+# ---------------------------------------------------------------------------
+# no-op fast path
+
+
+def config_at(root):
+    return load_config(root / "architect.json")
+
+
+def test_up_to_date_matches_full_noop(tmp_path):
+    make_project(tmp_path, {"MyNat": golden_text(), "W": "end Ghost\n", **CHAIN})
+    extract(load_project_at(tmp_path))
+    fast = up_to_date(config_at(tmp_path))
+    full = extract(load_project_at(tmp_path))
+    assert full.warnings and full.fresh and not full.stale
+    assert fast == full
+
+
+def test_up_to_date_without_output_creates_nothing(tmp_path):
+    make_project(tmp_path, {"MyNat": golden_text()})
+    assert up_to_date(config_at(tmp_path)) is None
+    assert not (tmp_path / "build").exists()
+
+
+def _set_manifest_key(out, key, value):
+    path = out / MANIFEST_NAME
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest[key] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def _edit_artifact_same_size(out):
+    path = out / "nodes" / "a_base.tex"
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"a:base", b"a:BASE"))
+    assert path.stat().st_size == len(data)
+
+
+FALLBACKS = {
+    "edited-source": lambda root, out: edit_module(
+        root, "A", '@[blueprint "a:base"]\ndef base := 2\n'
+    ),
+    "config-flag": lambda root, out: make_project(
+        root, {}, config={"emitLeanokWithMathlibok": True}, upstream_names=["Mathlib.one"]
+    ),
+    "upstream-index": lambda root, out: (root / "upstream.txt").write_text(
+        "Mathlib.two\n", encoding="utf-8"
+    ),
+    "artifact-edit-same-size": lambda root, out: _edit_artifact_same_size(out),
+    "artifact-deleted": lambda root, out: os.remove(out / "nodes" / "MyNat_zero_add.tex"),
+    "stray-node": lambda root, out: (out / "nodes" / "x.tex").write_text("x\n", encoding="utf-8"),
+    "corrupt-manifest": lambda root, out: (out / MANIFEST_NAME).write_text(
+        "not json{", encoding="utf-8"
+    ),
+    "old-tool-version": lambda root, out: _set_manifest_key(out, "toolVersion", "0.0.0-past"),
+    "leftover-manifest-tmp": lambda root, out: (out / MANIFEST_TMP).write_text(
+        "{", encoding="utf-8"
+    ),
+}
+
+
+@pytest.mark.parametrize("change", list(FALLBACKS))
+def test_changed_input_or_tree_falls_back(tmp_path, change):
+    make_project(tmp_path, {"MyNat": golden_text(), **CHAIN}, upstream_names=["Mathlib.one"])
+    out = tmp_path / "build" / "blueprint"
+    extract(load_project_at(tmp_path))
+    assert up_to_date(config_at(tmp_path)) is not None
+    FALLBACKS[change](tmp_path, out)
+    assert up_to_date(config_at(tmp_path)) is None
+
+    extract(load_project_at(tmp_path))
+    fresh = tmp_path / "fresh"
+    extract(load_project_at(tmp_path), out_dir=fresh, force=True)
+    assert read_tree(out) == read_tree(fresh)
+    assert up_to_date(config_at(tmp_path)) is not None
+
+
+def test_moved_project_falls_back(tmp_path):
+    # warnings embed module paths, so a copy must not replay the old ones
+    old = tmp_path / "old"
+    make_project(old, {"W": "end Ghost\n"})
+    extract(load_project_at(old))
+    new = tmp_path / "new"
+    shutil.copytree(old, new)
+    assert up_to_date(config_at(new)) is None
+    result = extract(load_project_at(new))
+    assert result.warnings and all(str(new) in w for w in result.warnings)
+
+
+def test_interrupted_manifest_write_keeps_old_manifest(tmp_path, monkeypatch):
+    make_project(tmp_path, dict(CHAIN))
+    out = tmp_path / "build" / "blueprint"
+    extract(load_project_at(tmp_path))
+    old_manifest = (out / MANIFEST_NAME).read_bytes()
+
+    write_bytes = Path.write_bytes
+
+    def torn_write(self, data):
+        if self.name == MANIFEST_TMP:
+            write_bytes(self, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return write_bytes(self, data)
+
+    edit_module(tmp_path, "A", '@[blueprint "a:base" (notReady := true)]\ndef base := 1\n')
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="No space"):
+            extract(load_project_at(tmp_path))
+    assert (out / MANIFEST_NAME).read_bytes() == old_manifest
+
+    # the sources match the old manifest again, the artifacts written before the failure do not
+    edit_module(tmp_path, "A", CHAIN["A"])
+    assert up_to_date(config_at(tmp_path)) is None
+    # as after a crash before the manifest write began
+    os.remove(out / MANIFEST_TMP)
+    assert up_to_date(config_at(tmp_path)) is None
+    extract(load_project_at(tmp_path))
+    fresh = tmp_path / "fresh"
+    extract(load_project_at(tmp_path), out_dir=fresh, force=True)
+    assert read_tree(out) == read_tree(fresh)
+
+
+def test_sweep_deletes_nested_strays_in_path_order(tmp_path):
+    make_project(tmp_path, {"MyNat": golden_text()})
+    out = tmp_path / "build" / "blueprint"
+    extract(load_project_at(tmp_path))
+    for rel in ("nodes/a-b.tex", "nodes/a/b.tex", "modules/deep/er/x.tex", "nodes/.hidden"):
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        (out / rel).write_text("stray\n", encoding="utf-8")
+    result = extract(load_project_at(tmp_path))
+    # as pathlib sorts: component by component, so "a/b.tex" before "a-b.tex"
+    assert result.deleted == [
+        "nodes/.hidden",
+        "nodes/a/b.tex",
+        "nodes/a-b.tex",
+        "modules/deep/er/x.tex",
+    ]
+    assert not (out / "nodes" / "a" / "b.tex").exists()

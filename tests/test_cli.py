@@ -192,6 +192,43 @@ def test_extract_force_rewrites(golden_project, capsys):
     assert "stale (rebuilt)" in out
 
 
+WARNS = {"M": "end Ghost\n\n@[blueprint]\ndef d := 1\n"}
+
+
+@pytest.mark.parametrize(
+    "modules, args",
+    [
+        ({"MyNat": golden_text()}, []),
+        (WARNS, []),
+        (WARNS, ["--strict"]),
+        # the source hash is over the text as read, newlines translated
+        ({"MyNat": golden_text().replace("\n", "\r\n")}, []),
+    ],
+    ids=["golden", "warnings", "warnings-strict", "crlf"],
+)
+def test_noop_extract_parses_nothing(tmp_path, monkeypatch, capsys, modules, args):
+    from archforge import build, cli
+
+    make_project(tmp_path, modules)
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract"]) == 0
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "up_to_date", lambda config, out_dir=None: None)
+        full_code = main(["extract", *args])
+    full = capsys.readouterr()
+
+    def no_parse(path, name):
+        raise AssertionError(f"parsed {name}")
+
+    monkeypatch.setattr(build, "parse_module", no_parse)
+    assert main(["extract", *args]) == full_code
+    fast = capsys.readouterr()
+    assert (fast.out, fast.err) == (full.out, full.err)
+    assert "wrote 0 files, deleted 0" in fast.out
+    assert ("warning:" in fast.err) == (modules is WARNS)
+
+
 # ---------------------------------------------------------------------------
 # graph
 

@@ -46,3 +46,18 @@ def test_traced_extract_renders_and_tokenizes_once(tmp_path, monkeypatch):
     assert metrics["latex.render_node_calls"] > 0
     assert metrics["latex.renders_per_label"] == 1.0
     assert metrics["source.tokenize_calls_per_module"] == 1.0
+
+
+def test_traced_noop_extract_parses_nothing(tmp_path, monkeypatch):
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    monkeypatch.chdir(tmp_path / "golden")
+    assert main(["extract"]) == 0
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["extract"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls.get("cli.command") == 1
+    assert tracer.calls.get("source.parse", 0) == 0
+    assert tracer.metrics()["source.tokenize_calls"] == 0
