@@ -5,27 +5,23 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__ as TOOL_VERSION
+from .cache import read_units, write_units
 from .config import ProjectConfig
 from .errors import BlueprintError, LockError, StoreError
-from .graph import build_graph, emit_dot, graph_json_data
-from .infer import inference_warnings, label_view, warm_statuses
-from .latex import (
-    RenderOptions,
-    blueprint_json_data,
-    fragment_paths,
-    module_fragment_path,
-    render_macros,
-    render_module_fragment,
-    render_node,
-)
 from .names import Name
 from .source import ModuleUnit, parse_module, read_source, source_hash
 from .store import NodeStore, build_store, load_upstream_index
+
+if TYPE_CHECKING:
+    from .latex import RenderOptions
+
+# `graph`, `infer` and `latex` are imported where they are used, so that a
+# no-op `extract`, which returns before loading the project, never loads them.
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_TMP = MANIFEST_NAME + ".tmp"  # written in full, then renamed over the manifest
@@ -39,9 +35,12 @@ class Project:
     config: ProjectConfig
     store: NodeStore
     module_paths: dict[Name, Path]
+    cache_stale: bool = False  # a module was reparsed or has gone since the parse cache was written
 
     @property
     def warnings(self) -> list[str]:
+        from .infer import inference_warnings
+
         out = [str(w) for name in self.store.topo_order for w in self.store.modules[name].warnings]
         out.extend(inference_warnings(self.store))
         return out
@@ -66,17 +65,38 @@ def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
     return sorted(found.items(), key=lambda kv: str(kv[0]))
 
 
-def load_project(config: ProjectConfig) -> Project:
-    """Parse every module, build the store, and warm all statuses."""
+def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
+    """Parse the modules, build the store, and warm all statuses.
 
+    A module whose name, path and source hash match its entry in the parse
+    cache reuses the cached unit with the text just read; every other
+    module goes through `parse_module`.  `use_cache=False` parses them all.
+    Nothing here writes the cache: `extract` does, when `cache_stale` says so.
+    """
+
+    from .infer import warm_statuses
+
+    cached = read_units(config.root) if use_cache else {}
     units: list[ModuleUnit] = []
     paths: dict[Name, Path] = {}
+    reparsed = False
     for name, path in discover_modules(config):
-        units.append(parse_module(path, name))
+        unit = cached.pop(name, None)
+        if unit is not None:
+            text = read_source(path)
+            if unit.path == str(path) and unit.source_hash == source_hash(text.encode("utf-8")):
+                unit = replace(unit, source_text=text)
+            else:
+                unit = None
+        if unit is None:
+            unit = parse_module(path, name)
+            reparsed = True
+        units.append(unit)
         paths[name] = path
     store = build_store(units, _upstream_names(config), config.upstream_prefixes)
     warm_statuses(store)
-    return Project(config=config, store=store, module_paths=paths)
+    stale = reparsed or bool(cached)  # what is left in `cached` names modules that are gone
+    return Project(config=config, store=store, module_paths=paths, cache_stale=stale)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +244,17 @@ class RenderPlan:
 def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     """Render every artifact in memory, deterministically."""
 
+    from .graph import build_graph, emit_dot, graph_json_data
+    from .infer import label_view
+    from .latex import (
+        blueprint_json_data,
+        fragment_paths,
+        module_fragment_path,
+        render_macros,
+        render_module_fragment,
+        render_node,
+    )
+
     node_paths = fragment_paths(store)
     files: dict[str, str] = {}
     owners: dict[str, Name | None] = {}
@@ -323,6 +354,8 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
     the tree, so the next extract takes this path again and repairs it.
     """
 
+    from .latex import RenderOptions
+
     store = project.store
     config = project.config
     out = out_dir if out_dir is not None else config.resolved_out_dir()
@@ -388,6 +421,8 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         tmp = out / MANIFEST_TMP
         tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
         os.replace(tmp, out / MANIFEST_NAME)
+        if project.cache_stale:
+            write_units(config.root, store.modules.values())
 
     fresh = set(store.topo_order) - stale
     return ExtractResult(

@@ -1,0 +1,120 @@
+"""The parse cache: each module's parsed unit, kept between commands.
+
+`<root>/.archforge/units.pickle` holds one stamp line, then one pickle per
+module: its `ModuleUnit`, stored without its `source_text`.  The stamp digests the
+tool version, the interpreter's major.minor version (its Unicode tables
+decide tokens) and the text of the parser modules, so a changed parser
+never reads old units.  A unit is reused only while its module's name, path
+and source hash match.  Loading admits no global but the front-end
+dataclasses, so a crafted file cannot run code; any failure reads as "no
+cache".
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+from typing import Iterable
+
+from . import __version__ as TOOL_VERSION
+from . import names, source
+from .names import LabelRef, Name, SourceSpan
+from .source import (
+    AttributeSpec,
+    Declaration,
+    ModuleUnit,
+    OpenCommand,
+    ParseWarning,
+    RawComment,
+    SorryMarker,
+    UpstreamAttribution,
+)
+
+CACHE_DIR = ".archforge"
+CACHE_NAME = "units.pickle"
+
+_ALLOWED = {
+    (cls.__module__, cls.__qualname__): cls
+    for cls in (
+        ModuleUnit, Declaration, RawComment, UpstreamAttribution, OpenCommand, ParseWarning,
+        AttributeSpec, SorryMarker, Name, LabelRef, SourceSpan,
+    )
+}
+
+
+def cache_path(root: Path) -> Path:
+    return root / CACHE_DIR / CACHE_NAME
+
+
+def _stamp() -> bytes:
+    h = hashlib.blake2b(digest_size=16)
+    h.update(f"{TOOL_VERSION}\0{sys.version_info[0]}.{sys.version_info[1]}\0".encode())
+    for module in (source, names):
+        h.update(Path(module.__file__).read_bytes())
+    return h.hexdigest().encode() + b"\n"
+
+
+def read_units(root: Path) -> dict[Name, ModuleUnit]:
+    """The cached units by module name; empty if the cache is missing, stale or unreadable."""
+
+    try:
+        with open(cache_path(root), "rb") as f:
+            if f.readline() != _stamp():
+                return {}
+            units = _load(f)
+        if any(type(u) is not ModuleUnit for u in units):
+            return {}
+        return {u.name: u for u in units}
+    except Exception:  # missing, torn or foreign: parse instead
+        return {}
+
+
+def _load(f) -> list[object]:
+    import pickle  # commands that find no cache file skip this import
+
+    class UnitUnpickler(pickle.Unpickler):
+        def find_class(self, module: str, name: str) -> type:
+            try:
+                return _ALLOWED[module, name]
+            except KeyError:
+                raise pickle.UnpicklingError(f"global '{module}.{name}' is refused") from None
+
+    units = []
+    while f.peek(1):  # one pickle per unit, each with its own memo
+        units.append(UnitUnpickler(f).load())
+    return units
+
+
+def write_units(root: Path, units: Iterable[ModuleUnit]) -> None:
+    """Replace the cache with `units`; a failed write leaves no cache or the old one."""
+
+    path = cache_path(root)
+    tmp = path.with_name(CACHE_NAME + ".tmp")
+    try:
+        path.parent.mkdir(exist_ok=True)
+        with open(tmp, "wb") as f:
+            f.write(_stamp())
+            _dump(units, f)
+        os.replace(tmp, path)
+    except OSError:
+        pass
+
+
+def _dump(units: Iterable[ModuleUnit], f) -> None:
+    import copyreg
+    import pickle
+
+    def reduce(obj: object) -> tuple:
+        # the bytes pickle writes by default, without its per-object method lookups
+        return copyreg.__newobj__, (type(obj),), obj.__dict__
+
+    pickler = pickle.Pickler(f, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = dict.fromkeys(_ALLOWED.values(), reduce)
+    for unit in units:
+        # a memo over the whole project would take megabytes while the
+        # rendered artifacts are still alive; one module's memo is small
+        pickler.dump(replace(unit, source_text=""))
+        pickler.clear_memo()

@@ -6,13 +6,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .build import Project, extract, load_project, up_to_date
 from .config import load_config
 from .errors import BlueprintError
-from .graph import LintFinding, build_graph, emit_dot, graph_json_data, run_lints
-from .infer import label_view, part_status
 from .store import NodeStore, is_upstream
+
+if TYPE_CHECKING:
+    from .graph import LintFinding
+
+# `graph`, `infer` and `latex` are imported by the commands that use them, so
+# that a no-op `extract` never loads them.
 
 
 def _dump_json(data) -> str:
@@ -28,7 +33,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else None
     result = None if args.force else up_to_date(config, out)
     if result is None:
-        result = extract(load_project(config), out_dir=out, force=args.force)
+        project = load_project(config, use_cache=not args.force)
+        result = extract(project, out_dir=out, force=args.force)
     for line in result.summary_lines():
         print(line)
     for warning in result.warnings:
@@ -43,6 +49,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    from .graph import build_graph, emit_dot, graph_json_data
+
     config = load_config()
     project = load_project(config)
     graph = build_graph(project.store)
@@ -72,6 +80,8 @@ def blueprint_cross_findings(project: Project) -> list[LintFinding]:
     """Cross-check configured blueprint .tex files against the store."""
 
     from .convert import find_input_macros  # imported here so other commands skip its import
+    from .graph import LintFinding
+    from .infer import label_view
 
     store = project.store
     referenced_labels: set[str] = set()
@@ -127,6 +137,8 @@ def blueprint_cross_findings(project: Project) -> list[LintFinding]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .graph import run_lints
+
     config = load_config()
     project = load_project(config)
     findings = run_lints(project.store, strict=args.strict)
@@ -146,6 +158,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def status_counts(store: NodeStore) -> dict:
+    from .infer import part_status
+
     nodes = list(store.by_name.values())
     with_proof = [n for n in nodes if n.proof is not None]
     proofs_ok = sum(1 for n in with_proof if part_status(store, n, "proof").lean_ok)

@@ -710,13 +710,10 @@ class _ModuleParser:
             return
         if len(blueprint) > 1:
             self.warn("duplicate blueprint attribute; keeping the first", kw.line)
-        try:
-            spec = _parse_attribute_tokens(
-                blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
-            )
-        except ParseError as exc:
-            self.warn(f"invalid blueprint attribute; command ignored: {exc.message}", kw.line)
-            return
+        # a bad configuration raises: ignoring it would drop the tag
+        spec = _parse_attribute_tokens(
+            blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
+        )
         self.items.append(
             UpstreamAttribution(
                 target=Name.parse(tok.text),
@@ -823,16 +820,10 @@ class _ModuleParser:
             self.warn("duplicate blueprint attribute; keeping the first", kw.line)
         spec = None
         if blueprint:
-            try:
-                spec = _parse_attribute_tokens(
-                    blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
-                )
-            except ParseError as exc:
-                self.warn(
-                    f"invalid blueprint attribute on '{name_tok.text}'; ignored: {exc.message}",
-                    kw.line,
-                )
-                spec = None
+            # a bad configuration raises: ignoring it would leave the declaration untagged
+            spec = _parse_attribute_tokens(
+                blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
+            )
         others = tuple(a.name for a in attrs if a.name != "blueprint")
 
         takes_body = kw.text not in ("inductive", "structure")

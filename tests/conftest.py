@@ -86,11 +86,11 @@ def make_project(
     return root
 
 
-def load_project_at(root: Path):
+def load_project_at(root: Path, *, use_cache: bool = True):
     from archforge.build import load_project
     from archforge.config import load_config
 
-    return load_project(load_config(root / "architect.json"))
+    return load_project(load_config(root / "architect.json"), use_cache=use_cache)
 
 
 def read_tree(root: Path) -> dict[str, bytes]:

@@ -340,7 +340,8 @@ def test_criterion_5_incremental_equals_clean(tmp_path):
         out_force = root / "out_force"
 
         extract(load_project_at(root), out_dir=out_inc)
-        extract(load_project_at(root), out_dir=out_force, force=True)
+        # the clean side parses every module, as `extract --force` does
+        extract(load_project_at(root, use_cache=False), out_dir=out_force, force=True)
 
         for edit in range(20):
             i = rng.randrange(6)
@@ -349,7 +350,7 @@ def test_criterion_5_incremental_equals_clean(tmp_path):
                 sources[f"M{i}"], encoding="utf-8"
             )
             extract(load_project_at(root), out_dir=out_inc)
-            extract(load_project_at(root), out_dir=out_force, force=True)
+            extract(load_project_at(root, use_cache=False), out_dir=out_force, force=True)
             steps += 1
             if read_tree(out_inc) != read_tree(out_force):
                 inc, frc = read_tree(out_inc), read_tree(out_force)

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,9 @@ from archforge.cli import main
 from archforge.config import load_config
 from archforge.errors import ConfigError
 
-from conftest import golden_text, make_project
+from conftest import FIXTURES, golden_text, make_project
+
+GOLDEN = FIXTURES / "golden"
 
 
 GOLDEN_STATUS = [
@@ -182,6 +189,56 @@ def test_extract_strict_warnings_exit_two(tmp_path, monkeypatch, capsys):
     assert main(["extract", "--strict"]) == 2
     err = capsys.readouterr().err
     assert "warning:" in err
+
+
+def test_extract_strict_inference_warnings_exit_two(tmp_path, monkeypatch, capsys):
+    # no parse warning: an unknown `uses` label and an `excludes` entry naming no node
+    make_project(
+        tmp_path,
+        {
+            "M": '@[blueprint "a" (uses := ["ghost"])]\ndef a := 1\n\n'
+            '@[blueprint "b" (excludes := [Nowhere])]\ndef b := a\n'
+        },
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", "--strict"]) == 2
+    full = capsys.readouterr()
+    assert full.err == (
+        "warning: node 'a' (statement) uses label 'ghost' that no declaration carries\n"
+        "warning: excludes entry 'Nowhere' on node 'b' does not name a blueprint node\n"
+    )
+    assert main(["extract", "--strict"]) == 2  # the no-op path replays the stored warnings
+    noop = capsys.readouterr()
+    assert noop.out.endswith("wrote 0 files, deleted 0\n")
+    assert noop.err == full.err
+
+
+def test_noop_extract_skips_render_imports(tmp_path):
+    import archforge
+
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    env = dict(os.environ, PYTHONPATH=str(Path(archforge.__file__).parent.parent))
+    env.pop("ARCHFORGE_CONFIG", None)
+    script = (
+        "import sys\n"
+        "from archforge.cli import main\n"
+        "code = main(['extract'])\n"
+        "heavy = ('archforge.graph', 'archforge.infer', 'archforge.latex', 'pickle')\n"
+        "print('loaded:', *[m for m in heavy if m in sys.modules])\n"
+        "sys.exit(code)\n"
+    )
+
+    def run() -> list[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path / "golden", env=env, capture_output=True, text=True, check=True,
+        )
+        return proc.stdout.splitlines()
+
+    first = run()
+    assert first[-1] == "loaded: archforge.graph archforge.infer archforge.latex pickle"
+    noop = run()
+    assert noop[-2:] == ["wrote 0 files, deleted 0", "loaded:"]
 
 
 def test_extract_force_rewrites(golden_project, capsys):

@@ -472,22 +472,28 @@ def test_unterminated_attribute_list_raises():
 # degradation: malformed input warns instead of raising
 
 
-def test_bad_config_on_declaration_warns_and_keeps_decl():
-    unit = parse_module_text(
-        "@[blueprint (bogus := true)]\ntheorem t : x := by trivial\n",
-        Name.parse("M"),
-    )
-    assert len(decls(unit)) == 1
-    assert decls(unit)[0].attribute is None
-    assert any("invalid blueprint attribute" in str(w) for w in unit.warnings)
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("@[blueprint (bogus := true)]\ntheorem t : x := by trivial\n", 1),
+        ('def d := 1\n\n@[simp, blueprint "l"\n  (hasProof := maybe)]\ntheorem t : x := by trivial\n', 4),
+    ],
+    ids=["unknown-option", "bad-value"],
+)
+def test_bad_config_on_declaration_raises(text, line):
+    # a warning would leave the declaration untagged, and its node lost
+    with pytest.raises(ParseError) as info:
+        parse_module_text(text, Name.parse("M"), path="M.lean")
+    assert info.value.path == "M.lean"
+    assert info.value.line == line
 
 
-def test_bad_config_on_attribute_command_warns():
-    unit = parse_module_text(
-        "attribute [blueprint (bogus := 1)] Mathlib.X.y\n", Name.parse("M")
-    )
-    assert unit.items == ()
-    assert any("invalid blueprint attribute" in str(w) for w in unit.warnings)
+def test_bad_config_on_attribute_command_raises():
+    with pytest.raises(ParseError, match="unknown blueprint option 'bogus'") as info:
+        parse_module_text(
+            "def d := 1\nattribute [blueprint (bogus := 1)] Mathlib.X.y\n", Name.parse("M")
+        )
+    assert info.value.line == 2
 
 
 def test_duplicate_blueprint_keeps_first():
@@ -662,9 +668,22 @@ def test_untagged_anonymous_instance_warns():
     assert "'instance' without a name; skipped" in [w.message for w in unit.warnings]
 
 
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+def test_quoted_declaration_name_unsupported(tagged):
+    # `«...»` is not tokenized as one name: the declaration has no name
+    text = ("@[blueprint]\n" if tagged else "") + "def «a b» := 1\ndef g := 2\n"
+    if tagged:
+        with pytest.raises(ParseError, match="'def' tagged with blueprint needs a name"):
+            parse_module_text(text, Name.parse("M"))
+        return
+    unit = parse_module_text(text, Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["g"]
+    assert "'def' without a name; skipped" in [w.message for w in unit.warnings]
+
+
 def test_warning_str_carries_location():
     unit = parse_module_text(
-        "@[blueprint (bogus := true)]\ndef d := 1\n",
+        "end Ghost\ndef d := 1\n",
         Name.parse("M"),
         path="Some/File.lean",
     )

@@ -61,3 +61,24 @@ def test_traced_noop_extract_parses_nothing(tmp_path, monkeypatch):
     assert tracer.calls.get("cli.command") == 1
     assert tracer.calls.get("source.parse", 0) == 0
     assert tracer.metrics()["source.tokenize_calls"] == 0
+
+
+def test_traced_status_reparses_only_edited_modules(tmp_path, monkeypatch, capsys):
+    shutil.copytree(GOLDEN, tmp_path / "golden")
+    (tmp_path / "golden" / "Extra.lean").write_text("def extra := 1\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path / "golden")
+    assert main(["extract"]) == 0
+    tracing = load_tracing()
+    parse_calls = []
+    for edit in (None, "def extra := 2\n"):
+        if edit is not None:
+            (tmp_path / "golden" / "Extra.lean").write_text(edit, encoding="utf-8")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert main(["status"]) == 0
+        finally:
+            tracer.uninstall()
+        parse_calls.append(tracer.calls.get("source.parse", 0))
+        assert tracer.metrics()["source.tokenize_calls"] == parse_calls[-1]
+    assert parse_calls == [0, 1]
