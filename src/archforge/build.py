@@ -375,6 +375,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             stale = set(store.topo_order)
 
         written: list[str] = []
+        made: set[Path] = set()  # parent directories already created
         digest = _Digest()  # artifact paths and bytes, in path order
         for rel in sorted(plan.files):
             content = plan.files[rel].encode("utf-8")
@@ -389,7 +390,9 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
                 write = on_disk != content
             if not write:
                 continue
-            target.parent.mkdir(parents=True, exist_ok=True)
+            if target.parent not in made:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                made.add(target.parent)
             target.write_bytes(content)
             written.append(rel)
 

@@ -11,8 +11,11 @@ import hashlib
 import os
 import re
 import textwrap
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ConversionError, StaleSourceError
 from .names import Name, SourceSpan
@@ -101,85 +104,132 @@ class ApplySummary:
 
 
 class _TexScanner:
-    """Byte-accurate cursor over a LaTeX file that knows about % comments."""
+    """Cursor over one LaTeX file that knows its % comments, lines and bytes.
+
+    A `%` starts a comment unless an odd run of backslashes precedes it
+    (`\\%` is an escaped percent sign, `\\\\%` a line break and then a
+    comment); the comment runs to the end of its line, newline included.  By
+    the same parity rule a backslash after an odd run does not start a
+    control sequence: `\\\\leanok` is a line break and the word `leanok`.
+    """
 
     def __init__(self, text: str, path: str):
         self.text = text
         self.path = path
-        offsets = [0] * (len(text) + 1)
-        total = 0
-        for i, ch in enumerate(text):
-            offsets[i] = total
-            total += len(ch.encode("utf-8"))
-        offsets[len(text)] = total
-        self.byte_of = offsets
-        commented = [False] * (len(text) + 1)
-        in_comment = False
-        prev = ""
-        for i, ch in enumerate(text):
-            if in_comment:
-                commented[i] = True
-                if ch == "\n":
-                    in_comment = False
-            elif ch == "%" and prev != "\\":
-                in_comment = True
-                commented[i] = True
-            prev = ch
-        self.commented = commented
+        self._ascii = text.isascii()
+        self._bytes_at = (0, 0)  # (offset, byte offset) of the last `byte_of`
+        starts: list[int] = []
+        ends: list[int] = []
+        pos = 0
+        while m := _COMMENT.search(text, pos):
+            if self._escaped(m.start()):
+                pos = m.start() + 1
+            else:
+                starts.append(m.start())
+                ends.append(m.end())
+                pos = m.end()
+        self._comment_starts = starts
+        self._comment_ends = ends
+
+    @cached_property
+    def _newlines(self) -> list[int]:
+        return [m.start() for m in _NEWLINE.finditer(self.text)]
 
     def line_of(self, pos: int) -> int:
-        return self.text.count("\n", 0, pos) + 1
+        return bisect_left(self._newlines, pos) + 1
 
-    def find_macro(self, name: str, start: int, end: int | None = None) -> int:
-        """Offset of the next uncommented occurrence of \\<name>, or -1."""
+    def byte_of(self, pos: int) -> int:
+        """UTF-8 offset of `pos`; cheapest when offsets are asked in increasing order."""
 
-        stop = len(self.text) if end is None else end
-        pat = "\\" + name
-        pos = start
-        while True:
-            i = self.text.find(pat, pos, stop)
-            if i == -1:
-                return -1
-            after = i + len(pat)
-            boundary = after >= len(self.text) or not self.text[after].isalpha()
-            if boundary and not self.commented[i]:
-                return i
-            pos = i + 1
+        if self._ascii:
+            return pos
+        last, count = self._bytes_at
+        if pos < last:
+            last = count = 0
+        count += len(self.text[last:pos].encode("utf-8"))
+        self._bytes_at = (pos, count)
+        return count
 
-    def balanced_arg(self, pos: int, open_ch: str = "{", close_ch: str = "}") -> tuple[str, int]:
+    def comment_end(self, pos: int) -> int:
+        """End of the comment that covers `pos`, or -1 when `pos` is not commented."""
+
+        j = bisect_right(self._comment_starts, pos) - 1
+        return self._comment_ends[j] if j >= 0 and pos < self._comment_ends[j] else -1
+
+    def _escaped(self, pos: int) -> bool:
+        run = pos
+        while run and self.text[run - 1] == "\\":
+            run -= 1
+        return (pos - run) % 2 == 1
+
+    def commands(
+        self, pattern: re.Pattern, start: int, end: int | None = None
+    ) -> Iterator[re.Match]:
+        """Matches of `pattern` in [start, end) that start outside comments and escapes."""
+
+        for m in pattern.finditer(self.text, start, len(self.text) if end is None else end):
+            if self.comment_end(m.start()) == -1 and not self._escaped(m.start()):
+                yield m
+
+    def macros(
+        self, pattern: re.Pattern, start: int, end: int | None = None
+    ) -> dict[str, list[int]]:
+        """Offsets of each macro `pattern` names in [start, end), by name.
+
+        `pattern` matches a backslash and the name in group 1; a letter right
+        after the name makes it another macro.
+        """
+
+        found: dict[str, list[int]] = {}
+        for m in self.commands(pattern, start, end):
+            after = m.end()
+            if after >= len(self.text) or not self.text[after].isalpha():
+                found.setdefault(m[1], []).append(m.start())
+        return found
+
+    def balanced_arg(self, pos: int, open_ch: str = "{") -> tuple[str, int]:
         """Argument text and offset just past the closing delimiter."""
 
-        i = pos
-        while i < len(self.text) and self.text[i] in " \t\n":
-            i += 1
-        if i >= len(self.text) or self.text[i] != open_ch:
+        i = _BLANKS.match(self.text, pos).end()
+        if not self.text.startswith(open_ch, i):
             raise ConversionError(
                 f"{self.path}:{self.line_of(pos)}: expected '{open_ch}' after macro"
             )
         depth = 0
-        j = i
-        while j < len(self.text):
-            ch = self.text[j]
-            if ch == open_ch:
-                depth += 1
-            elif ch == close_ch:
-                depth -= 1
-                if depth == 0:
-                    return self.text[i + 1 : j], j + 1
-            j += 1
+        for m in _DELIMITERS[open_ch].finditer(self.text, i):
+            depth += 1 if m[0] == open_ch else -1
+            if depth == 0:
+                return self.text[i + 1 : m.start()], m.end()
         raise ConversionError(f"{self.path}:{self.line_of(pos)}: unbalanced '{open_ch}'")
+
+
+_COMMENT = re.compile(r"%[^\n]*\n?")
+_NEWLINE = re.compile(r"\n")
+_BLANKS = re.compile(r"[ \t\n]*")
+_INLINE_BLANKS = re.compile(r"[ \t]*")
+_DELIMITERS = {"{": re.compile(r"[{}]"), "[": re.compile(r"[\[\]]")}
+_NODE_BEGIN = re.compile(r"\\begin\{(" + "|".join(NODE_ENVS) + r")\}")
+_ENV_DELIMITERS = {
+    env: re.compile(r"\\(begin|end)\{" + env + r"\}") for env in (*NODE_ENVS, "proof")
+}
+# longest name first, so that \leanok is never read as \lean
+_STATEMENT_MACRO = re.compile(r"\\(" + "|".join(sorted(_STATEMENT_MACROS, key=len)[::-1]) + ")")
+_INPUT_MACRO = re.compile(r"\\(inputleannode|inputleanmodule)")
+_FLAGS = {"leanok": "lean_ok", "mathlibok": "mathlib_ok", "notready": "not_ready"}
 
 
 def find_input_macros(text: str, path: str) -> tuple[set[str], set[str]]:
     """(labels, modules) named by `\\inputleannode` and `\\inputleanmodule` outside % comments."""
 
     sc = _TexScanner(text, path)
+    hits = sc.macros(_INPUT_MACRO, 0)
     found: dict[str, set[str]] = {"inputleannode": set(), "inputleanmodule": set()}
     for macro, bag in found.items():
         pos = 0
-        while (i := sc.find_macro(macro, pos)) != -1:
-            arg, pos = sc.balanced_arg(i + 1 + len(macro))
-            bag.add(arg.strip())
+        for i in hits.get(macro, ()):
+            if i >= pos:  # skip a same-name macro inside the previous argument
+                arg, pos = sc.balanced_arg(i + 1 + len(macro))
+                bag.add(arg.strip())
     return found["inputleannode"], found["inputleanmodule"]
 
 
@@ -187,28 +237,11 @@ def _find_env_end(sc: _TexScanner, env: str, body_start: int) -> tuple[int, int]
     """(start of \\end{env}, offset past it), honoring nested same-name envs."""
 
     depth = 1
-    pos = body_start
-    begin_pat = f"\\begin{{{env}}}"
-    end_pat = f"\\end{{{env}}}"
-    while True:
-        nb = sc.text.find(begin_pat, pos)
-        while nb != -1 and sc.commented[nb]:
-            nb = sc.text.find(begin_pat, nb + 1)
-        ne = sc.text.find(end_pat, pos)
-        while ne != -1 and sc.commented[ne]:
-            ne = sc.text.find(end_pat, ne + 1)
-        if ne == -1:
-            raise ConversionError(
-                f"{sc.path}:{sc.line_of(body_start)}: \\begin{{{env}}} is never closed"
-            )
-        if nb != -1 and nb < ne:
-            depth += 1
-            pos = nb + len(begin_pat)
-            continue
-        depth -= 1
+    for m in sc.commands(_ENV_DELIMITERS[env], body_start):
+        depth += 1 if m[1] == "begin" else -1
         if depth == 0:
-            return ne, ne + len(end_pat)
-        pos = ne + len(end_pat)
+            return m.span()
+    raise ConversionError(f"{sc.path}:{sc.line_of(body_start)}: \\begin{{{env}}} is never closed")
 
 
 @dataclass
@@ -223,30 +256,27 @@ class _EnvData:
     text: str = ""
 
 
-def _parse_env_body(sc: _TexScanner, body: str, body_offset: int) -> _EnvData:
-    """Pull recognized macros out of an environment body; the rest is text."""
+def _parse_env_body(sc: _TexScanner, start: int, end: int) -> _EnvData:
+    """Pull recognized macros out of the body text[start:end]; the rest is text.
+
+    Macros are taken name by name in `_STATEMENT_MACROS` order, each name in
+    text order, skipping a same-name macro inside the previous one's argument.
+    """
 
     data = _EnvData()
-    cut: list[tuple[int, int]] = []  # spans (relative) of recognized macros
+    hits = sc.macros(_STATEMENT_MACRO, start, end)
+    cut: list[tuple[int, int]] = []  # spans of recognized macros
     for macro in _STATEMENT_MACROS:
-        pos = 0
-        while True:
-            i = sc.find_macro(macro, body_offset + pos, body_offset + len(body))
-            if i == -1:
-                break
-            rel = i - body_offset
-            after = i + 1 + len(macro)
-            if macro in ("leanok", "mathlibok", "notready"):
-                if macro == "leanok":
-                    data.lean_ok = True
-                elif macro == "mathlibok":
-                    data.mathlib_ok = True
-                else:
-                    data.not_ready = True
-                cut.append((rel, after - body_offset))
-                pos = after - body_offset
+        pos = start
+        for i in hits.get(macro, ()):
+            if i < pos:
                 continue
-            arg, past = sc.balanced_arg(after)
+            pos = i + 1 + len(macro)
+            if macro in _FLAGS:
+                setattr(data, _FLAGS[macro], True)
+                cut.append((i, pos))
+                continue
+            arg, pos = sc.balanced_arg(pos)
             if macro == "label":
                 data.label = arg.strip()
             elif macro == "lean":
@@ -262,25 +292,18 @@ def _parse_env_body(sc: _TexScanner, body: str, body_offset: int) -> _EnvData:
                     raise ConversionError(
                         f"{sc.path}:{sc.line_of(i)}: \\discussion expects a number"
                     ) from exc
-            cut.append((rel, past - body_offset))
-            pos = past - body_offset
+            cut.append((i, pos))
 
     cut.sort()
     pieces: list[str] = []
-    prev = 0
+    prev = start
     for a, b in cut:
-        pieces.append(body[prev:a])
+        pieces.append(sc.text[prev:a])
         prev = b
-    pieces.append(body[prev:])
-    raw = "".join(pieces)
-    raw = "\n".join(ln for ln in raw.split("\n") if not sc_line_is_comment(ln))
-    data.text = " ".join(raw.split())
+    pieces.append(sc.text[prev:end])
+    lines = "".join(pieces).split("\n")
+    data.text = " ".join(" ".join(ln for ln in lines if not ln.lstrip().startswith("%")).split())
     return data
-
-
-def sc_line_is_comment(line: str) -> bool:
-    stripped = line.lstrip()
-    return stripped.startswith("%")
 
 
 def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
@@ -292,45 +315,28 @@ def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
         text = p.read_text(encoding="utf-8")
         sc = _TexScanner(text, str(p))
         pos = 0
-        while True:
-            found: tuple[int, str] | None = None
-            for env in NODE_ENVS:
-                i = text.find(f"\\begin{{{env}}}", pos)
-                while i != -1 and sc.commented[i]:
-                    i = text.find(f"\\begin{{{env}}}", i + 1)
-                if i != -1 and (found is None or i < found[0]):
-                    found = (i, env)
-            if found is None:
-                break
-            start, env = found
-            body_start = start + len(f"\\begin{{{env}}}")
+        while begin := next(sc.commands(_NODE_BEGIN, pos), None):
+            env = begin[1]
+            start, body_start = begin.span()
             title = None
-            k = body_start
-            while k < len(text) and text[k] in " \t":
-                k += 1
-            if k < len(text) and text[k] == "[":
-                title, body_start = sc.balanced_arg(k, "[", "]")
+            k = _INLINE_BLANKS.match(text, body_start).end()
+            if text.startswith("[", k):
+                title, body_start = sc.balanced_arg(k, "[")
                 title = title.strip()
             end_start, end_past = _find_env_end(sc, env, body_start)
-            data = _parse_env_body(sc, text[body_start:end_start], body_start)
+            data = _parse_env_body(sc, body_start, end_start)
 
             proof = None
             span_end = end_past
-            k = end_past
-            while k < len(text):
-                if text[k] in " \t\n":
-                    k += 1
-                elif text[k] == "%" and (k == 0 or text[k - 1] != "\\"):
-                    nl = text.find("\n", k)
-                    k = len(text) if nl == -1 else nl + 1
-                else:
-                    break
-            if text.startswith("\\begin{proof}", k) and not sc.commented[k]:
+            # a proof may follow after blank space and whole comments
+            k = _BLANKS.match(text, end_past).end()
+            while (past := sc.comment_end(k)) != -1:
+                k = _BLANKS.match(text, past).end()
+            if text.startswith("\\begin{proof}", k):
                 p_body = k + len("\\begin{proof}")
-                p_end_start, p_end_past = _find_env_end(sc, "proof", p_body)
-                pdata = _parse_env_body(sc, text[p_body:p_end_start], p_body)
+                p_end_start, span_end = _find_env_end(sc, "proof", p_body)
+                pdata = _parse_env_body(sc, p_body, p_end_start)
                 proof = LegacyProof(uses=pdata.uses, lean_ok=pdata.lean_ok, text=pdata.text)
-                span_end = p_end_past
 
             nodes.append(
                 LegacyNode(
@@ -347,11 +353,7 @@ def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
                     proof=proof,
                     path=str(p),
                     span=SourceSpan(
-                        start,
-                        span_end,
-                        sc.byte_of[start],
-                        sc.byte_of[span_end],
-                        sc.line_of(start),
+                        start, span_end, sc.byte_of(start), sc.byte_of(span_end), sc.line_of(start)
                     ),
                 )
             )
@@ -503,15 +505,9 @@ def plan_conversion(
     """
 
     plan = ConversionPlan()
-    seq = 0
     claimed: dict[Name, str] = {}
-
-    def decl_order_key(decl: Declaration) -> tuple[int, int]:
-        module = store.decl_module[decl.name]
-        return (store.topo_index(module), decl.span.start)
-
-    # label -> list of (order key, decl) for upstream anchor search
-    converted: list[tuple[LegacyNode, str, Declaration | None, list[Name]]] = []
+    # (node, label, option groups, project declarations, upstream names)
+    converted: list[tuple[LegacyNode, str, list[list[str]], list[Declaration], list[Name]]] = []
 
     for node in legacy:
         if not node.lean_names:
@@ -542,7 +538,7 @@ def plan_conversion(
         primary = project_decls[0] if project_decls else None
         label = node.label if node.label is not None else str(node.lean_names[0])
 
-        _groups, reason = _node_options(node, primary, options)
+        groups, reason = _node_options(node, primary, options)
         if reason:
             plan.skipped.append((node, reason))
             continue
@@ -556,144 +552,83 @@ def plan_conversion(
                 )
             claimed[decl.name] = label
 
-        converted.append((node, label, primary, upstream))
-    # label of every converted node, for upstream dependent search
-    uses_index: list[tuple[LegacyNode, Declaration | None]] = [
-        (node, primary) for node, _, primary, _ in converted
-    ]
+        converted.append((node, label, groups, project_decls, upstream))
 
-    def first_dependent_anchor(label: str) -> tuple[str, int] | None:
-        candidates: list[tuple[tuple[int, int], Declaration]] = []
-        for node, primary in uses_index:
-            if primary is None:
-                continue
-            used = set(node.statement_uses)
-            if node.proof is not None:
-                used.update(node.proof.uses)
-            if label in used:
-                candidates.append((decl_order_key(primary), primary))
-        if not candidates:
-            return None
-        candidates.sort(key=lambda c: c[0])
-        decl = candidates[0][1]
+    # for each used label, the first primary declaration (in placement order)
+    # of a converted node that uses it: upstream attributions go before it
+    first_dependent: dict[str, tuple[tuple[int, int], Declaration]] = {}
+    for node, _, _, project_decls, _ in converted:
+        if not project_decls:
+            continue
+        primary = project_decls[0]
+        key = (store.topo_index(store.decl_module[primary.name]), primary.span.start)
+        used = set(node.statement_uses)
+        if node.proof is not None:
+            used.update(node.proof.uses)
+        for lbl in used:
+            if lbl not in first_dependent or key < first_dependent[lbl][0]:
+                first_dependent[lbl] = (key, primary)
+
+    def seq() -> int:
+        return len(plan.source_edits) + len(plan.latex_edits) + 1
+
+    def insert(path: str, at: int, text: str, priority: int = 1) -> None:
+        plan.source_edits.append(SourceInsert(path, at, text, priority, seq()))
+
+    def tag(decl: Declaration, label: str, written: str | None, groups: list[list[str]]) -> None:
+        """Give `decl` the attribute for `label`, which the text names as `written`."""
+
+        if decl.attribute is not None:
+            existing = decl.attribute.label or str(decl.name)
+            if existing != label:
+                raise ConversionError(
+                    f"declaration '{decl.name}' already carries blueprint label "
+                    f"'{existing}', conflicting with legacy label '{label}'"
+                )
+            return  # source already annotated; only the LaTeX side needs rewriting
         path = _module_path(store, store.decl_module[decl.name])
-        return path, _decl_block_start_byte(store, decl)
+        if decl.attr_close_byte is not None:
+            insert(path, decl.attr_close_byte, _attribute_inline(written, groups))
+        else:
+            insert(path, decl.keyword_line_byte, _attribute_block(written, groups))
 
-    for node, label, primary, upstream in converted:
-        groups, _ = _node_options(node, primary, options)
+    for node, label, groups, project_decls, upstream in converted:
         # the label string can only be left implicit when it would default
         # to the single attached declaration's own name
         explicit_label: str | None = label
         if node.label is None and len(node.lean_names) == 1:
             explicit_label = None
 
-        if primary is not None:
-            if primary.attribute is not None:
-                existing = primary.attribute.label or str(primary.name)
-                if existing != label:
-                    raise ConversionError(
-                        f"declaration '{primary.name}' already carries blueprint label "
-                        f"'{existing}', conflicting with legacy label '{label}'"
-                    )
-                # source already annotated; only the LaTeX side needs rewriting
-            else:
-                path = _module_path(store, store.decl_module[primary.name])
-                if primary.attr_close_byte is not None:
-                    seq += 1
-                    plan.source_edits.append(
-                        SourceInsert(
-                            path=path,
-                            insert_at=primary.attr_close_byte,
-                            text=_attribute_inline(explicit_label, groups),
-                            seq=seq,
-                        )
-                    )
-                else:
-                    seq += 1
-                    plan.source_edits.append(
-                        SourceInsert(
-                            path=path,
-                            insert_at=primary.keyword_line_byte,
-                            text=_attribute_block(explicit_label, groups),
-                            seq=seq,
-                        )
-                    )
-
+        if project_decls:
+            tag(project_decls[0], label, explicit_label, groups)
         # remaining project declarations share the label with a bare attribute
-        project_decls = [
-            store.declarations[n] for n in node.lean_names if n in store.declarations
-        ]
         for decl in project_decls[1:]:
-            if decl.attribute is not None:
-                existing = decl.attribute.label or str(decl.name)
-                if existing != label:
-                    raise ConversionError(
-                        f"declaration '{decl.name}' already carries blueprint label "
-                        f"'{existing}', conflicting with legacy label '{label}'"
-                    )
-                continue
-            path = _module_path(store, store.decl_module[decl.name])
-            share = label
-            if decl.attr_close_byte is not None:
-                seq += 1
-                plan.source_edits.append(
-                    SourceInsert(
-                        path=path,
-                        insert_at=decl.attr_close_byte,
-                        text=_attribute_inline(share, []),
-                        seq=seq,
-                    )
-                )
-            else:
-                seq += 1
-                plan.source_edits.append(
-                    SourceInsert(
-                        path=path,
-                        insert_at=decl.keyword_line_byte,
-                        text=_attribute_block(share, []),
-                        seq=seq,
-                    )
-                )
+            tag(decl, label, label, [])
 
         # upstream constants get attribute commands near their first dependent
-        up_groups = groups if primary is None else []
+        up_groups = [] if project_decls else groups
         for i, name in enumerate(upstream):
             cmd_label = explicit_label
             if cmd_label is None and str(name) != label:
                 cmd_label = label
             cmd = _attribute_command(name, cmd_label, up_groups if i == 0 else [])
-            anchor = first_dependent_anchor(label)
-            if anchor is None:
+            if label in first_dependent:
+                decl = first_dependent[label][1]
+                path = _module_path(store, store.decl_module[decl.name])
+                insert(path, _decl_block_start_byte(store, decl), cmd, priority=0)
+            else:
                 path = root_path or _module_path(store, store.topo_order[-1])
                 data = Path(path).read_bytes()
                 prefix = "" if not data or data.endswith(b"\n") else "\n"
-                seq += 1
-                plan.source_edits.append(
-                    SourceInsert(
-                        path=path,
-                        insert_at=len(data),
-                        text=prefix + cmd,
-                        priority=2,
-                        seq=seq,
-                    )
-                )
-            else:
-                path, offset = anchor
-                seq += 1
-                plan.source_edits.append(
-                    SourceInsert(
-                        path=path, insert_at=offset, text=cmd, priority=0, seq=seq
-                    )
-                )
+                insert(path, len(data), prefix + cmd, priority=2)
 
-        seq += 1
         plan.latex_edits.append(
             LatexReplace(
                 path=node.path,
                 start=node.span.byte_start,
                 end=node.span.byte_end,
                 replacement=f"\\inputleannode{{{label}}}",
-                seq=seq,
+                seq=seq(),
             )
         )
 

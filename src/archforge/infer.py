@@ -379,13 +379,20 @@ def label_view(store: NodeStore, label: str) -> LabelView:
 
 
 def warm_statuses(store: NodeStore) -> None:
-    """Precompute every status, effective-uses set and label view in store order.
+    """Precompute every part status and effective-uses set, in `label_view` order.
 
-    Keeps warning order deterministic no matter which consumer runs first.
+    Label by label in sorted order, node by node, the statement's status and
+    uses and then the proof's: that order fixes which inference warning or
+    error comes first, no matter which consumer runs first.  The views
+    themselves are merged by `label_view` when a caller asks for them.
     """
 
     for label in sorted(store.by_label):
-        label_view(store, label)
+        for node in merged_nodes(store, label):
+            parts = ("statement", "proof") if node.proof is not None else ("statement",)
+            for part in parts:
+                part_status(store, node, part)
+                effective_uses(store, node, part)
 
 
 def inference_warnings(store: NodeStore) -> tuple[str, ...]:

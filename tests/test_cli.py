@@ -61,6 +61,19 @@ def test_status_json(golden_project, capsys):
     }
 
 
+def test_status_builds_no_label_view(golden_project, monkeypatch, capsys):
+    from archforge import infer
+
+    built = []
+    view = infer.LabelView
+    monkeypatch.setattr(infer, "LabelView", lambda **kw: built.append(kw["label"]) or view(**kw))
+    assert main(["status"]) == 0
+    assert main(["status", "--json"]) == 0
+    assert built == []
+    assert main(["graph"]) == 0  # the probe sees the views that graph merges
+    assert len(built) == 5
+
+
 def test_status_after_filling_a_sorry(golden_project, capsys):
     # prove succ_add; add_comm still carries its own sorry marker
     src = golden_project / "src" / "MyNat.lean"

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import random
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from archforge.convert import (
+    NODE_ENVS,
     ConversionOptions,
+    LegacyNode,
+    LegacyProof,
     apply_plan,
+    find_input_macros,
     parse_legacy_blueprint,
     plan_conversion,
 )
 from archforge.errors import ConversionError, StaleSourceError
 from archforge.infer import warm_statuses
-from archforge.names import Name
+from archforge.names import Name, SourceSpan
 from archforge.source import parse_module_text
 from archforge.store import build_store
 
@@ -173,6 +178,270 @@ def test_parse_all_five_envs(tmp_path):
     )
     tex = write(tmp_path / "t.tex", body)
     assert len(parse_legacy_blueprint([tex])) == 5
+
+
+def test_parse_line_break_before_percent_starts_comment(tmp_path):
+    # `\\` is a line break, so the `%` after it starts a comment; `\%` and
+    # `\\\%` (an odd run of backslashes) are escaped percent signs
+    tex = write(
+        tmp_path / "t.tex",
+        "x \\\\% \\begin{theorem}\\label{ghost}\\end{theorem}\n"
+        "\\begin{theorem}\\label{t}\n"
+        "line one \\\\% \\leanok more\n"
+        "\\end{theorem}\n"
+        "\\begin{lemma}\\label{l}\n"
+        "cost 5\\% \\\\\\% \\notready\n"
+        "\\end{lemma}\n",
+    )
+    t, lem = parse_legacy_blueprint([tex])
+    assert (t.label, t.statement_lean_ok) == ("t", False)
+    assert t.statement_text == "line one \\\\% \\leanok more"
+    assert (lem.label, lem.not_ready) == ("l", True)
+    assert lem.statement_text == "cost 5\\% \\\\\\%"
+
+
+def test_parse_line_break_before_macro_name_is_text(tmp_path):
+    # `\\leanok` is a line break followed by the word `leanok`
+    tex = write(
+        tmp_path / "t.tex",
+        "\\begin{theorem}\\label{t}\nA \\\\leanok B \\\\\\notready\n\\end{theorem}\n",
+    )
+    (n,) = parse_legacy_blueprint([tex])
+    assert (n.statement_lean_ok, n.not_ready) == (False, True)
+    assert n.statement_text == "A \\\\leanok B \\\\"
+
+
+def test_find_input_macros_backslash_parity():
+    text = (
+        "\\\\% \\inputleannode{commented}\n"
+        "\\%\\inputleannode{after:escaped:percent}\n"
+        "\\\\\\inputleannode{after:line:break}\n"
+        "\\\\inputleanmodule{Not.A.Macro}\n"
+        "\\inputleanmodule{Real.Module} % \\inputleanmodule{Gone}\n"
+    )
+    labels, modules = find_input_macros(text, "bp.tex")
+    assert labels == {"after:escaped:percent", "after:line:break"}
+    assert modules == {"Real.Module"}
+
+
+# ---------------------------------------------------------------------------
+# differential check of the scanner against a per-character reference
+
+
+class NaiveScanner:
+    """Reference scanner: per-character tables and `str.find` searches.
+
+    A `%` or a backslash after an odd run of backslashes is escaped; an
+    unescaped `%` comments out the rest of its line, newline included.
+    """
+
+    def __init__(self, text: str, path: str):
+        self.text, self.path = text, path
+        self.byte_of: list[int] = []
+        self.inactive: list[bool] = []  # commented or escaped
+        total = run = 0
+        in_comment = False
+        for ch in text:
+            self.byte_of.append(total)
+            total += len(ch.encode("utf-8"))
+            escaped = run % 2 == 1
+            if not in_comment and ch == "%" and not escaped:
+                in_comment = True
+            self.inactive.append(in_comment or escaped)
+            if ch == "\n":
+                in_comment = False
+            run = run + 1 if ch == "\\" else 0
+        self.byte_of.append(total)
+        self.inactive.append(False)
+
+    def line_of(self, pos: int) -> int:
+        return self.text.count("\n", 0, pos) + 1
+
+    def find(self, pat: str, pos: int, stop: int | None = None) -> int:
+        stop = len(self.text) if stop is None else stop
+        i = self.text.find(pat, pos, stop)
+        while i != -1 and self.inactive[i]:
+            i = self.text.find(pat, i + 1, stop)
+        return i
+
+    def find_macro(self, name: str, start: int, end: int | None = None) -> int:
+        pos = start
+        while (i := self.find("\\" + name, pos, end)) != -1:
+            after = i + 1 + len(name)
+            if after >= len(self.text) or not self.text[after].isalpha():
+                return i
+            pos = i + 1
+        return -1
+
+    def balanced_arg(self, pos: int, open_ch: str = "{", close_ch: str = "}"):
+        i = pos
+        while i < len(self.text) and self.text[i] in " \t\n":
+            i += 1
+        if i >= len(self.text) or self.text[i] != open_ch:
+            raise ConversionError(f"{self.path}:{self.line_of(pos)}: expected '{open_ch}' after macro")
+        depth = 0
+        for j in range(i, len(self.text)):
+            if self.text[j] == open_ch:
+                depth += 1
+            elif self.text[j] == close_ch:
+                depth -= 1
+                if depth == 0:
+                    return self.text[i + 1 : j], j + 1
+        raise ConversionError(f"{self.path}:{self.line_of(pos)}: unbalanced '{open_ch}'")
+
+
+def naive_input_macros(text: str, path: str):
+    sc = NaiveScanner(text, path)
+    found = {"inputleannode": set(), "inputleanmodule": set()}
+    for macro, bag in found.items():
+        pos = 0
+        while (i := sc.find_macro(macro, pos)) != -1:
+            arg, pos = sc.balanced_arg(i + 1 + len(macro))
+            bag.add(arg.strip())
+    return found["inputleannode"], found["inputleanmodule"]
+
+
+def naive_env_end(sc: NaiveScanner, env: str, body_start: int) -> tuple[int, int]:
+    depth, pos = 1, body_start
+    begin, end = f"\\begin{{{env}}}", f"\\end{{{env}}}"
+    while True:
+        nb, ne = sc.find(begin, pos), sc.find(end, pos)
+        if ne == -1:
+            raise ConversionError(f"{sc.path}:{sc.line_of(body_start)}: \\begin{{{env}}} is never closed")
+        if nb != -1 and nb < ne:
+            depth, pos = depth + 1, nb + len(begin)
+            continue
+        depth, pos = depth - 1, ne + len(end)
+        if depth == 0:
+            return ne, pos
+
+
+def naive_env_body(sc: NaiveScanner, body: str, offset: int) -> dict:
+    data = {"label": None, "lean": (), "uses": (), "leanok": False, "mathlibok": False,
+            "notready": False, "discussion": None}
+    cut = []
+    for macro in ("label", "lean", "uses", "leanok", "mathlibok", "notready", "discussion"):
+        pos = 0
+        while (i := sc.find_macro(macro, offset + pos, offset + len(body))) != -1:
+            after = i + 1 + len(macro)
+            if macro in ("leanok", "mathlibok", "notready"):
+                data[macro] = True
+                cut.append((i - offset, after - offset))
+                pos = after - offset
+                continue
+            arg, past = sc.balanced_arg(after)
+            if macro == "lean":
+                data[macro] = tuple(Name.parse(a) for a in arg.split(",") if a.strip())
+            elif macro == "uses":
+                data[macro] = tuple(a.strip() for a in arg.split(",") if a.strip())
+            elif macro == "label":
+                data[macro] = arg.strip()
+            else:
+                try:
+                    data[macro] = int(arg.strip())
+                except ValueError as exc:
+                    raise ConversionError(
+                        f"{sc.path}:{sc.line_of(i)}: \\discussion expects a number"
+                    ) from exc
+            cut.append((i - offset, past - offset))
+            pos = past - offset
+    pieces, prev = [], 0
+    for a, b in sorted(cut):
+        pieces.append(body[prev:a])
+        prev = b
+    pieces.append(body[prev:])
+    lines = "".join(pieces).split("\n")
+    data["text"] = " ".join("\n".join(ln for ln in lines if not ln.lstrip().startswith("%")).split())
+    return data
+
+
+def naive_parse(path: Path) -> list[LegacyNode]:
+    text = path.read_text(encoding="utf-8")
+    sc = NaiveScanner(text, str(path))
+    nodes, pos = [], 0
+    while True:
+        hits = [(i, env) for env in NODE_ENVS if (i := sc.find(f"\\begin{{{env}}}", pos)) != -1]
+        if not hits:
+            return nodes
+        start, env = min(hits)
+        body_start = start + len(f"\\begin{{{env}}}")
+        title, k = None, body_start
+        while k < len(text) and text[k] in " \t":
+            k += 1
+        if k < len(text) and text[k] == "[":
+            title, body_start = sc.balanced_arg(k, "[", "]")
+            title = title.strip()
+        end_start, span_end = naive_env_end(sc, env, body_start)
+        d = naive_env_body(sc, text[body_start:end_start], body_start)
+        proof, k = None, span_end
+        while k < len(text) and (text[k] in " \t\n" or text[k] == "%"):
+            k = k + 1 if text[k] != "%" else (text.find("\n", k) + 1 or len(text))
+        if text.startswith("\\begin{proof}", k) and not sc.inactive[k]:
+            p_body = k + len("\\begin{proof}")
+            p_end, span_end = naive_env_end(sc, "proof", p_body)
+            pd = naive_env_body(sc, text[p_body:p_end], p_body)
+            proof = LegacyProof(uses=pd["uses"], lean_ok=pd["leanok"], text=pd["text"])
+        span = SourceSpan(start, span_end, sc.byte_of[start], sc.byte_of[span_end], sc.line_of(start))
+        nodes.append(
+            LegacyNode(env, title, d["label"], d["lean"], d["uses"], d["leanok"], d["mathlibok"],
+                       d["notready"], d["discussion"], d["text"], proof, str(path), span)
+        )
+        pos = span_end
+
+
+BODY_PIECES = (
+    "word", " ", "  ", "\n", "\r\n", "\t", "é", "𝔸", "\xa0", ",", "-/", "{x}", "[y]", "\\%",
+    "\\\\", "\\\\\\%", "% note\n", "\\\\% note\n", "\n% whole line\n", "\\leanok", "\\mathlibok",
+    "\\notready", "\\leanokay", "\\\\leanok", "\\leané", "\\label{l:a}", "\\label{ l:b }",
+    "\\lean{A.b, c}", "\\lean{𝔸.x}", "\\uses{l:a, l:b}", "\\uses{}", "\\discussion{12}",
+    "\\inputleannode{l:a}", "\\inputleanmodule{M.N}", "\\begin{proof}", "\\end{proof}",
+)
+NOISE_PIECES = (
+    "%", "\\\\%", "{", "}", "[", "]", "\\discussion{x}", "\\label", "\\uses{a",
+    "\\inputleannode", "\\inputleanmodule{open",
+    *(f"\\begin{{{env}}}" for env in (*NODE_ENVS, "proof")),
+    *(f"\\end{{{env}}}" for env in (*NODE_ENVS, "proof")),
+)
+
+
+def random_tex(rng: random.Random) -> str:
+    out = []
+    for _ in range(rng.randint(1, 6)):
+        env = rng.choice(NODE_ENVS)
+        out.append(rng.choice(("", "prose é ", "% c\n", "\\\\% \\begin{lemma}\n", "\r\n")))
+        out.append(f"\\begin{{{env}}}" + rng.choice(("", "", "[Title 𝔸]", " [t]", "\n[no]")))
+        out.extend(rng.choice(BODY_PIECES) for _ in range(rng.randint(0, 12)))
+        out.append(f"\\end{{{env}}}")
+        if rng.random() < 0.5:
+            out.append(rng.choice(("\n", "\n% gap\n", " \t", "\r\n", "x")) + "\\begin{proof}")
+            out.extend(rng.choice(BODY_PIECES[:-2]) for _ in range(rng.randint(0, 6)))
+            out.append("\\end{proof}")
+        if rng.random() < 0.15:
+            out.insert(rng.randrange(len(out) + 1), rng.choice(NOISE_PIECES))
+        out.append(rng.choice(("\n", "\n\n", " ")))
+    return "".join(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ConversionError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_scanner_matches_naive_reference(tmp_path):
+    parsed = 0
+    for seed in range(300):
+        text = random_tex(random.Random(seed))
+        tex = tmp_path / f"s{seed}.tex"
+        tex.write_bytes(text.encode("utf-8"))
+        got = outcome(parse_legacy_blueprint, [tex])
+        assert got == outcome(naive_parse, tex), (seed, text)
+        assert outcome(find_input_macros, text, "bp.tex") == outcome(
+            naive_input_macros, text, "bp.tex"
+        ), (seed, text)
+        parsed += isinstance(got, list) and len(got) > 0
+    assert parsed >= 100
 
 
 # ---------------------------------------------------------------------------

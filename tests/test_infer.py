@@ -360,7 +360,7 @@ def test_label_view_merges_constituents():
         }
     )
     view = label_view(store, "pair")
-    assert view is infer._cache(store).views["pair"]  # filled by warm_statuses
+    assert view is infer._cache(store).views["pair"]  # merged once per store
     assert view.names == ("first", "second", "third")
     assert [n.name for n in view.nodes] == [N("first"), N("second"), N("third")]
     assert view.envs == ("definition", "theorem")
