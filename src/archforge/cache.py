@@ -6,8 +6,8 @@ tool version, the interpreter's major.minor version (its Unicode tables
 decide tokens) and the text of the parser modules, so a changed parser
 never reads old units.  A unit is reused only while its module's name, path
 and source hash match.  Loading admits no global but the front-end
-dataclasses, so a crafted file cannot run code; any failure reads as "no
-cache".
+dataclasses and `Name`, so a crafted file cannot run code; any failure
+reads as "no cache".
 """
 
 from __future__ import annotations
@@ -36,13 +36,12 @@ from .source import (
 CACHE_DIR = ".archforge"
 CACHE_NAME = "units.pickle"
 
-_ALLOWED = {
-    (cls.__module__, cls.__qualname__): cls
-    for cls in (
-        ModuleUnit, Declaration, RawComment, UpstreamAttribution, OpenCommand, ParseWarning,
-        AttributeSpec, SorryMarker, Name, LabelRef, SourceSpan,
-    )
-}
+# the dataclasses a unit is made of; `Name` is a tuple and pickles as one
+_DATACLASSES = (
+    ModuleUnit, Declaration, RawComment, UpstreamAttribution, OpenCommand, ParseWarning,
+    AttributeSpec, SorryMarker, LabelRef, SourceSpan,
+)
+_ALLOWED = {(cls.__module__, cls.__qualname__): cls for cls in (*_DATACLASSES, Name)}
 
 
 def cache_path(root: Path) -> Path:
@@ -112,7 +111,7 @@ def _dump(units: Iterable[ModuleUnit], f) -> None:
         return copyreg.__newobj__, (type(obj),), obj.__dict__
 
     pickler = pickle.Pickler(f, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = dict.fromkeys(_ALLOWED.values(), reduce)
+    pickler.dispatch_table = dict.fromkeys(_DATACLASSES, reduce)
     for unit in units:
         # a memo over the whole project would take megabytes while the
         # rendered artifacts are still alive; one module's memo is small

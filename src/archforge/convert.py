@@ -188,7 +188,12 @@ class _TexScanner:
         return found
 
     def balanced_arg(self, pos: int, open_ch: str = "{") -> tuple[str, int]:
-        """Argument text and offset just past the closing delimiter."""
+        """Argument text without its comments, and the offset past the closing delimiter.
+
+        A delimiter inside a comment or after an odd run of backslashes does
+        not count: scanning from the opening delimiter, each backslash pair
+        and each comment is one token.
+        """
 
         i = _BLANKS.match(self.text, pos).end()
         if not self.text.startswith(open_ch, i):
@@ -196,18 +201,32 @@ class _TexScanner:
                 f"{self.path}:{self.line_of(pos)}: expected '{open_ch}' after macro"
             )
         depth = 0
-        for m in _DELIMITERS[open_ch].finditer(self.text, i):
-            depth += 1 if m[0] == open_ch else -1
-            if depth == 0:
-                return self.text[i + 1 : m.start()], m.end()
+        pieces = []
+        start = i + 1
+        for m in _ARG_TOKENS[open_ch].finditer(self.text, i):
+            tok = m[0]
+            if tok == open_ch:
+                depth += 1
+            elif tok[0] == "%":
+                pieces.append(self.text[start : m.start()])
+                start = m.end()
+            elif tok[0] != "\\":
+                depth -= 1
+                if depth == 0:
+                    pieces.append(self.text[start : m.start()])
+                    return "".join(pieces), m.end()
         raise ConversionError(f"{self.path}:{self.line_of(pos)}: unbalanced '{open_ch}'")
 
 
 _COMMENT = re.compile(r"%[^\n]*\n?")
 _NEWLINE = re.compile(r"\n")
-_BLANKS = re.compile(r"[ \t\n]*")
+_BLANKS = re.compile(r"[ \t\r\n]*")
 _INLINE_BLANKS = re.compile(r"[ \t]*")
-_DELIMITERS = {"{": re.compile(r"[{}]"), "[": re.compile(r"[\[\]]")}
+# an argument's delimiters, escaped characters and comments
+_ARG_TOKENS = {
+    "{": re.compile(r"[{}]|\\.|%[^\n]*\n?", re.S),
+    "[": re.compile(r"[\[\]]|\\.|%[^\n]*\n?", re.S),
+}
 _NODE_BEGIN = re.compile(r"\\begin\{(" + "|".join(NODE_ENVS) + r")\}")
 _ENV_DELIMITERS = {
     env: re.compile(r"\\(begin|end)\{" + env + r"\}") for env in (*NODE_ENVS, "proof")
@@ -312,7 +331,9 @@ def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
     nodes: list[LegacyNode] = []
     for path in tex_files:
         p = Path(path)
-        text = p.read_text(encoding="utf-8")
+        # no newline translation: spans, lines and byte offsets are the file's
+        with open(p, encoding="utf-8", newline="") as f:
+            text = f.read()
         sc = _TexScanner(text, str(p))
         pos = 0
         while begin := next(sc.commands(_NODE_BEGIN, pos), None):

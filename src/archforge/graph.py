@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .infer import label_view
 from .store import NodeStore
@@ -18,8 +19,9 @@ class VertexInfo:
     dangling: bool = False  # referenced by some `uses` but never declared
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """Fields in sort order: the tuples' natural order is the edge order."""
+
     src: str  # the dependency
     dst: str  # the dependent
     kind: str  # "statement" | "proof"
@@ -75,10 +77,9 @@ def build_graph(store: NodeStore) -> DepGraph:
         for part, uses in (("statement", view.statement_uses), ("proof", view.proof_uses)):
             for dep in uses:
                 vertices.setdefault(dep, _DANGLING)
-                edges.add(Edge(src=dep, dst=view.label, kind=part))
+                edges.add(Edge(dep, view.label, part))
 
-    ordered = tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.kind)))
-    return DepGraph(vertices=vertices, edges=ordered)
+    return DepGraph(vertices=vertices, edges=tuple(sorted(edges)))
 
 
 def _vertex_color(info: VertexInfo) -> str:
@@ -138,8 +139,11 @@ def run_lints(store: NodeStore, graph: DepGraph | None = None, strict: bool = Fa
     if graph is None:
         graph = build_graph(store)
 
-    has_outgoing = {e.src for e in graph.edges}
-    has_incoming = {e.dst for e in graph.edges}
+    dependents: dict[str, list[str]] = {}  # one entry per edge: a label used by both parts shows twice
+    has_incoming: set[str] = set()
+    for src, dst, _ in graph.edges:
+        dependents.setdefault(src, []).append(dst)
+        has_incoming.add(dst)
 
     findings: list[LintFinding] = []
 
@@ -148,12 +152,8 @@ def run_lints(store: NodeStore, graph: DepGraph | None = None, strict: bool = Fa
 
     for label, info in graph.vertices.items():
         if info.dangling:
-            dependents = sorted(e.dst for e in graph.edges if e.src == label)
-            add(
-                "dangling-label",
-                label,
-                "used by " + ", ".join(dependents) + " but no declaration carries it",
-            )
+            users = ", ".join(sorted(dependents[label]))
+            add("dangling-label", label, f"used by {users} but no declaration carries it")
             continue
 
         view = label_view(store, label)
@@ -166,7 +166,7 @@ def run_lints(store: NodeStore, graph: DepGraph | None = None, strict: bool = Fa
             )
 
         incoming = label in has_incoming
-        outgoing = label in has_outgoing
+        outgoing = label in dependents
         if not incoming and not outgoing:
             add("isolated-node", label, "no dependencies in either direction")
         elif incoming and not outgoing:

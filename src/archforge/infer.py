@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import compress
+from typing import Callable, Iterable, Iterator
 
 from .errors import NotFoundError, ResolutionError
 from .names import LabelRef, Name, name_candidates
@@ -68,35 +69,38 @@ class LabelView:
 
 @dataclass
 class _ClosureGraph:
-    """The reference graph that `reference_closure` walks, interned to ints.
+    """The condensed untagged reference graph that `reference_closure` reads.
 
-    Every declaration, every tagged name and `sorryAx` has a dense id.
-    `sink[i]` is set for the ids a closure collects without entering them
-    (tagged names and `sorryAx`).  `refs[i]` is a declaration's `all_refs()`
-    as ids, filled the first time a closure enters it; a name without an id
-    can be neither collected nor entered, so it is left out.
+    Sinks are the names a closure collects without entering them: id 0 is
+    `sorryAx`, then the tagged names follow in `store.by_name` order, which
+    is placement order.  Untagged declarations get the ids after the sinks.
+    `comp[i]` is a declaration's strongly connected component, -1 until a
+    search from some closure's start names enters it, and `reach[c]` is the
+    bitset of sink ids that component `c` reaches (bit i for sink id i).
     """
 
     names: list[Name]
     ids: dict[Name, int]
-    sink: bytearray
-    refs: list[tuple[int, ...] | None]
+    sinks: int
+    comp: list[int]
+    reach: list[int] = field(default_factory=list)
 
 
 def _closure_graph(store: NodeStore) -> _ClosureGraph:
-    ids: dict[Name, int] = {}
-    for name in (SORRY_AX, *store.by_name, *store.declarations):
-        ids.setdefault(name, len(ids))
-    sink = bytearray(len(ids))
-    sink[ids[SORRY_AX]] = 1
+    ids: dict[Name, int] = {SORRY_AX: 0}
     for name in store.by_name:
-        sink[ids[name]] = 1
-    return _ClosureGraph(names=list(ids), ids=ids, sink=sink, refs=[None] * len(ids))
+        ids.setdefault(name, len(ids))
+    sinks = len(ids)
+    for name in store.declarations:
+        ids.setdefault(name, len(ids))
+    return _ClosureGraph(names=list(ids), ids=ids, sinks=sinks, comp=[-1] * len(ids))
 
 
 @dataclass
 class _InferCache:
     refs: dict[Name, RefSets] = field(default_factory=dict)
+    # (namespace context, opens) -> token -> what resolve_references resolves it to
+    resolved: dict[tuple, dict[str, Name | None]] = field(default_factory=dict)
     status: dict[tuple[Name, str], PartStatus] = field(default_factory=dict)
     effective: dict[tuple[Name, str], tuple[str, ...]] = field(default_factory=dict)
     views: dict[str, LabelView] = field(default_factory=dict)
@@ -148,10 +152,17 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     def known(name: Name) -> bool:
         return name in store.declarations or name in store.by_name or name in store.upstream_index
 
+    # `known` is the same for every declaration, so a token resolves the same
+    # way wherever the context and opens are the same
+    context, opens = decl.namespace_context, decl.opens
+    memo = cache.resolved.setdefault((context, opens), {})
+
     def resolve_many(idents: tuple[str, ...]) -> list[Name]:
         out: list[Name] = []
         for tok in idents:
-            hit = resolve_name(Name.parse(tok), decl.namespace_context, decl.opens, known)
+            if tok not in memo:
+                memo[tok] = resolve_name(Name.parse(tok), context, opens, known)
+            hit = memo[tok]
             if hit is not None:
                 out.append(hit)
         return out
@@ -172,7 +183,7 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
                     )
                 body.extend(targets)
             else:
-                hit = resolve_name(entry, decl.namespace_context, decl.opens, known)
+                hit = resolve_name(entry, context, opens, known)
                 if hit is None:
                     raise ResolutionError(
                         f"sorry_using in '{decl.name}' names unknown constant '{entry}'"
@@ -185,45 +196,94 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     return refs
 
 
+def _search(root: int, graph: _ClosureGraph, store: NodeStore) -> None:
+    """Iterative Tarjan search from one untagged declaration id.
+
+    Every declaration it enters gets its component and every new component
+    its `reach`: the sinks its members reference, ORed with the reach of
+    each component they reference.  Declarations are resolved as they are
+    entered, depth first, each `all_refs()` in order.  The search state
+    lives here, so an error while resolving leaves the declarations it had
+    entered unsearched, and the next closure that reaches them searches
+    again.
+    """
+
+    ids, names, sinks, comp, reach = graph.ids, graph.names, graph.sinks, graph.comp, graph.reach
+    index: dict[int, int] = {}  # preorder number of each entered declaration
+    low: dict[int, int] = {}
+    bits: dict[int, int] = {}  # sinks reached so far, per declaration on `stack`
+    stack: list[int] = []
+    work: list[tuple[int, Iterator[int]]] = []
+
+    def enter(v: int) -> None:
+        index[v] = low[v] = len(index)
+        bits[v] = 0
+        stack.append(v)
+        refs = resolve_references(store.declarations[names[v]], store).all_refs()
+        work.append((v, iter([ids[n] for n in refs if n in ids])))
+
+    enter(root)
+    while work:
+        v, succ = work[-1]
+        for w in succ:
+            if w < sinks:
+                bits[v] |= 1 << w
+            elif comp[w] >= 0:
+                bits[v] |= reach[comp[w]]
+            elif w in index:  # entered and not done: on the stack
+                low[v] = min(low[v], index[w])
+            else:
+                enter(w)
+                break
+        else:
+            work.pop()
+            if low[v] == index[v]:
+                c, acc = len(reach), 0
+                while True:
+                    w = stack.pop()
+                    comp[w] = c
+                    acc |= bits.pop(w)
+                    if w == v:
+                        break
+                reach.append(acc)
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+                if comp[v] >= 0:
+                    bits[u] |= reach[comp[v]]
+
+
+# maps the characters of `bin()` to selector bytes for `itertools.compress`
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def reference_closure(start: Iterable[Name], store: NodeStore) -> tuple[Name, ...]:
-    """Breadth-first closure that stops at blueprint-tagged constants.
+    """Closure that stops at blueprint-tagged constants, in placement order.
 
     Tagged constants and `sorryAx` are collected; untagged project constants
-    are traversed transparently; anything else is ignored.  Output keeps
-    breadth-first first-discovery order: the start names in order, then the
-    references of each entered constant in `all_refs()` order, level by level.
+    are traversed transparently; anything else is ignored.  Output is
+    `sorryAx` if reached, then the tagged constants in `store.by_name` order.
     """
 
     cache = _cache(store)
     if cache.graph is None:
         cache.graph = _closure_graph(store)
     graph = cache.graph
-    ids, sink, refs = graph.ids, graph.sink, graph.refs
+    ids, sinks, comp = graph.ids, graph.sinks, graph.comp
 
-    seen = bytearray(len(ids))
-    # `order` is also the FIFO queue: marking ids when they are queued makes
-    # queue order the first-discovery order.  The for loop also visits the
-    # ids appended while it runs.
-    order: list[int] = []
+    reached = 0
     for name in start:
         i = ids.get(name)
-        if i is not None and not seen[i]:
-            seen[i] = 1
-            order.append(i)
-    for cur in order:
-        if sink[cur]:
+        if i is None:
             continue
-        succ = refs[cur]
-        if succ is None:
-            decl = store.declarations[graph.names[cur]]
-            succ = tuple(ids[n] for n in resolve_references(decl, store).all_refs() if n in ids)
-            refs[cur] = succ
-        for i in succ:
-            if not seen[i]:
-                seen[i] = 1
-                order.append(i)
-    names = graph.names
-    return tuple(names[i] for i in order if sink[i])
+        if i < sinks:
+            reached |= 1 << i
+            continue
+        if comp[i] < 0:
+            _search(i, graph, store)
+        reached |= graph.reach[comp[i]]
+    selectors = bin(reached)[:1:-1].encode().translate(_BIT_BYTES)  # bit i -> selectors[i]
+    return tuple(compress(graph.names, selectors))
 
 
 def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:

@@ -3,58 +3,64 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
-class Name:
+class Name(tuple):
     """A dot-separated hierarchical identifier such as ``MyNat.add_comm``.
 
-    Immutable and usable as a dict key.  ``str()`` gives the dotted form.
+    A tuple of its segments, so hashing, equality and ordering run in C;
+    ``str()`` gives the dotted form.
     """
 
-    segments: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.segments or any(not s for s in self.segments):
-            raise ValueError(f"invalid name segments: {self.segments!r}")
+    def __new__(cls, segments: Iterable[str]) -> "Name":
+        self = tuple.__new__(cls, segments)
+        if not self or "" in self:
+            raise ValueError(f"invalid name segments: {tuple(self)!r}")
+        return self
 
     @staticmethod
     def parse(text: str) -> "Name":
         text = text.strip()
         if not text:
             raise ValueError("empty name")
-        return Name(tuple(text.split(".")))
+        return Name(text.split("."))
+
+    @property
+    def segments(self) -> tuple[str, ...]:
+        return tuple(self)
 
     def __str__(self) -> str:
-        return ".".join(self.segments)
+        return ".".join(self)
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
 
     @property
     def head(self) -> str:
-        return self.segments[0]
+        return self[0]
 
     @property
     def last(self) -> str:
-        return self.segments[-1]
+        return self[-1]
 
     def child(self, *segments: str) -> "Name":
-        return Name(self.segments + segments)
+        return Name(self + segments)
 
     def join(self, other: "Name") -> "Name":
-        return Name(self.segments + other.segments)
+        return Name(self + other)
 
     def parent(self) -> "Name | None":
-        if len(self.segments) == 1:
+        if len(self) == 1:
             return None
-        return Name(self.segments[:-1])
+        return Name(self[:-1])
 
     def drop_head(self) -> "Name | None":
-        if len(self.segments) == 1:
+        if len(self) == 1:
             return None
-        return Name(self.segments[1:])
+        return Name(self[1:])
 
 
 def name_candidates(
@@ -67,7 +73,7 @@ def name_candidates(
     """
 
     for i in range(len(context), 0, -1):
-        yield Name(context[:i] + raw.segments)
+        yield Name(context[:i] + raw)
     for opened in opens:
         yield opened.join(raw)
     yield raw

@@ -14,7 +14,8 @@ from archforge import build, cache, source
 from archforge.build import extract, load_project
 from archforge.cli import main
 from archforge.config import load_config
-from archforge.source import parse_module
+from archforge.names import Name
+from archforge.source import Declaration, parse_module
 
 import _gen
 from conftest import golden_text, make_project, read_tree
@@ -212,3 +213,16 @@ def test_unwritable_cache_is_ignored(tmp_path):
     result = extract(load_project(config))
     assert result.written
     assert load_project(config).cache_stale
+
+
+def test_names_round_trip_through_the_cache(tmp_path):
+    make_project(tmp_path, dict(WARNS))
+    units = list(load_project(config_at(tmp_path)).store.modules.values())
+    cache.write_units(tmp_path, units)
+    read = cache.read_units(tmp_path)
+    assert read == {u.name: replace(u, source_text="") for u in units}
+    b = read[Name.parse("B")]
+    (decl,) = [item for item in b.items if isinstance(item, Declaration)]
+    for name in (b.name, *b.imports, decl.name):
+        assert type(name) is Name
+    assert (str(decl.name), hash(decl.name)) == ("b", hash(Name.parse("b")))

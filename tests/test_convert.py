@@ -211,6 +211,51 @@ def test_parse_line_break_before_macro_name_is_text(tmp_path):
     assert n.statement_text == "A \\\\leanok B \\\\"
 
 
+def test_parse_braces_in_comments_and_escaped_braces(tmp_path):
+    # a brace inside a % comment or escaped as \{ or \} neither opens nor
+    # closes an argument, and the comment is no part of the argument
+    tex = write(
+        tmp_path / "t.tex",
+        "\\begin{theorem}\\label{t}\\uses{a, % old: b}\n"
+        "  c}\\lean{X.y}\n"
+        "\\end{theorem}\n"
+        "\\begin{lemma}[Sets \\{x\\} % and {\n"
+        "]\\label{l\\}m}\\uses{\\{d}\n"
+        "\\end{lemma}\n",
+    )
+    t, lem = parse_legacy_blueprint([tex])
+    assert t.statement_uses == ("a", "c")
+    assert t.lean_names == (Name.parse("X.y"),)
+    assert lem.title == "Sets \\{x\\}"
+    assert (lem.label, lem.statement_uses) == ("l\\}m", ("\\{d",))
+
+
+def test_convert_keeps_crlf_line_breaks_and_tail(tmp_path):
+    src = write(tmp_path / "Core.lean", CORE_SRC)
+    head = "Intro line\r\nmore\r\n"
+    tail = "\r\nTail prose.\r\n"
+    tex = tmp_path / "bp.tex"
+    tex.write_bytes((head + CORE_TEX.lstrip("\n").replace("\n", "\r\n") + tail).encode("utf-8"))
+    before = tex.read_bytes()
+    unit = parse_module_text(src.read_text(encoding="utf-8"), Name.parse("Core"), path=str(src))
+    store = build_store([unit])
+    warm_statuses(store)
+    legacy = parse_legacy_blueprint([tex])
+    assert [n.label for n in legacy] == ["def:zero", "thm:main"]
+    assert legacy[0].span.byte_start == before.index(b"\\begin{definition}") == len(head)
+    assert legacy[1].span.line == 7
+    assert legacy[1].proof.text == "Proof prose."
+    assert before[legacy[1].span.byte_end - len(b"\\end{proof}") : legacy[1].span.byte_end] == (
+        b"\\end{proof}"
+    )
+
+    apply_plan(plan_conversion(legacy, store))
+    after = tex.read_bytes()
+    assert after == (
+        head + "\\inputleannode{def:zero}\r\n\r\n\\inputleannode{thm:main}\r\n" + tail
+    ).encode("utf-8")
+
+
 def test_find_input_macros_backslash_parity():
     text = (
         "\\\\% \\inputleannode{commented}\n"
@@ -232,12 +277,15 @@ class NaiveScanner:
     """Reference scanner: per-character tables and `str.find` searches.
 
     A `%` or a backslash after an odd run of backslashes is escaped; an
-    unescaped `%` comments out the rest of its line, newline included.
+    unescaped `%` comments out the rest of its line, newline included.  A
+    brace escaped or commented out is no delimiter, and a comment is no part
+    of an argument.
     """
 
     def __init__(self, text: str, path: str):
         self.text, self.path = text, path
         self.byte_of: list[int] = []
+        self.commented: list[bool] = []
         self.inactive: list[bool] = []  # commented or escaped
         total = run = 0
         in_comment = False
@@ -247,11 +295,13 @@ class NaiveScanner:
             escaped = run % 2 == 1
             if not in_comment and ch == "%" and not escaped:
                 in_comment = True
+            self.commented.append(in_comment)
             self.inactive.append(in_comment or escaped)
             if ch == "\n":
                 in_comment = False
             run = run + 1 if ch == "\\" else 0
         self.byte_of.append(total)
+        self.commented.append(False)
         self.inactive.append(False)
 
     def line_of(self, pos: int) -> int:
@@ -275,18 +325,21 @@ class NaiveScanner:
 
     def balanced_arg(self, pos: int, open_ch: str = "{", close_ch: str = "}"):
         i = pos
-        while i < len(self.text) and self.text[i] in " \t\n":
+        while i < len(self.text) and self.text[i] in " \t\r\n":
             i += 1
         if i >= len(self.text) or self.text[i] != open_ch:
             raise ConversionError(f"{self.path}:{self.line_of(pos)}: expected '{open_ch}' after macro")
         depth = 0
         for j in range(i, len(self.text)):
+            if self.inactive[j]:
+                continue
             if self.text[j] == open_ch:
                 depth += 1
             elif self.text[j] == close_ch:
                 depth -= 1
                 if depth == 0:
-                    return self.text[i + 1 : j], j + 1
+                    arg = "".join(self.text[k] for k in range(i + 1, j) if not self.commented[k])
+                    return arg, j + 1
         raise ConversionError(f"{self.path}:{self.line_of(pos)}: unbalanced '{open_ch}'")
 
 
@@ -356,7 +409,7 @@ def naive_env_body(sc: NaiveScanner, body: str, offset: int) -> dict:
 
 
 def naive_parse(path: Path) -> list[LegacyNode]:
-    text = path.read_text(encoding="utf-8")
+    text = path.read_bytes().decode("utf-8")
     sc = NaiveScanner(text, str(path))
     nodes, pos = [], 0
     while True:
@@ -374,7 +427,7 @@ def naive_parse(path: Path) -> list[LegacyNode]:
         end_start, span_end = naive_env_end(sc, env, body_start)
         d = naive_env_body(sc, text[body_start:end_start], body_start)
         proof, k = None, span_end
-        while k < len(text) and (text[k] in " \t\n" or text[k] == "%"):
+        while k < len(text) and (text[k] in " \t\r\n" or text[k] == "%"):
             k = k + 1 if text[k] != "%" else (text.find("\n", k) + 1 or len(text))
         if text.startswith("\\begin{proof}", k) and not sc.inactive[k]:
             p_body = k + len("\\begin{proof}")
@@ -391,7 +444,8 @@ def naive_parse(path: Path) -> list[LegacyNode]:
 
 BODY_PIECES = (
     "word", " ", "  ", "\n", "\r\n", "\t", "é", "𝔸", "\xa0", ",", "-/", "{x}", "[y]", "\\%",
-    "\\\\", "\\\\\\%", "% note\n", "\\\\% note\n", "\n% whole line\n", "\\leanok", "\\mathlibok",
+    "\\\\", "\\\\\\%", "% note\n", "\\\\% note\n", "\n% whole line\n", "% {\n", "\\{", "\\}",
+    "\\uses{a, % b}\nc}", "\\label{l:\\{}", "\\leanok", "\\mathlibok",
     "\\notready", "\\leanokay", "\\\\leanok", "\\leané", "\\label{l:a}", "\\label{ l:b }",
     "\\lean{A.b, c}", "\\lean{𝔸.x}", "\\uses{l:a, l:b}", "\\uses{}", "\\discussion{12}",
     "\\inputleannode{l:a}", "\\inputleanmodule{M.N}", "\\begin{proof}", "\\end{proof}",

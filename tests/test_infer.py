@@ -129,6 +129,49 @@ def test_sorry_using_unknown_label_raises():
         refs_for(store, "t")
 
 
+def test_first_error_comes_from_the_depth_first_search():
+    # `t`'s proof reaches `a` then `b`; `a` reaches `c`.  Declarations are
+    # resolved as a depth-first search enters them, so `c` fails before `b`;
+    # `u` is reached by no closure and never resolved.
+    src = (
+        "theorem u : x := by\n  sorry_using [ghost_u]\n\n"
+        "theorem c : x := by\n  sorry_using [ghost_c]\n\n"
+        "theorem b : x := by\n  sorry_using [ghost_b]\n\n"
+        "theorem a : x := by\n  exact c\n\n"
+        "@[blueprint]\ntheorem t : x := by\n  exact a\n  exact b\n"
+    )
+    with pytest.raises(ResolutionError, match="sorry_using in 'c' names unknown constant 'ghost_c'"):
+        store_from({"M": src})
+    without_c = src.replace("theorem c : x := by\n  sorry_using [ghost_c]", "theorem c : x := rfl")
+    with pytest.raises(ResolutionError, match="sorry_using in 'b' names unknown constant 'ghost_b'"):
+        store_from({"M": without_c})
+    # with `b` mended too, `u`'s bad entry is never read
+    store_from({"M": without_c.replace("sorry_using [ghost_b]", "exact rfl")})
+
+
+def test_same_token_resolves_per_context_and_opens():
+    # `f` means `A.f` or `B.f` depending on the enclosing namespace and the
+    # opens, all in one store
+    store = store_from(
+        {
+            "Defs": (
+                "namespace A\n@[blueprint \"a\"]\ndef f := 1\nend A\n\n"
+                "namespace B\n@[blueprint \"b\"]\ndef f := 2\nend B\n"
+            ),
+            "InA": "import Defs\nnamespace A\n@[blueprint \"ta\"]\ndef t := f\nend A\n",
+            "InB": "import Defs\nnamespace B\n@[blueprint \"tb\"]\ndef t := f\nend B\n",
+            "OpenA": "import Defs\nopen A\n@[blueprint \"oa\"]\ndef oa := f\n",
+            "OpenB": "import Defs\nopen B\n@[blueprint \"ob\"]\ndef ob := f\n",
+            "Bare": "import Defs\n@[blueprint \"bare\"]\ndef bare := f\n",
+        }
+    )
+    uses = {
+        label: effective_uses(store, store.by_name[store.by_label[label][0]], "statement")
+        for label in ("ta", "tb", "oa", "ob", "bare")
+    }
+    assert uses == {"ta": ("a",), "tb": ("b",), "oa": ("a",), "ob": ("b",), "bare": ()}
+
+
 def test_upstream_index_names_resolve():
     store = store_from(
         {"M": "theorem t : x := by\n  exact Mathlib.Order.le_trans\n"},
@@ -170,15 +213,17 @@ def test_closure_of_sorry_ax():
     assert reference_closure([SORRY_AX], store) == (SORRY_AX,)
 
 
-def test_closure_first_discovery_order():
+def test_closure_placement_order():
     store = store_from(
         {
             "M": "@[blueprint]\ndef a := 1\n\n@[blueprint]\ndef b := 1\n\n"
-            "def thru := b a\n\ndef top := thru a\n"
+            "theorem s : x := by\n  sorry\n\ndef thru := b s a\n"
         }
     )
-    # breadth-first from top: thru then a, thru expands to b
-    assert reference_closure([N("thru"), N("a")], store) == (N("a"), N("b"))
+    # thru meets b, then sorryAx through s, then a; the closure lists
+    # sorryAx first and the tagged names in placement order
+    assert reference_closure([N("thru")], store) == (SORRY_AX, N("a"), N("b"))
+    assert reference_closure([N("b"), N("a")], store) == (N("a"), N("b"))
 
 
 def test_closure_tolerates_reference_cycles():
@@ -412,7 +457,7 @@ def test_generated_closures_match_oracle():
 
 
 def naive_closure(start, store):
-    """Reference closure walked over `Name`s with a plain queue: the order oracle."""
+    """Reference closure walked over `Name`s with a plain queue, in discovery order."""
 
     seen = set()
     out = []
@@ -429,6 +474,14 @@ def naive_closure(start, store):
         if decl is not None:
             queue.extend(n for n in resolve_references(decl, store).all_refs() if n not in seen)
     return tuple(out)
+
+
+def placement_sorted(names, store):
+    """`sorryAx` first, then tagged names in placement order: the closure's order oracle."""
+
+    placement = {name: i for i, name in enumerate(store.by_name, start=1)}
+    placement[SORRY_AX] = 0
+    return tuple(sorted(names, key=placement.__getitem__))
 
 
 def untagged_cycle(store) -> bool:
@@ -462,7 +515,9 @@ def test_generated_closures_keep_oracle_order():
         for d in gp.decls:
             for start in (_gen.gt_statement_start(d), _gen.gt_proof_start(d), [d.name]):
                 names = [N(s) for s in start]
-                assert reference_closure(names, store) == naive_closure(names, store)
+                assert reference_closure(names, store) == placement_sorted(
+                    naive_closure(names, store), store
+                )
     assert cyclic >= 5
 
 

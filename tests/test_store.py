@@ -17,6 +17,23 @@ from archforge.store import (
 from conftest import golden_text, store_from
 
 
+def test_name_order_str_and_validation():
+    names = [Name.parse(s) for s in ("b", "a.c", "A.b", "a", "a.b.c", "a.b")]
+    assert [str(n) for n in sorted(names)] == ["A.b", "a", "a.b", "a.b.c", "a.c", "b"]
+    n = Name.parse(" MyNat.add_comm ")
+    assert (str(n), f"{n}", repr(n)) == ("MyNat.add_comm",) * 2 + ("Name('MyNat.add_comm')",)
+    assert (n.segments, n.head, n.last) == (("MyNat", "add_comm"), "MyNat", "add_comm")
+    assert (n.parent(), n.drop_head()) == (Name.parse("MyNat"), Name.parse("add_comm"))
+    assert Name.parse("x").parent() is None and Name.parse("x").drop_head() is None
+    assert n.child("x", "y") == n.join(Name.parse("x.y")) == Name.parse("MyNat.add_comm.x.y")
+    assert type(n.child("x")) is Name and len({n, Name(("MyNat", "add_comm"))}) == 1
+    for bad in ((), ("a", ""), ("",)):
+        with pytest.raises(ValueError, match="invalid name segments"):
+            Name(bad)
+    with pytest.raises(ValueError):
+        Name.parse("a..b")
+
+
 def test_golden_node_set(golden_store):
     labels = set(golden_store.labels())
     assert labels == {
