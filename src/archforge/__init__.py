@@ -1,6 +1,6 @@
 """archforge: blueprint extraction and synchronization for annotated proofs."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     BlueprintError,

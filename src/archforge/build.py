@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -36,6 +36,7 @@ class Project:
     store: NodeStore
     module_paths: dict[Name, Path]
     cache_stale: bool = False  # a module was reparsed or has gone since the parse cache was written
+    pickled: dict[Name, bytes] = field(default_factory=dict)  # cache bytes of the reused units
 
     @property
     def warnings(self) -> list[str]:
@@ -79,13 +80,15 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
     cached = read_units(config.root) if use_cache else {}
     units: list[ModuleUnit] = []
     paths: dict[Name, Path] = {}
+    pickled: dict[Name, bytes] = {}
     reparsed = False
     for name, path in discover_modules(config):
-        unit = cached.pop(name, None)
+        unit, data = cached.pop(name, (None, b""))
         if unit is not None:
             text = read_source(path)
             if unit.path == str(path) and unit.source_hash == source_hash(text.encode("utf-8")):
                 unit = replace(unit, source_text=text)
+                pickled[name] = data
             else:
                 unit = None
         if unit is None:
@@ -96,7 +99,9 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
     store = build_store(units, _upstream_names(config), config.upstream_prefixes)
     warm_statuses(store)
     stale = reparsed or bool(cached)  # what is left in `cached` names modules that are gone
-    return Project(config=config, store=store, module_paths=paths, cache_stale=stale)
+    return Project(
+        config=config, store=store, module_paths=paths, cache_stale=stale, pickled=pickled
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,7 @@ class RenderPlan:
 def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     """Render every artifact in memory, deterministically."""
 
-    from .graph import build_graph, emit_dot, graph_json_data
+    from .graph import build_graph, emit_dot, emit_json
     from .infer import label_view
     from .latex import (
         blueprint_json_data,
@@ -277,7 +282,7 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     graph = build_graph(store)
     files["macros.tex"] = render_macros(store, node_paths)
     files["graph.dot"] = emit_dot(graph)
-    files["graph.json"] = _dump_json(graph_json_data(graph))
+    files["graph.json"] = emit_json(graph)
     files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths))
     for rel in GLOBAL_FILES:
         owners[rel] = None
@@ -287,8 +292,32 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     return RenderPlan(files=files, owners=owners, node_paths=node_paths, artifacts=artifacts)
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
 def _dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """`data` as JSON text with one record per line, ending in a newline.
+
+    Top-level keys are sorted, one per line.  A non-empty list or dict value
+    puts each element, or each `"key": value` pair, on a line of its own,
+    encoded compactly with sorted keys by the C encoder (`indent` would force
+    the pure-Python one).  Scalars and empty containers stay on their key's
+    line.  A git diff of the file thus shows one line per changed record.
+    """
+
+    lines = []
+    for key in sorted(data):
+        value = data[key]
+        if value and isinstance(value, list):
+            body = ",\n".join(f"    {_ENCODE(item)}" for item in value)
+            value_text = f"[\n{body}\n  ]"
+        elif value and isinstance(value, dict):
+            body = ",\n".join(f"    {_ENCODE(k)}: {_ENCODE(value[k])}" for k in sorted(value))
+            value_text = f"{{\n{body}\n  }}"
+        else:
+            value_text = _ENCODE(value)
+        lines.append(f"  {_ENCODE(key)}: {value_text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n" if lines else "{}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +454,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
         os.replace(tmp, out / MANIFEST_NAME)
         if project.cache_stale:
-            write_units(config.root, store.modules.values())
+            write_units(config.root, store.modules.values(), project.pickled)
 
     fresh = set(store.topo_order) - stale
     return ExtractResult(

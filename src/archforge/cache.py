@@ -1,23 +1,25 @@
 """The parse cache: each module's parsed unit, kept between commands.
 
 `<root>/.archforge/units.pickle` holds one stamp line, then one pickle per
-module: its `ModuleUnit`, stored without its `source_text`.  The stamp digests the
-tool version, the interpreter's major.minor version (its Unicode tables
-decide tokens) and the text of the parser modules, so a changed parser
-never reads old units.  A unit is reused only while its module's name, path
-and source hash match.  Loading admits no global but the front-end
-dataclasses and `Name`, so a crafted file cannot run code; any failure
-reads as "no cache".
+module: its `ModuleUnit`, stored without its `source_text`.  The stamp
+digests the tool version, the interpreter's major.minor version (its Unicode
+tables decide tokens) and the text of the parser modules, so a changed
+parser never reads old units.  A unit is reused only while its module's
+name, path and source hash match, and a reused unit is written back as the
+bytes it was read from, so a rewrite pickles only the modules parsed since.
+Loading admits no global but the front-end dataclasses and `Name`, so a
+crafted file cannot run code; any failure reads as "no cache".
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from . import __version__ as TOOL_VERSION
 from . import names, source
@@ -56,22 +58,25 @@ def _stamp() -> bytes:
     return h.hexdigest().encode() + b"\n"
 
 
-def read_units(root: Path) -> dict[Name, ModuleUnit]:
-    """The cached units by module name; empty if the cache is missing, stale or unreadable."""
+def read_units(root: Path) -> dict[Name, tuple[ModuleUnit, bytes]]:
+    """The cached units by module name, each with the pickle bytes it was loaded from.
+
+    Empty if the cache is missing, stale or unreadable.
+    """
 
     try:
         with open(cache_path(root), "rb") as f:
             if f.readline() != _stamp():
                 return {}
-            units = _load(f)
-        if any(type(u) is not ModuleUnit for u in units):
+            entries = _load(f.read())
+        if any(type(u) is not ModuleUnit for u, _ in entries):
             return {}
-        return {u.name: u for u in units}
+        return {u.name: (u, pickled) for u, pickled in entries}
     except Exception:  # missing, torn or foreign: parse instead
         return {}
 
 
-def _load(f) -> list[object]:
+def _load(data: bytes) -> list[tuple[object, bytes]]:
     import pickle  # commands that find no cache file skip this import
 
     class UnitUnpickler(pickle.Unpickler):
@@ -81,14 +86,25 @@ def _load(f) -> list[object]:
             except KeyError:
                 raise pickle.UnpicklingError(f"global '{module}.{name}' is refused") from None
 
-    units = []
-    while f.peek(1):  # one pickle per unit, each with its own memo
-        units.append(UnitUnpickler(f).load())
-    return units
+    f = io.BytesIO(data)
+    entries = []
+    start = 0
+    while start < len(data):  # one pickle per unit, each with its own memo
+        unit = UnitUnpickler(f).load()
+        end = f.tell()
+        entries.append((unit, data[start:end]))
+        start = end
+    return entries
 
 
-def write_units(root: Path, units: Iterable[ModuleUnit]) -> None:
-    """Replace the cache with `units`; a failed write leaves no cache or the old one."""
+def write_units(
+    root: Path, units: Iterable[ModuleUnit], pickled: Mapping[Name, bytes] | None = None
+) -> None:
+    """Replace the cache with `units`; a failed write leaves no cache or the old one.
+
+    A unit named in `pickled` is written as those bytes, the ones it was
+    read from, so only the units parsed since are pickled again.
+    """
 
     path = cache_path(root)
     tmp = path.with_name(CACHE_NAME + ".tmp")
@@ -96,13 +112,13 @@ def write_units(root: Path, units: Iterable[ModuleUnit]) -> None:
         path.parent.mkdir(exist_ok=True)
         with open(tmp, "wb") as f:
             f.write(_stamp())
-            _dump(units, f)
+            _dump(units, pickled or {}, f)
         os.replace(tmp, path)
     except OSError:
         pass
 
 
-def _dump(units: Iterable[ModuleUnit], f) -> None:
+def _dump(units: Iterable[ModuleUnit], pickled: Mapping[Name, bytes], f) -> None:
     import copyreg
     import pickle
 
@@ -113,6 +129,10 @@ def _dump(units: Iterable[ModuleUnit], f) -> None:
     pickler = pickle.Pickler(f, protocol=pickle.HIGHEST_PROTOCOL)
     pickler.dispatch_table = dict.fromkeys(_DATACLASSES, reduce)
     for unit in units:
+        data = pickled.get(unit.name)
+        if data is not None:
+            f.write(data)
+            continue
         # a memo over the whole project would take megabytes while the
         # rendered artifacts are still alive; one module's memo is small
         pickler.dump(replace(unit, source_text=""))

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .build import Project, extract, load_project, up_to_date
+from .build import Project, _dump_json, extract, load_project, up_to_date
 from .config import load_config
 from .errors import BlueprintError
 from .store import NodeStore, is_upstream
@@ -18,10 +17,6 @@ if TYPE_CHECKING:
 
 # `graph`, `infer` and `latex` are imported by the commands that use them, so
 # that a no-op `extract` never loads them.
-
-
-def _dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +44,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    from .graph import build_graph, emit_dot, graph_json_data
+    from .graph import build_graph, emit_dot, emit_json
 
     config = load_config()
     project = load_project(config)
     graph = build_graph(project.store)
-    if args.format == "json":
-        payload = _dump_json(graph_json_data(graph)) + "\n"
-    else:
-        payload = emit_dot(graph)
+    payload = emit_json(graph) if args.format == "json" else emit_dot(graph)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
@@ -182,7 +174,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     project = load_project(config)
     counts = status_counts(project.store)
     if args.json:
-        print(_dump_json(counts))
+        sys.stdout.write(_dump_json(counts))
         return 0
     print(f"nodes: {counts['nodes']} ({counts['labels']} labels)")
     print(f"statements leanOk: {counts['statementsLeanOk']} of {counts['nodes']}")

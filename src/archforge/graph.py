@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .infer import label_view
@@ -30,7 +31,7 @@ class Edge(NamedTuple):
 @dataclass(frozen=True)
 class DepGraph:
     vertices: dict[str, VertexInfo]
-    edges: tuple[Edge, ...]
+    edges: tuple[Edge, ...]  # sorted; both ends of every edge are vertices
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,15 @@ def build_graph(store: NodeStore) -> DepGraph:
         )
         for view in views
     }
-    edges: set[Edge] = set()
+    # `label_view` dedups each part's uses, so no (dep, label, part) repeats
+    edges: list[Edge] = []
     for view in views:
         for part, uses in (("statement", view.statement_uses), ("proof", view.proof_uses)):
             for dep in uses:
                 vertices.setdefault(dep, _DANGLING)
-                edges.add(Edge(dep, view.label, part))
-
-    return DepGraph(vertices=vertices, edges=tuple(sorted(edges)))
+                edges.append(Edge(dep, view.label, part))
+    edges.sort()
+    return DepGraph(vertices=vertices, edges=tuple(edges))
 
 
 def _vertex_color(info: VertexInfo) -> str:
@@ -94,22 +96,57 @@ def _quote(s: str) -> str:
 def emit_dot(graph: DepGraph) -> str:
     """Deterministic Graphviz rendering of the dependency graph."""
 
+    quoted = {label: _quote(label) for label in graph.vertices}  # each label quoted once
     lines = ["digraph blueprint {"]
     for label in sorted(graph.vertices):
         info = graph.vertices[label]
         shape = "box" if info.env == "definition" else "ellipse"
         color = _vertex_color(info)
         lines.append(
-            f"  {_quote(label)} [shape={shape}, style=filled, fillcolor={_quote(color)}];"
+            f"  {quoted[label]} [shape={shape}, style=filled, fillcolor={_quote(color)}];"
         )
-    for edge in graph.edges:
-        style = "dashed" if edge.kind == "proof" else "solid"
-        lines.append(f"  {_quote(edge.src)} -> {_quote(edge.dst)} [style={style}];")
+    style = {"statement": "solid", "proof": "dashed"}
+    lines.extend(
+        f"  {quoted[src]} -> {quoted[dst]} [style={style[kind]}];" for src, dst, kind in graph.edges
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+
+def emit_json(graph: DepGraph) -> str:
+    """`graph_json_data(graph)` laid out as `build._dump_json` writes it.
+
+    Each line is written straight from a vertex or an `Edge` tuple, with
+    every label escaped once by the C function the JSON encoder uses, so no
+    record is built as a dict and no encoder runs per edge.
+    """
+
+    quoted = {label: encode_basestring(label) for label in graph.vertices}
+    vertices = [
+        f'    {{"dangling": {_LITERAL[info.dangling]}, "env": {encode_basestring(info.env)}, '
+        f'"label": {quoted[label]}, "notReady": {_LITERAL[info.not_ready]}, '
+        f'"proofOk": {_LITERAL[info.proof_ok]}, "statementOk": {_LITERAL[info.statement_ok]}, '
+        f'"upstream": {_LITERAL[info.upstream]}}}'
+        for label, info in sorted(graph.vertices.items())
+    ]
+    kinds = {kind: encode_basestring(kind) for kind in ("statement", "proof")}
+    edges = [
+        f'    {{"from": {quoted[src]}, "kind": {kinds[kind]}, "to": {quoted[dst]}}}'
+        for src, dst, kind in graph.edges
+    ]
+    return f'{{\n  "edges": {_json_lines(edges)},\n  "vertices": {_json_lines(vertices)}\n}}\n'
+
+
+def _json_lines(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def graph_json_data(graph: DepGraph) -> dict:
+    """The graph as JSON values: the records `emit_json` writes without building them."""
+
     return {
         "vertices": [
             {

@@ -219,10 +219,42 @@ def test_names_round_trip_through_the_cache(tmp_path):
     make_project(tmp_path, dict(WARNS))
     units = list(load_project(config_at(tmp_path)).store.modules.values())
     cache.write_units(tmp_path, units)
-    read = cache.read_units(tmp_path)
+    read = {name: unit for name, (unit, _) in cache.read_units(tmp_path).items()}
     assert read == {u.name: replace(u, source_text="") for u in units}
     b = read[Name.parse("B")]
     (decl,) = [item for item in b.items if isinstance(item, Declaration)]
     for name in (b.name, *b.imports, decl.name):
         assert type(name) is Name
     assert (str(decl.name), hash(decl.name)) == ("b", hash(Name.parse("b")))
+
+
+def test_edit_pickles_only_the_reparsed_unit(tmp_path, monkeypatch):
+    gp = _gen.gen_project(5, max_decls=30)
+    make_project(tmp_path, {m: _gen.render_module_source(gp, m, tagged=True) for m in gp.module_names})
+    config = config_at(tmp_path)
+    extract(load_project(config))
+    before = cache.read_units(tmp_path)
+    edited = gp.module_names[0]
+    src = tmp_path / "src" / f"{edited}.lean"
+    src.write_text(src.read_text(encoding="utf-8") + "\ndef extra := 1\n", encoding="utf-8")
+
+    dumped: list[str] = []
+
+    class CountingPickler(pickle.Pickler):
+        def dump(self, obj):
+            dumped.append(str(obj.name))
+            super().dump(obj)
+
+    monkeypatch.setattr(pickle, "Pickler", CountingPickler)
+    project = load_project(config)
+    extract(project)
+    assert dumped == [edited]
+    monkeypatch.undo()
+
+    written = cache.read_units(tmp_path)
+    for name, (_, data) in written.items():  # the others keep the bytes they were read from
+        assert (data == before[name][1]) == (str(name) != edited), name
+    cache.write_units(tmp_path, project.store.modules.values())  # a full dump
+    full = cache.read_units(tmp_path)
+    assert list(written) == list(full)
+    assert {n: u for n, (u, _) in written.items()} == {n: u for n, (u, _) in full.items()}
