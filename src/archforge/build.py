@@ -208,30 +208,14 @@ def _managed_files(out: Path) -> list[str]:
 
 
 def compute_staleness(
-    manifest: dict | None,
-    store: NodeStore,
-    transitive: dict[Name, str],
-    artifacts: dict[Name, list[str]],
-    out_dir: Path,
+    manifest: dict | None, store: NodeStore, transitive: dict[Name, str]
 ) -> set[Name]:
-    """Modules whose artifacts cannot be trusted and must be rewritten."""
+    """Modules whose transitive hash is not the one the manifest records."""
 
     if manifest is None or manifest.get("toolVersion") != TOOL_VERSION:
         return set(store.topo_order)
-
     entries = manifest["entries"]
-    stale: set[Name] = set()
-    # topo_order lists imports first, and a stale import invalidates every importer
-    for name in store.topo_order:
-        entry = entries.get(str(name))
-        if (
-            not isinstance(entry, dict)
-            or entry.get("transitiveHash") != transitive[name]
-            or any(imp in stale for imp in store.import_graph[name])
-            or not all((out_dir / rel).is_file() for rel in artifacts[name])
-        ):
-            stale.add(name)
-    return stale
+    return {name for name in store.topo_order if entries.get(str(name)) != transitive[name]}
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +226,6 @@ def compute_staleness(
 class RenderPlan:
     files: dict[str, str]  # relative path -> content
     owners: dict[str, Name | None]  # relative path -> owning module (None = global)
-    node_paths: dict[str, str]
-    artifacts: dict[Name, list[str]]  # module -> owned artifact paths
 
 
 def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
@@ -263,21 +245,17 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     node_paths = fragment_paths(store)
     files: dict[str, str] = {}
     owners: dict[str, Name | None] = {}
-    artifacts: dict[Name, list[str]] = {name: [] for name in store.topo_order}
 
     rendered = {label: render_node(store, label, options) for label in sorted(store.by_label)}
     for label, node in rendered.items():
         rel = node_paths[label]
         files[rel] = node.tex + "\n"
-        anchor_module = label_view(store, label).anchor[0]
-        owners[rel] = anchor_module
-        artifacts[anchor_module].append(rel)
+        owners[rel] = label_view(store, label).anchor[0]
 
     for name in store.topo_order:
         rel = module_fragment_path(name)
-        files[rel] = render_module_fragment(store, name, options, rendered)
+        files[rel] = render_module_fragment(store, name, rendered)
         owners[rel] = name
-        artifacts[name].append(rel)
 
     graph = build_graph(store)
     files["macros.tex"] = render_macros(store, node_paths)
@@ -286,10 +264,7 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths))
     for rel in GLOBAL_FILES:
         owners[rel] = None
-
-    for name in artifacts:
-        artifacts[name].sort()
-    return RenderPlan(files=files, owners=owners, node_paths=node_paths, artifacts=artifacts)
+    return RenderPlan(files=files, owners=owners)
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
@@ -375,10 +350,12 @@ class _BuildLock:
 def extract(project: Project, out_dir: Path | None = None, force: bool = False) -> ExtractResult:
     """Render all artifacts and synchronize the output directory.
 
-    Content is always rendered in memory; staleness decides what gets
-    reported as rebuilt, and on-disk byte comparison guarantees the tree
-    matches a clean build exactly (including merged labels that cross
-    module boundaries).  The manifest is replaced last: a crash before that
+    Content is always rendered in memory.  The files of a module whose
+    transitive hash changed are written without reading them back; every
+    other file is written only when its bytes differ, so the tree matches a
+    clean build exactly (including merged labels that cross module
+    boundaries).  A module is reported stale when its hash changed or one of
+    its files was written.  The manifest is replaced last: a crash before that
     leaves the previous manifest, whose artifact digest no longer matches
     the tree, so the next extract takes this path again and repairs it.
     """
@@ -398,10 +375,8 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 
         fingerprint = _env_fingerprint(config, store.upstream_index)
         transitive = transitive_hashes(store, fingerprint)
-        manifest = load_manifest(out)
-        stale = compute_staleness(manifest, store, transitive, plan.artifacts, out)
-        if force:
-            stale = set(store.topo_order)
+        manifest = None if force else load_manifest(out)  # no manifest: every module is stale
+        stale = compute_staleness(manifest, store, transitive)
 
         written: list[str] = []
         made: set[Path] = set()  # parent directories already created
@@ -411,19 +386,17 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             digest.add(rel, content)
             target = out / rel
             owner = plan.owners[rel]
-            if force or (owner is not None and owner in stale):
-                write = True
-            else:
-                # byte-level safety net: fresh files must already match
+            if not (force or owner in stale):
+                # a file no changed hash covers is written only when its bytes differ
                 on_disk = target.read_bytes() if target.is_file() else None
-                write = on_disk != content
-            if not write:
-                continue
+                if on_disk == content:
+                    continue
             if target.parent not in made:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 made.add(target.parent)
             target.write_bytes(content)
             written.append(rel)
+        stale.update(plan.owners[rel] for rel in written if plan.owners[rel] is not None)
 
         deleted = [rel for rel in _managed_files(out) if rel not in plan.files]
         for rel in deleted:
@@ -434,21 +407,13 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             for name, path in project.module_paths.items()
         )
         warnings = project.warnings
-        entries = {
-            str(name): {
-                "sourceHash": store.modules[name].source_hash,
-                "transitiveHash": transitive[name],
-                "artifactPaths": plan.artifacts[name],
-            }
-            for name in store.topo_order
-        }
         manifest_data = {
             "toolVersion": TOOL_VERSION,
             "envFingerprint": fingerprint,
             "sourcesDigest": sources,
             "artifactDigest": digest.hexdigest(),
             "warnings": warnings,
-            "entries": entries,
+            "entries": {str(name): transitive[name] for name in store.topo_order},
         }
         tmp = out / MANIFEST_TMP
         tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
@@ -472,12 +437,11 @@ def up_to_date(config: ProjectConfig, out_dir: Path | None = None) -> ExtractRes
 
     Under the build lock, checks the manifest against the tool version, the
     configuration and upstream index, the discovered modules' names, paths
-    and source hashes, and every artifact's path and bytes.  No file in
-    `nodes/` or `modules/` may be one the sweep would delete, and no
-    half-written manifest may be left over.  Parses nothing and writes
-    nothing.  Any mismatch, unreadable file or malformed manifest gives
-    None; the caller then runs the full `extract`, which reports errors as
-    it always has.
+    and source hashes, and the paths and bytes of the global files and of
+    every file under `nodes/` and `modules/`.  No half-written manifest may
+    be left over.  Parses nothing and writes nothing.  Any mismatch,
+    unreadable file or malformed manifest gives None; the caller then runs
+    the full `extract`, which reports errors as it always has.
     """
 
     out = out_dir if out_dir is not None else config.resolved_out_dir()
@@ -502,22 +466,18 @@ def _unchanged_result(config: ProjectConfig, out: Path) -> ExtractResult | None:
     )
     if sources != manifest.get("sourcesDigest"):
         return None
-    artifacts = list(GLOBAL_FILES)
-    for entry in manifest["entries"].values():
-        owned = entry.get("artifactPaths") if isinstance(entry, dict) else None
-        if not _is_str_list(owned):
-            return None
-        artifacts.extend(owned)
     warnings = manifest.get("warnings")
     if (
-        not _is_str_list(warnings)
-        or not set(_managed_files(out)) <= set(artifacts)
+        not isinstance(warnings, list)
+        or not all(isinstance(w, str) for w in warnings)
         or os.path.lexists(out / MANIFEST_TMP)
     ):
         return None
+    # every path is keyed, so a missing, extra or altered file changes the digest
+    artifacts = sorted([*GLOBAL_FILES, *_managed_files(out)])
     digest = _Digest()
     root = os.fspath(out)
-    for rel in sorted(artifacts):
+    for rel in artifacts:
         with open(f"{root}/{rel}", "rb") as f:
             digest.add(rel, f.read())
     if digest.hexdigest() != manifest.get("artifactDigest"):
@@ -530,7 +490,3 @@ def _unchanged_result(config: ProjectConfig, out: Path) -> ExtractResult | None:
         warnings=warnings,
         node_count=sum(1 for rel in artifacts if rel.startswith("nodes/")),
     )
-
-
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)

@@ -128,16 +128,13 @@ def render_node(store: NodeStore, label: str, options: RenderOptions = RenderOpt
 
 
 def render_module_fragment(
-    store: NodeStore,
-    module: Name,
-    options: RenderOptions = RenderOptions(),
-    rendered: dict[str, RenderedNode] | None = None,
+    store: NodeStore, module: Name, rendered: dict[str, RenderedNode]
 ) -> str:
     """Concatenate a module's comments and node fragments in source order.
 
-    A label renders where its first constituent is placed; later placements
-    leave a pointer comment so the fragment appears exactly once.  When
-    given, `rendered` holds every label's fragment, so none renders again.
+    A label's fragment, taken from `rendered`, appears where its first
+    constituent is placed; later placements leave a pointer comment so the
+    fragment appears exactly once.
     """
 
     unit = store.modules.get(module)
@@ -155,8 +152,7 @@ def render_module_fragment(
         label = store.by_name[name].latex_label
         anchor_module, anchor_idx = label_view(store, label).anchor
         if (anchor_module, anchor_idx) == (module, idx):
-            node = rendered[label] if rendered is not None else render_node(store, label, options)
-            blocks.append(node.tex)
+            blocks.append(rendered[label].tex)
         else:
             blocks.append(f"% node {label} appears in module {anchor_module}")
     if not blocks:

@@ -13,10 +13,12 @@ from archforge.build import (
     GLOBAL_FILES,
     MANIFEST_NAME,
     MANIFEST_TMP,
+    _env_fingerprint,
     discover_modules,
     extract,
     load_manifest,
     load_project,
+    transitive_hashes,
     up_to_date,
 )
 from archforge.config import load_config
@@ -138,8 +140,9 @@ def test_summary_lines_format(tmp_path):
 
 
 def test_manifest_schema(tmp_path):
-    make_project(tmp_path, {"MyNat": golden_text()})
-    extract(load_project_at(tmp_path))
+    make_project(tmp_path, {"MyNat": golden_text(), **CHAIN})
+    project = load_project_at(tmp_path)
+    extract(project)
     manifest = json.loads(
         (tmp_path / "build" / "blueprint" / MANIFEST_NAME).read_text(encoding="utf-8")
     )
@@ -152,9 +155,12 @@ def test_manifest_schema(tmp_path):
         "entries",
     }
     assert manifest["warnings"] == []
-    entry = manifest["entries"]["MyNat"]
-    assert set(entry) == {"sourceHash", "transitiveHash", "artifactPaths"}
-    assert "modules/MyNat.tex" in entry["artifactPaths"]
+    fingerprint = _env_fingerprint(project.config, project.store.upstream_index)
+    assert manifest["envFingerprint"] == fingerprint
+    # one transitive hash per module, nothing else
+    transitive = transitive_hashes(project.store, fingerprint)
+    assert manifest["entries"] == {str(name): h for name, h in transitive.items()}
+    assert sorted(manifest["entries"]) == ["A", "B", "C", "MyNat"]
 
 
 def test_extract_outputs_deterministic_with_force(tmp_path):
@@ -201,12 +207,50 @@ def test_untouched_project_stays_fresh(tmp_path):
 
 
 def test_deleted_artifact_marks_owner_stale(tmp_path):
-    make_project(tmp_path, {"MyNat": golden_text()})
+    make_project(tmp_path, dict(CHAIN))
+    out = tmp_path / "build" / "blueprint"
     extract(load_project_at(tmp_path))
-    os.remove(tmp_path / "build" / "blueprint" / "nodes" / "MyNat_zero_add.tex")
+    os.remove(out / "nodes" / "b_mid.tex")
     result = extract(load_project_at(tmp_path))
-    assert result.stale == {Name.parse("MyNat")}
-    assert (tmp_path / "build" / "blueprint" / "nodes" / "MyNat_zero_add.tex").is_file()
+    # neither B's importer C nor B's module fragment is touched
+    assert result.stale == {Name.parse("B")}
+    assert result.written == ["nodes/b_mid.tex"]
+    fresh = tmp_path / "fresh"
+    extract(load_project_at(tmp_path), out_dir=fresh, force=True)
+    assert read_tree(out) == read_tree(fresh)
+
+
+def test_merged_label_edit_reports_the_anchor_module_stale(tmp_path):
+    make_project(
+        tmp_path,
+        {
+            "A": '@[blueprint "pair"]\ndef first := 1\n',
+            "B": 'import A\n\n@[blueprint "pair"]\ndef second := 2\n',
+        },
+    )
+    extract(load_project_at(tmp_path))
+    edit_module(tmp_path, "B", 'import A\n\n@[blueprint "pair"]\ndef second : Nat := by\n  sorry\n')
+    result = extract(load_project_at(tmp_path))
+    # A's hash is unchanged, but the merged fragment it anchors was rewritten
+    assert "nodes/pair.tex" in result.written
+    assert result.stale == {Name.parse("A"), Name.parse("B")}
+
+
+def test_old_manifest_format_rebuilds_all_once(tmp_path):
+    make_project(tmp_path, dict(CHAIN))
+    out = tmp_path / "build" / "blueprint"
+    extract(load_project_at(tmp_path))
+    manifest = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
+    old_entries = {
+        module: {"sourceHash": "0" * 16, "transitiveHash": h, "artifactPaths": []}
+        for module, h in manifest["entries"].items()
+    }
+    _set_manifest_key(out, "entries", old_entries)
+    result = extract(load_project_at(tmp_path))
+    assert len(result.stale) == 3
+    assert all(isinstance(h, str) for h in load_manifest(out)["entries"].values())
+    assert up_to_date(config_at(tmp_path)) is not None
+    assert extract(load_project_at(tmp_path)).stale == set()
 
 
 def test_corrupt_manifest_rebuilds_all(tmp_path):
@@ -255,9 +299,9 @@ def test_incremental_writes_only_changed_files(tmp_path):
         "theorem top : mid := by\n  apply mid\n",
     )
     result = extract(load_project_at(tmp_path))
-    # B is stale only through its importer relation; its bytes are unchanged
-    assert "nodes/c_top.tex" in result.written
-    assert "nodes/a_base.tex" not in result.written
+    # only C's hash changed, and no file of A or B differs; DOT draws no readiness
+    assert result.stale == {Name.parse("C")}
+    assert result.written == ["blueprint.json", "graph.json", "modules/C.tex", "nodes/c_top.tex"]
 
 
 # ---------------------------------------------------------------------------

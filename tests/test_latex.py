@@ -208,6 +208,11 @@ def test_module_fragment_path():
 # module fragments
 
 
+def module_fragment(store, module):
+    rendered = {label: render_node(store, label) for label in store.by_label}
+    return render_module_fragment(store, Name.parse(module), rendered)
+
+
 def test_module_fragment_interleaves_comments():
     store = store_from(
         {
@@ -215,7 +220,7 @@ def test_module_fragment_interleaves_comments():
             "@[blueprint]\ndef d := 1\n"
         }
     )
-    frag = render_module_fragment(store, Name.parse("M"))
+    frag = module_fragment(store, "M")
     intro = frag.index("\\section{Intro}")
     node = frag.index("\\begin{definition}")
     assert intro < node
@@ -229,8 +234,8 @@ def test_module_fragment_pointer_for_secondary_placement():
             "B": 'import A\n\n@[blueprint "pair"]\ndef second := 2\n',
         }
     )
-    frag_a = render_module_fragment(store, Name.parse("A"))
-    frag_b = render_module_fragment(store, Name.parse("B"))
+    frag_a = module_fragment(store, "A")
+    frag_b = module_fragment(store, "B")
     assert "\\begin{definition}" in frag_a
     assert "% node pair appears in module A" in frag_b
     assert "\\begin{definition}" not in frag_b
@@ -238,7 +243,7 @@ def test_module_fragment_pointer_for_secondary_placement():
 
 def test_module_fragment_empty():
     store = store_from({"M": "def untagged := 1\n"})
-    assert render_module_fragment(store, Name.parse("M")) == ""
+    assert module_fragment(store, "M") == ""
 
 
 # ---------------------------------------------------------------------------
