@@ -10,18 +10,18 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from . import __version__ as TOOL_VERSION
-from .cache import read_units, write_units
-from .config import ProjectConfig
+from .config import ProjectConfig, load_upstream_index, read_source, source_hash
 from .errors import BlueprintError, LockError, StoreError
 from .names import Name
-from .source import ModuleUnit, parse_module, read_source, source_hash
-from .store import NodeStore, build_store, load_upstream_index
 
 if TYPE_CHECKING:
     from .latex import RenderOptions
+    from .records import ModuleUnit
+    from .store import NodeStore
 
-# `graph`, `infer` and `latex` are imported where they are used, so that a
-# no-op `extract`, which returns before loading the project, never loads them.
+# Every other module is imported where it is used: a no-op `extract`, which
+# returns before loading the project, loads none of them, and a command that
+# finds every module in the parse cache never loads the parser (`source`).
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_TMP = MANIFEST_NAME + ".tmp"  # written in full, then renamed over the manifest
@@ -75,7 +75,9 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
     Nothing here writes the cache: `extract` does, when `cache_stale` says so.
     """
 
+    from .cache import read_units
     from .infer import warm_statuses
+    from .store import build_store
 
     cached = read_units(config.root) if use_cache else {}
     units: list[ModuleUnit] = []
@@ -92,6 +94,8 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
             else:
                 unit = None
         if unit is None:
+            from .source import parse_module
+
             unit = parse_module(path, name)
             reparsed = True
         units.append(unit)
@@ -143,6 +147,12 @@ def transitive_hashes(store: NodeStore, fingerprint: str) -> dict[Name, str]:
 
 
 def load_manifest(out_dir: Path) -> dict | None:
+    """The manifest in `out_dir`; None when it is missing, unreadable or in another layout.
+
+    A manifest whose `entries` is not a `{module: transitiveHash}` map was
+    written by an older layout, so the tree it describes is rebuilt once.
+    """
+
     path = out_dir / MANIFEST_NAME
     if not path.is_file():
         return None
@@ -150,7 +160,8 @@ def load_manifest(out_dir: Path) -> dict | None:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), dict):
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, dict) or not all(isinstance(h, str) for h in entries.values()):
         return None
     return data
 
@@ -419,6 +430,8 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
         os.replace(tmp, out / MANIFEST_NAME)
         if project.cache_stale:
+            from .cache import write_units
+
             write_units(config.root, store.modules.values(), project.pickled)
 
     fresh = set(store.topo_order) - stale

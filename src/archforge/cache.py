@@ -3,12 +3,14 @@
 `<root>/.archforge/units.pickle` holds one stamp line, then one pickle per
 module: its `ModuleUnit`, stored without its `source_text`.  The stamp
 digests the tool version, the interpreter's major.minor version (its Unicode
-tables decide tokens) and the text of the parser modules, so a changed
-parser never reads old units.  A unit is reused only while its module's
-name, path and source hash match, and a reused unit is written back as the
-bytes it was read from, so a rewrite pickles only the modules parsed since.
-Loading admits no global but the front-end dataclasses and `Name`, so a
-crafted file cannot run code; any failure reads as "no cache".
+tables decide tokens) and the text of the parser and record modules, so a
+changed parser or record class never reads old units.  The parser is read as
+a file, not imported, so a command that finds every unit here never loads it.
+A unit is reused only while its module's name, path and source hash match,
+and a reused unit is written back as the bytes it was read from, so a
+rewrite pickles only the modules parsed since.  Loading admits no global but
+the record dataclasses and `Name`, so a crafted file cannot run code; any
+failure reads as "no cache".
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import __version__ as TOOL_VERSION
-from . import names, source
 from .names import LabelRef, Name, SourceSpan
-from .source import (
+from .records import (
     AttributeSpec,
     Declaration,
     ModuleUnit,
@@ -45,6 +46,9 @@ _DATACLASSES = (
 )
 _ALLOWED = {(cls.__module__, cls.__qualname__): cls for cls in (*_DATACLASSES, Name)}
 
+# the files whose text decides what a parse yields
+_STAMPED = tuple(Path(__file__).with_name(f"{m}.py") for m in ("source", "records", "names"))
+
 
 def cache_path(root: Path) -> Path:
     return root / CACHE_DIR / CACHE_NAME
@@ -53,8 +57,8 @@ def cache_path(root: Path) -> Path:
 def _stamp() -> bytes:
     h = hashlib.blake2b(digest_size=16)
     h.update(f"{TOOL_VERSION}\0{sys.version_info[0]}.{sys.version_info[1]}\0".encode())
-    for module in (source, names):
-        h.update(Path(module.__file__).read_bytes())
+    for path in _STAMPED:
+        h.update(path.read_bytes())
     return h.hexdigest().encode() + b"\n"
 
 

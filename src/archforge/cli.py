@@ -10,13 +10,13 @@ from typing import TYPE_CHECKING
 from .build import Project, _dump_json, extract, load_project, up_to_date
 from .config import load_config
 from .errors import BlueprintError
-from .store import NodeStore, is_upstream
 
 if TYPE_CHECKING:
     from .graph import LintFinding
+    from .store import NodeStore
 
-# `graph`, `infer` and `latex` are imported by the commands that use them, so
-# that a no-op `extract` never loads them.
+# Every other module is imported by the command that uses it, so that a no-op
+# `extract` loads none of them and `check` never loads the converter.
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +71,9 @@ _CROSS_SEVERITY = {
 def blueprint_cross_findings(project: Project) -> list[LintFinding]:
     """Cross-check configured blueprint .tex files against the store."""
 
-    from .convert import find_input_macros  # imported here so other commands skip its import
     from .graph import LintFinding
     from .infer import label_view
+    from .texscan import find_input_macros
 
     store = project.store
     referenced_labels: set[str] = set()
@@ -151,6 +151,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def status_counts(store: NodeStore) -> dict:
     from .infer import part_status
+    from .store import is_upstream
 
     nodes = list(store.by_name.values())
     with_proof = [n for n in nodes if n.proof is not None]

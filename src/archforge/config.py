@@ -1,15 +1,17 @@
-"""Project configuration: `architect.json` loading and validation."""
+"""Project configuration and inputs: `architect.json`, the upstream index, module sources."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .names import Name
-from .store import DEFAULT_UPSTREAM_PREFIXES
+
+DEFAULT_UPSTREAM_PREFIXES = ("Init", "Std", "Batteries", "Mathlib")
 
 CONFIG_ENV = "ARCHFORGE_CONFIG"
 CONFIG_FILENAME = "architect.json"
@@ -138,3 +140,35 @@ def load_config(path: str | Path | None = None, cwd: str | Path | None = None) -
         docstring_width=width,
         blueprint_tex_files=tex_files,
     )
+
+
+def load_upstream_index(path: str | Path) -> frozenset[Name]:
+    """Read a newline-separated list of fully qualified upstream constants."""
+
+    out: set[Name] = set()
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        out.add(Name.parse(line))
+    return frozenset(out)
+
+
+def read_source(path: str | Path) -> str:
+    """A module's text as the parser sees it: UTF-8, newlines translated.
+
+    `ModuleUnit.source_hash` hashes this text, so whatever compares a file
+    against a recorded hash must read it here.  Decoding errors surface as
+    ParseError.
+    """
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", path=str(path)) from exc
+
+
+def source_hash(data: bytes) -> str:
+    """64-bit content hash used for incremental builds."""
+
+    return hashlib.blake2b(data, digest_size=8).hexdigest()

@@ -11,16 +11,14 @@ import hashlib
 import os
 import re
 import textwrap
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import Iterator
 
 from .errors import ConversionError, StaleSourceError
 from .names import Name, SourceSpan
-from .source import Declaration
+from .records import Declaration
 from .store import NodeStore, PROOF_KINDS
+from .texscan import BLANKS, TexScanner
 
 NODE_ENVS = ("theorem", "lemma", "definition", "corollary", "proposition")
 
@@ -102,157 +100,17 @@ class ApplySummary:
 # ---------------------------------------------------------------------------
 # Legacy LaTeX parsing
 
-
-class _TexScanner:
-    """Cursor over one LaTeX file that knows its % comments, lines and bytes.
-
-    A `%` starts a comment unless an odd run of backslashes precedes it
-    (`\\%` is an escaped percent sign, `\\\\%` a line break and then a
-    comment); the comment runs to the end of its line, newline included.  By
-    the same parity rule a backslash after an odd run does not start a
-    control sequence: `\\\\leanok` is a line break and the word `leanok`.
-    """
-
-    def __init__(self, text: str, path: str):
-        self.text = text
-        self.path = path
-        self._ascii = text.isascii()
-        self._bytes_at = (0, 0)  # (offset, byte offset) of the last `byte_of`
-        starts: list[int] = []
-        ends: list[int] = []
-        pos = 0
-        while m := _COMMENT.search(text, pos):
-            if self._escaped(m.start()):
-                pos = m.start() + 1
-            else:
-                starts.append(m.start())
-                ends.append(m.end())
-                pos = m.end()
-        self._comment_starts = starts
-        self._comment_ends = ends
-
-    @cached_property
-    def _newlines(self) -> list[int]:
-        return [m.start() for m in _NEWLINE.finditer(self.text)]
-
-    def line_of(self, pos: int) -> int:
-        return bisect_left(self._newlines, pos) + 1
-
-    def byte_of(self, pos: int) -> int:
-        """UTF-8 offset of `pos`; cheapest when offsets are asked in increasing order."""
-
-        if self._ascii:
-            return pos
-        last, count = self._bytes_at
-        if pos < last:
-            last = count = 0
-        count += len(self.text[last:pos].encode("utf-8"))
-        self._bytes_at = (pos, count)
-        return count
-
-    def comment_end(self, pos: int) -> int:
-        """End of the comment that covers `pos`, or -1 when `pos` is not commented."""
-
-        j = bisect_right(self._comment_starts, pos) - 1
-        return self._comment_ends[j] if j >= 0 and pos < self._comment_ends[j] else -1
-
-    def _escaped(self, pos: int) -> bool:
-        run = pos
-        while run and self.text[run - 1] == "\\":
-            run -= 1
-        return (pos - run) % 2 == 1
-
-    def commands(
-        self, pattern: re.Pattern, start: int, end: int | None = None
-    ) -> Iterator[re.Match]:
-        """Matches of `pattern` in [start, end) that start outside comments and escapes."""
-
-        for m in pattern.finditer(self.text, start, len(self.text) if end is None else end):
-            if self.comment_end(m.start()) == -1 and not self._escaped(m.start()):
-                yield m
-
-    def macros(
-        self, pattern: re.Pattern, start: int, end: int | None = None
-    ) -> dict[str, list[int]]:
-        """Offsets of each macro `pattern` names in [start, end), by name.
-
-        `pattern` matches a backslash and the name in group 1; a letter right
-        after the name makes it another macro.
-        """
-
-        found: dict[str, list[int]] = {}
-        for m in self.commands(pattern, start, end):
-            after = m.end()
-            if after >= len(self.text) or not self.text[after].isalpha():
-                found.setdefault(m[1], []).append(m.start())
-        return found
-
-    def balanced_arg(self, pos: int, open_ch: str = "{") -> tuple[str, int]:
-        """Argument text without its comments, and the offset past the closing delimiter.
-
-        A delimiter inside a comment or after an odd run of backslashes does
-        not count: scanning from the opening delimiter, each backslash pair
-        and each comment is one token.
-        """
-
-        i = _BLANKS.match(self.text, pos).end()
-        if not self.text.startswith(open_ch, i):
-            raise ConversionError(
-                f"{self.path}:{self.line_of(pos)}: expected '{open_ch}' after macro"
-            )
-        depth = 0
-        pieces = []
-        start = i + 1
-        for m in _ARG_TOKENS[open_ch].finditer(self.text, i):
-            tok = m[0]
-            if tok == open_ch:
-                depth += 1
-            elif tok[0] == "%":
-                pieces.append(self.text[start : m.start()])
-                start = m.end()
-            elif tok[0] != "\\":
-                depth -= 1
-                if depth == 0:
-                    pieces.append(self.text[start : m.start()])
-                    return "".join(pieces), m.end()
-        raise ConversionError(f"{self.path}:{self.line_of(pos)}: unbalanced '{open_ch}'")
-
-
-_COMMENT = re.compile(r"%[^\n]*\n?")
-_NEWLINE = re.compile(r"\n")
-_BLANKS = re.compile(r"[ \t\r\n]*")
 _INLINE_BLANKS = re.compile(r"[ \t]*")
-# an argument's delimiters, escaped characters and comments
-_ARG_TOKENS = {
-    "{": re.compile(r"[{}]|\\.|%[^\n]*\n?", re.S),
-    "[": re.compile(r"[\[\]]|\\.|%[^\n]*\n?", re.S),
-}
 _NODE_BEGIN = re.compile(r"\\begin\{(" + "|".join(NODE_ENVS) + r")\}")
 _ENV_DELIMITERS = {
     env: re.compile(r"\\(begin|end)\{" + env + r"\}") for env in (*NODE_ENVS, "proof")
 }
 # longest name first, so that \leanok is never read as \lean
 _STATEMENT_MACRO = re.compile(r"\\(" + "|".join(sorted(_STATEMENT_MACROS, key=len)[::-1]) + ")")
-_INPUT_MACRO = re.compile(r"\\(inputleannode|inputleanmodule)")
 _FLAGS = {"leanok": "lean_ok", "mathlibok": "mathlib_ok", "notready": "not_ready"}
 
 
-def find_input_macros(text: str, path: str) -> tuple[set[str], set[str]]:
-    """(labels, modules) named by `\\inputleannode` and `\\inputleanmodule` outside % comments."""
-
-    sc = _TexScanner(text, path)
-    hits = sc.macros(_INPUT_MACRO, 0)
-    found: dict[str, set[str]] = {"inputleannode": set(), "inputleanmodule": set()}
-    for macro, bag in found.items():
-        pos = 0
-        for i in hits.get(macro, ()):
-            if i >= pos:  # skip a same-name macro inside the previous argument
-                arg, pos = sc.balanced_arg(i + 1 + len(macro))
-                bag.add(arg.strip())
-    return found["inputleannode"], found["inputleanmodule"]
-
-
-def _find_env_end(sc: _TexScanner, env: str, body_start: int) -> tuple[int, int]:
+def _find_env_end(sc: TexScanner, env: str, body_start: int) -> tuple[int, int]:
     """(start of \\end{env}, offset past it), honoring nested same-name envs."""
 
     depth = 1
@@ -275,7 +133,7 @@ class _EnvData:
     text: str = ""
 
 
-def _parse_env_body(sc: _TexScanner, start: int, end: int) -> _EnvData:
+def _parse_env_body(sc: TexScanner, start: int, end: int) -> _EnvData:
     """Pull recognized macros out of the body text[start:end]; the rest is text.
 
     Macros are taken name by name in `_STATEMENT_MACROS` order, each name in
@@ -334,7 +192,7 @@ def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
         # no newline translation: spans, lines and byte offsets are the file's
         with open(p, encoding="utf-8", newline="") as f:
             text = f.read()
-        sc = _TexScanner(text, str(p))
+        sc = TexScanner(text, str(p))
         pos = 0
         while begin := next(sc.commands(_NODE_BEGIN, pos), None):
             env = begin[1]
@@ -350,9 +208,9 @@ def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
             proof = None
             span_end = end_past
             # a proof may follow after blank space and whole comments
-            k = _BLANKS.match(text, end_past).end()
+            k = BLANKS.match(text, end_past).end()
             while (past := sc.comment_end(k)) != -1:
-                k = _BLANKS.match(text, past).end()
+                k = BLANKS.match(text, past).end()
             if text.startswith("\\begin{proof}", k):
                 p_body = k + len("\\begin{proof}")
                 p_end_start, span_end = _find_env_end(sc, "proof", p_body)

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import NotFoundError, ResolutionError
 from .names import LabelRef, Name, name_candidates
-from .source import Declaration
+from .records import Declaration
 from .store import Node, NodePart, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream, merged_nodes
 
 

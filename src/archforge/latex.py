@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from .errors import RenderError
 from .infer import label_view
 from .names import Name
+from .records import RawComment
 from .store import NodeStore
-from .source import RawComment
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,110 @@
+"""The records a parsed module is made of.
+
+`source` builds them; every later stage, and the parse cache, reads them.
+They live apart from the tokenizer and parser so that a command which finds
+every module in the parse cache never loads the parser.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .names import LabelRef, Name, SourceSpan
+
+
+@dataclass(frozen=True)
+class AttributeSpec:
+    """Everything a blueprint attribute can carry, fully defaulted to None."""
+
+    label: str | None = None
+    statement: str | None = None
+    has_proof: bool | None = None
+    proof: str | None = None
+    uses: tuple[Name | LabelRef, ...] = ()
+    proof_uses: tuple[Name | LabelRef, ...] = ()
+    excludes: tuple[Name | LabelRef, ...] = ()
+    title: str | None = None
+    not_ready: bool = False
+    discussion: int | None = None
+    latex_env: str | None = None
+
+
+@dataclass(frozen=True)
+class SorryMarker:
+    """A `sorry` or `sorry_using [...]` occurrence inside a proof body."""
+
+    using: tuple[Name | LabelRef, ...]
+    span: SourceSpan
+
+
+@dataclass(frozen=True)
+class Declaration:
+    name: Name
+    kind: str
+    docstring: str | None
+    attribute: AttributeSpec | None
+    other_attributes: tuple[str, ...]
+    signature_text: str
+    body_text: str | None
+    # candidate constant references, in source order with duplicates kept
+    signature_idents: tuple[str, ...]
+    body_idents: tuple[str, ...]
+    tactic_docstrings: tuple[str, ...]
+    sorry_markers: tuple[SorryMarker, ...]
+    namespace_context: tuple[str, ...]
+    opens: tuple[Name, ...]
+    span: SourceSpan
+    keyword_line_byte: int  # byte offset where an attribute block may be inserted
+    attr_close_byte: int | None  # byte offset of `]` closing an existing `@[...]`
+
+
+@dataclass(frozen=True)
+class RawComment:
+    """Free-form LaTeX passed through verbatim via ``blueprint_comment``."""
+
+    text: str
+    span: SourceSpan
+    namespace_context: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class UpstreamAttribution:
+    """An ``attribute [blueprint ...] Name`` command tagging a foreign constant."""
+
+    target: Name
+    attribute: AttributeSpec
+    span: SourceSpan
+    namespace_context: tuple[str, ...] = ()
+    opens: tuple[Name, ...] = ()
+
+
+@dataclass(frozen=True)
+class OpenCommand:
+    """Names opened at some point of the file; anchored before item `index`."""
+
+    names: tuple[Name, ...]
+    index: int
+    namespace_context: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ParseWarning:
+    message: str
+    path: str | None
+    line: int
+
+    def __str__(self) -> str:
+        where = f"{self.path}:{self.line}" if self.path else f"line {self.line}"
+        return f"{where}: {self.message}"
+
+
+@dataclass(frozen=True)
+class ModuleUnit:
+    name: Name
+    imports: tuple[Name, ...]
+    items: tuple[Declaration | RawComment | UpstreamAttribution, ...]
+    source_hash: str
+    warnings: tuple[ParseWarning, ...] = ()
+    open_commands: tuple[OpenCommand, ...] = ()
+    source_text: str = ""
+    path: str | None = None

@@ -7,15 +7,25 @@ purely lexical: no type checking or elaboration happens here.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import textwrap
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from .config import read_source, source_hash
 from .errors import ParseError
 from .names import LabelRef, Name, SourceSpan
+from .records import (
+    AttributeSpec,
+    Declaration,
+    ModuleUnit,
+    OpenCommand,
+    ParseWarning,
+    RawComment,
+    SorryMarker,
+    UpstreamAttribution,
+)
 
 # ---------------------------------------------------------------------------
 # Keyword tables
@@ -221,114 +231,6 @@ def _clean_docstring(body: str) -> str:
     while out and not out[-1]:
         out.pop()
     return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Parsed structures
-
-
-@dataclass(frozen=True)
-class AttributeSpec:
-    """Everything a blueprint attribute can carry, fully defaulted to None."""
-
-    label: str | None = None
-    statement: str | None = None
-    has_proof: bool | None = None
-    proof: str | None = None
-    uses: tuple[Name | LabelRef, ...] = ()
-    proof_uses: tuple[Name | LabelRef, ...] = ()
-    excludes: tuple[Name | LabelRef, ...] = ()
-    title: str | None = None
-    not_ready: bool = False
-    discussion: int | None = None
-    latex_env: str | None = None
-
-
-@dataclass(frozen=True)
-class SorryMarker:
-    """A `sorry` or `sorry_using [...]` occurrence inside a proof body."""
-
-    using: tuple[Name | LabelRef, ...]
-    span: SourceSpan
-
-
-@dataclass(frozen=True)
-class Declaration:
-    name: Name
-    kind: str
-    docstring: str | None
-    attribute: AttributeSpec | None
-    other_attributes: tuple[str, ...]
-    signature_text: str
-    body_text: str | None
-    # candidate constant references, in source order with duplicates kept
-    signature_idents: tuple[str, ...]
-    body_idents: tuple[str, ...]
-    tactic_docstrings: tuple[str, ...]
-    sorry_markers: tuple[SorryMarker, ...]
-    namespace_context: tuple[str, ...]
-    opens: tuple[Name, ...]
-    span: SourceSpan
-    keyword_line_byte: int  # byte offset where an attribute block may be inserted
-    attr_close_byte: int | None  # byte offset of `]` closing an existing `@[...]`
-
-
-@dataclass(frozen=True)
-class RawComment:
-    """Free-form LaTeX passed through verbatim via ``blueprint_comment``."""
-
-    text: str
-    span: SourceSpan
-    namespace_context: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class UpstreamAttribution:
-    """An ``attribute [blueprint ...] Name`` command tagging a foreign constant."""
-
-    target: Name
-    attribute: AttributeSpec
-    span: SourceSpan
-    namespace_context: tuple[str, ...] = ()
-    opens: tuple[Name, ...] = ()
-
-
-@dataclass(frozen=True)
-class OpenCommand:
-    """Names opened at some point of the file; anchored before item `index`."""
-
-    names: tuple[Name, ...]
-    index: int
-    namespace_context: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ParseWarning:
-    message: str
-    path: str | None
-    line: int
-
-    def __str__(self) -> str:
-        where = f"{self.path}:{self.line}" if self.path else f"line {self.line}"
-        return f"{where}: {self.message}"
-
-
-@dataclass(frozen=True)
-class ModuleUnit:
-    name: Name
-    imports: tuple[Name, ...]
-    items: tuple[Declaration | RawComment | UpstreamAttribution, ...]
-    source_hash: str
-    warnings: tuple[ParseWarning, ...] = ()
-    open_commands: tuple[OpenCommand, ...] = ()
-    source_text: str = ""
-    path: str | None = None
-
-
-def source_hash(data: bytes) -> str:
-    """64-bit content hash used for incremental builds."""
-
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -950,20 +852,6 @@ def parse_module_text(text: str, module_name: Name, *, path: str | None = None) 
     """Parse a module from an in-memory string."""
 
     return _ModuleParser(text, module_name, path).parse()
-
-
-def read_source(path: str | Path) -> str:
-    """A module's text as the parser sees it: UTF-8, newlines translated.
-
-    `ModuleUnit.source_hash` hashes this text, so whatever compares a file
-    against a recorded hash must read it here.  Decoding errors surface as
-    ParseError.
-    """
-
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", path=str(path)) from exc
 
 
 def parse_module(path: str | Path, module_name: Name) -> ModuleUnit:

@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
+from .config import DEFAULT_UPSTREAM_PREFIXES
 from .errors import NotFoundError, StoreError
 from .names import LabelRef, Name, name_candidates
-from .source import (
+from .records import (
     AttributeSpec,
     Declaration,
     ModuleUnit,
-    RawComment,
     UpstreamAttribution,
 )
-
-DEFAULT_UPSTREAM_PREFIXES = ("Init", "Std", "Batteries", "Mathlib")
 
 PROOF_KINDS = frozenset({"theorem", "lemma"})
 
@@ -74,18 +71,6 @@ class NodeStore:
 
     def labels(self) -> list[str]:
         return sorted(self.by_label)
-
-
-def load_upstream_index(path: str | Path) -> frozenset[Name]:
-    """Read a newline-separated list of fully qualified upstream constants."""
-
-    out: set[Name] = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.add(Name.parse(line))
-    return frozenset(out)
 
 
 def _topo_sort(modules: dict[Name, ModuleUnit]) -> tuple[tuple[Name, ...], dict[Name, tuple[Name, ...]]]:

@@ -246,6 +246,7 @@ def test_old_manifest_format_rebuilds_all_once(tmp_path):
         for module, h in manifest["entries"].items()
     }
     _set_manifest_key(out, "entries", old_entries)
+    assert up_to_date(config_at(tmp_path)) is None
     result = extract(load_project_at(tmp_path))
     assert len(result.stale) == 3
     assert all(isinstance(h, str) for h in load_manifest(out)["entries"].values())

@@ -7,10 +7,11 @@ import pickle
 import random
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from archforge import build, cache, source
+from archforge import cache, records, source
 from archforge.build import extract, load_project
 from archforge.cli import main
 from archforge.config import load_config
@@ -41,7 +42,7 @@ def parses(monkeypatch):
         seen.append(str(name))
         return parse_module(path, name)
 
-    monkeypatch.setattr(build, "parse_module", counting)
+    monkeypatch.setattr(source, "parse_module", counting)
     return seen
 
 
@@ -140,16 +141,33 @@ def test_spoiled_cache_parses_everything(tmp_path, parses, spoil):
     assert parses == []
 
 
+def _stamp_edited(tmp_path, monkeypatch, module) -> None:
+    """Make the cache stamp read an edited copy of `module`'s file."""
+
+    original = Path(module.__file__)
+    assert original in cache._STAMPED
+    edited = tmp_path / original.name
+    edited.write_bytes(original.read_bytes() + b"\n# edited\n")
+    stamped = tuple(edited if path == original else path for path in cache._STAMPED)
+    monkeypatch.setattr(cache, "_STAMPED", stamped)
+
+
 def test_edited_parser_parses_everything(tmp_path, parses, monkeypatch):
     make_project(tmp_path, dict(WARNS))
     config = config_at(tmp_path)
     extract(load_project(config))
-    edited = tmp_path / "source.py"
-    edited.write_bytes(open(source.__file__, "rb").read() + b"\n# edited\n")
-    monkeypatch.setattr(source, "__file__", str(edited))
+    _stamp_edited(tmp_path, monkeypatch, source)
     parses.clear()
     assert_units_fresh(load_project(config))
     assert sorted(parses) == ["A", "B"]
+
+
+def test_edited_records_module_reads_no_units(tmp_path, monkeypatch):
+    make_project(tmp_path, dict(WARNS))
+    extract(load_project(config_at(tmp_path)))
+    assert set(cache.read_units(tmp_path)) == {Name.parse("A"), Name.parse("B")}
+    _stamp_edited(tmp_path, monkeypatch, records)
+    assert cache.read_units(tmp_path) == {}
 
 
 def test_moved_project_parses_everything(tmp_path, parses):

@@ -3,11 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-import shutil
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,9 +10,7 @@ from archforge.cli import main
 from archforge.config import load_config
 from archforge.errors import ConfigError
 
-from conftest import FIXTURES, golden_text, make_project
-
-GOLDEN = FIXTURES / "golden"
+from conftest import golden_text, make_project
 
 
 GOLDEN_STATUS = [
@@ -226,34 +219,6 @@ def test_extract_strict_inference_warnings_exit_two(tmp_path, monkeypatch, capsy
     assert noop.err == full.err
 
 
-def test_noop_extract_skips_render_imports(tmp_path):
-    import archforge
-
-    shutil.copytree(GOLDEN, tmp_path / "golden")
-    env = dict(os.environ, PYTHONPATH=str(Path(archforge.__file__).parent.parent))
-    env.pop("ARCHFORGE_CONFIG", None)
-    script = (
-        "import sys\n"
-        "from archforge.cli import main\n"
-        "code = main(['extract'])\n"
-        "heavy = ('archforge.graph', 'archforge.infer', 'archforge.latex', 'pickle')\n"
-        "print('loaded:', *[m for m in heavy if m in sys.modules])\n"
-        "sys.exit(code)\n"
-    )
-
-    def run() -> list[str]:
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            cwd=tmp_path / "golden", env=env, capture_output=True, text=True, check=True,
-        )
-        return proc.stdout.splitlines()
-
-    first = run()
-    assert first[-1] == "loaded: archforge.graph archforge.infer archforge.latex pickle"
-    noop = run()
-    assert noop[-2:] == ["wrote 0 files, deleted 0", "loaded:"]
-
-
 def test_extract_force_rewrites(golden_project, capsys):
     main(["extract"])
     capsys.readouterr()
@@ -277,7 +242,7 @@ WARNS = {"M": "end Ghost\n\n@[blueprint]\ndef d := 1\n"}
     ids=["golden", "warnings", "warnings-strict", "crlf"],
 )
 def test_noop_extract_parses_nothing(tmp_path, monkeypatch, capsys, modules, args):
-    from archforge import build, cli
+    from archforge import cli, source
 
     make_project(tmp_path, modules)
     monkeypatch.chdir(tmp_path)
@@ -291,7 +256,7 @@ def test_noop_extract_parses_nothing(tmp_path, monkeypatch, capsys, modules, arg
     def no_parse(path, name):
         raise AssertionError(f"parsed {name}")
 
-    monkeypatch.setattr(build, "parse_module", no_parse)
+    monkeypatch.setattr(source, "parse_module", no_parse)
     assert main(["extract", *args]) == full_code
     fast = capsys.readouterr()
     assert (fast.out, fast.err) == (full.out, full.err)

@@ -14,7 +14,6 @@ from archforge.convert import (
     LegacyNode,
     LegacyProof,
     apply_plan,
-    find_input_macros,
     parse_legacy_blueprint,
     plan_conversion,
 )
@@ -23,6 +22,7 @@ from archforge.infer import warm_statuses
 from archforge.names import Name, SourceSpan
 from archforge.source import parse_module_text
 from archforge.store import build_store
+from archforge.texscan import find_input_macros
 
 
 def write(path: Path, text: str) -> Path:

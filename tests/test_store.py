@@ -5,14 +5,10 @@ from __future__ import annotations
 import pytest
 
 from archforge.errors import NotFoundError, StoreError
+from archforge.config import load_upstream_index
 from archforge.names import Name
 from archforge.source import parse_module_text
-from archforge.store import (
-    build_store,
-    is_upstream,
-    load_upstream_index,
-    merged_nodes,
-)
+from archforge.store import build_store, is_upstream, merged_nodes
 
 from conftest import golden_text, store_from
 
