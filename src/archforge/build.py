@@ -5,9 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import __version__ as TOOL_VERSION
 from .config import ProjectConfig, load_upstream_index, read_source, source_hash
@@ -30,13 +29,12 @@ GLOBAL_FILES = ("macros.tex", "blueprint.json", "graph.dot", "graph.json")
 MANAGED_DIRS = ("nodes", "modules")  # swept of files the plan does not hold
 
 
-@dataclass
-class Project:
+class Project(NamedTuple):
     config: ProjectConfig
     store: NodeStore
     module_paths: dict[Name, Path]
-    cache_stale: bool = False  # a module was reparsed or has gone since the parse cache was written
-    pickled: dict[Name, bytes] = field(default_factory=dict)  # cache bytes of the reused units
+    cache_stale: bool  # a module was reparsed or has gone since the parse cache was written
+    pickled: dict[Name, bytes]  # cache bytes of the reused units
 
     @property
     def warnings(self) -> list[str]:
@@ -89,7 +87,7 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
         if unit is not None:
             text = read_source(path)
             if unit.path == str(path) and unit.source_hash == source_hash(text.encode("utf-8")):
-                unit = replace(unit, source_text=text)
+                unit = unit._replace(source_text=text)
                 pickled[name] = data
             else:
                 unit = None
@@ -233,8 +231,7 @@ def compute_staleness(
 # Rendering plan
 
 
-@dataclass
-class RenderPlan:
+class RenderPlan(NamedTuple):
     files: dict[str, str]  # relative path -> content
     owners: dict[str, Name | None]  # relative path -> owning module (None = global)
 
@@ -310,8 +307,7 @@ def _dump_json(data: dict) -> str:
 # Extraction
 
 
-@dataclass
-class ExtractResult:
+class ExtractResult(NamedTuple):
     stale: set[Name]
     fresh: set[Name]
     written: list[str]

@@ -9,7 +9,7 @@ a file, not imported, so a command that finds every unit here never loads it.
 A unit is reused only while its module's name, path and source hash match,
 and a reused unit is written back as the bytes it was read from, so a
 rewrite pickles only the modules parsed since.  Loading admits no global but
-the record dataclasses and `Name`, so a crafted file cannot run code; any
+the record classes and `Name`, so a crafted file cannot run code; any
 failure reads as "no cache".
 """
 
@@ -19,7 +19,6 @@ import hashlib
 import io
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -39,12 +38,12 @@ from .records import (
 CACHE_DIR = ".archforge"
 CACHE_NAME = "units.pickle"
 
-# the dataclasses a unit is made of; `Name` is a tuple and pickles as one
-_DATACLASSES = (
+# the record classes a unit is made of, and `Name`
+_RECORDS = (
     ModuleUnit, Declaration, RawComment, UpstreamAttribution, OpenCommand, ParseWarning,
     AttributeSpec, SorryMarker, LabelRef, SourceSpan,
 )
-_ALLOWED = {(cls.__module__, cls.__qualname__): cls for cls in (*_DATACLASSES, Name)}
+_ALLOWED = {(cls.__module__, cls.__qualname__): cls for cls in (*_RECORDS, Name)}
 
 # the files whose text decides what a parse yields
 _STAMPED = tuple(Path(__file__).with_name(f"{m}.py") for m in ("source", "records", "names"))
@@ -123,15 +122,9 @@ def write_units(
 
 
 def _dump(units: Iterable[ModuleUnit], pickled: Mapping[Name, bytes], f) -> None:
-    import copyreg
     import pickle
 
-    def reduce(obj: object) -> tuple:
-        # the bytes pickle writes by default, without its per-object method lookups
-        return copyreg.__newobj__, (type(obj),), obj.__dict__
-
     pickler = pickle.Pickler(f, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.dispatch_table = dict.fromkeys(_DATACLASSES, reduce)
     for unit in units:
         data = pickled.get(unit.name)
         if data is not None:
@@ -139,5 +132,5 @@ def _dump(units: Iterable[ModuleUnit], pickled: Mapping[Name, bytes], f) -> None
             continue
         # a memo over the whole project would take megabytes while the
         # rendered artifacts are still alive; one module's memo is small
-        pickler.dump(replace(unit, source_text=""))
+        pickler.dump(unit._replace(source_text=""))
         pickler.clear_memo()

@@ -5,8 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, ParseError
 from .names import Name
@@ -28,8 +28,7 @@ _KNOWN_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class ProjectConfig:
+class ProjectConfig(NamedTuple):
     root: Path
     source_roots: tuple[Path, ...]
     root_modules: tuple[Name, ...] = ()

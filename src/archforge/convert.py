@@ -11,8 +11,8 @@ import hashlib
 import os
 import re
 import textwrap
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConversionError, StaleSourceError
 from .names import Name, SourceSpan
@@ -25,15 +25,13 @@ NODE_ENVS = ("theorem", "lemma", "definition", "corollary", "proposition")
 _STATEMENT_MACROS = ("label", "lean", "uses", "leanok", "mathlibok", "notready", "discussion")
 
 
-@dataclass(frozen=True)
-class LegacyProof:
+class LegacyProof(NamedTuple):
     uses: tuple[str, ...]
     lean_ok: bool
     text: str
 
 
-@dataclass(frozen=True)
-class LegacyNode:
+class LegacyNode(NamedTuple):
     env: str
     title: str | None
     label: str | None
@@ -49,8 +47,7 @@ class LegacyNode:
     span: SourceSpan  # whole region to replace, proof included
 
 
-@dataclass(frozen=True)
-class SourceInsert:
+class SourceInsert(NamedTuple):
     path: str
     insert_at: int  # byte offset
     text: str
@@ -58,8 +55,7 @@ class SourceInsert:
     seq: int = 0
 
 
-@dataclass(frozen=True)
-class LatexReplace:
+class LatexReplace(NamedTuple):
     path: str
     start: int  # byte offsets
     end: int
@@ -67,23 +63,21 @@ class LatexReplace:
     seq: int = 0
 
 
-@dataclass
 class ConversionPlan:
-    source_edits: list[SourceInsert] = field(default_factory=list)
-    latex_edits: list[LatexReplace] = field(default_factory=list)
-    skipped: list[tuple[LegacyNode, str]] = field(default_factory=list)
-    file_hashes: dict[str, str] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.source_edits: list[SourceInsert] = []
+        self.latex_edits: list[LatexReplace] = []
+        self.skipped: list[tuple[LegacyNode, str]] = []
+        self.file_hashes: dict[str, str] = {}
 
 
-@dataclass(frozen=True)
-class ConversionOptions:
+class ConversionOptions(NamedTuple):
     only_lean_nodes: bool = True
     drop_uses_when_lean_ok: bool = True
     docstring_width: int = 100
 
 
-@dataclass(frozen=True)
-class ApplySummary:
+class ApplySummary(NamedTuple):
     source_inserts: int
     latex_replacements: int
     skipped: int
@@ -121,8 +115,9 @@ def _find_env_end(sc: TexScanner, env: str, body_start: int) -> tuple[int, int]:
     raise ConversionError(f"{sc.path}:{sc.line_of(body_start)}: \\begin{{{env}}} is never closed")
 
 
-@dataclass
 class _EnvData:
+    """What `_parse_env_body` finds in one body; a field it never sets keeps its default."""
+
     label: str | None = None
     lean_names: tuple[Name, ...] = ()
     uses: tuple[str, ...] = ()

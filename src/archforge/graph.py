@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -10,8 +9,7 @@ from .infer import label_view
 from .store import NodeStore
 
 
-@dataclass(frozen=True)
-class VertexInfo:
+class VertexInfo(NamedTuple):
     env: str
     statement_ok: bool
     proof_ok: bool | None  # None when no constituent carries a proof part
@@ -28,14 +26,12 @@ class Edge(NamedTuple):
     kind: str  # "statement" | "proof"
 
 
-@dataclass(frozen=True)
-class DepGraph:
+class DepGraph(NamedTuple):
     vertices: dict[str, VertexInfo]
     edges: tuple[Edge, ...]  # sorted; both ends of every edge are vertices
 
 
-@dataclass(frozen=True)
-class LintFinding:
+class LintFinding(NamedTuple):
     code: str
     label: str
     message: str

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import NotFoundError, ResolutionError
 from .names import LabelRef, Name, name_candidates
@@ -22,8 +21,7 @@ def _merge_texts(texts: Iterable[str]) -> str:
     return "\n".join(_dedup(t for t in texts if t))
 
 
-@dataclass(frozen=True)
-class RefSets:
+class RefSets(NamedTuple):
     """Resolved references of one declaration, deduped in source order."""
 
     statement_refs: tuple[Name, ...]
@@ -33,15 +31,13 @@ class RefSets:
         return _dedup((*self.statement_refs, *self.body_refs))
 
 
-@dataclass(frozen=True)
-class PartStatus:
+class PartStatus(NamedTuple):
     inferred_uses: tuple[Name, ...]
     lean_ok: bool
     mathlib_ok: bool
 
 
-@dataclass(frozen=True)
-class LabelView:
+class LabelView(NamedTuple):
     """Every fact the emitters need about one label, merged over its nodes.
 
     `nodes` are in placement order (module topo index, item index).  Flags
@@ -67,7 +63,6 @@ class LabelView:
     anchor: tuple[Name, int]  # (placement_module, placement_index) of the first node
 
 
-@dataclass
 class _ClosureGraph:
     """The condensed untagged reference graph that `reference_closure` reads.
 
@@ -79,33 +74,29 @@ class _ClosureGraph:
     bitset of sink ids that component `c` reaches (bit i for sink id i).
     """
 
-    names: list[Name]
-    ids: dict[Name, int]
-    sinks: int
-    comp: list[int]
-    reach: list[int] = field(default_factory=list)
+    def __init__(self, store: NodeStore) -> None:
+        ids: dict[Name, int] = {SORRY_AX: 0}
+        for name in store.by_name:
+            ids.setdefault(name, len(ids))
+        self.sinks = len(ids)
+        for name in store.declarations:
+            ids.setdefault(name, len(ids))
+        self.ids = ids
+        self.names = list(ids)
+        self.comp = [-1] * len(ids)
+        self.reach: list[int] = []
 
 
-def _closure_graph(store: NodeStore) -> _ClosureGraph:
-    ids: dict[Name, int] = {SORRY_AX: 0}
-    for name in store.by_name:
-        ids.setdefault(name, len(ids))
-    sinks = len(ids)
-    for name in store.declarations:
-        ids.setdefault(name, len(ids))
-    return _ClosureGraph(names=list(ids), ids=ids, sinks=sinks, comp=[-1] * len(ids))
-
-
-@dataclass
 class _InferCache:
-    refs: dict[Name, RefSets] = field(default_factory=dict)
-    # (namespace context, opens) -> token -> what resolve_references resolves it to
-    resolved: dict[tuple, dict[str, Name | None]] = field(default_factory=dict)
-    status: dict[tuple[Name, str], PartStatus] = field(default_factory=dict)
-    effective: dict[tuple[Name, str], tuple[str, ...]] = field(default_factory=dict)
-    views: dict[str, LabelView] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    graph: _ClosureGraph | None = None
+    def __init__(self) -> None:
+        self.refs: dict[Name, RefSets] = {}
+        # (namespace context, opens) -> token -> what resolve_references resolves it to
+        self.resolved: dict[tuple, dict[str, Name | None]] = {}
+        self.status: dict[tuple[Name, str], PartStatus] = {}
+        self.effective: dict[tuple[Name, str], tuple[str, ...]] = {}
+        self.views: dict[str, LabelView] = {}
+        self.warnings: list[str] = []
+        self.graph: _ClosureGraph | None = None
 
 
 def _cache(store: NodeStore) -> _InferCache:
@@ -267,7 +258,7 @@ def reference_closure(start: Iterable[Name], store: NodeStore) -> tuple[Name, ..
 
     cache = _cache(store)
     if cache.graph is None:
-        cache.graph = _closure_graph(store)
+        cache.graph = _ClosureGraph(store)
     graph = cache.graph
     ids, sinks, comp = graph.ids, graph.sinks, graph.comp
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RenderError
 from .infer import label_view
@@ -13,13 +13,11 @@ from .records import RawComment
 from .store import NodeStore
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(NamedTuple):
     emit_leanok_with_mathlibok: bool = False
 
 
-@dataclass(frozen=True)
-class RenderedNode:
+class RenderedNode(NamedTuple):
     label: str
     names: tuple[str, ...]
     env: str

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Name(tuple):
@@ -79,30 +78,55 @@ def name_candidates(
     yield raw
 
 
-@dataclass(frozen=True)
 class LabelRef:
-    """A dependency written as a blueprint label string rather than a name."""
+    """A dependency written as a blueprint label string rather than a name.
 
-    label: str
+    Not a tuple: `LabelRef("x")` never equals the one-segment `Name(("x",))`.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        if not label:
             raise ValueError("empty label reference")
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LabelRef and other.label == self.label
+
+    def __hash__(self) -> int:
+        return hash((LabelRef, self.label))
+
+    def __reduce__(self) -> tuple:
+        return LabelRef, (self.label,)
+
+    def __repr__(self) -> str:
+        return f"LabelRef(label={self.label!r})"
 
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Half-open region of a source file, tracked in characters and bytes."""
-
+class _SpanFields(NamedTuple):
     start: int
     end: int
     byte_start: int
     byte_end: int
     line: int
 
-    def __post_init__(self) -> None:
-        if self.start > self.end or self.byte_start > self.byte_end:
+
+class SourceSpan(_SpanFields):
+    """Half-open region of a source file, tracked in characters and bytes.
+
+    The check lives in `__new__`, which unpickling calls too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, byte_start: int, byte_end: int, line: int) -> "SourceSpan":
+        if start > end or byte_start > byte_end:
             raise ValueError("span ends before it starts")
+        return tuple.__new__(cls, (start, end, byte_start, byte_end, line))

@@ -7,13 +7,12 @@ every module in the parse cache never loads the parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .names import LabelRef, Name, SourceSpan
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
+class AttributeSpec(NamedTuple):
     """Everything a blueprint attribute can carry, fully defaulted to None."""
 
     label: str | None = None
@@ -29,16 +28,14 @@ class AttributeSpec:
     latex_env: str | None = None
 
 
-@dataclass(frozen=True)
-class SorryMarker:
+class SorryMarker(NamedTuple):
     """A `sorry` or `sorry_using [...]` occurrence inside a proof body."""
 
     using: tuple[Name | LabelRef, ...]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class Declaration:
+class Declaration(NamedTuple):
     name: Name
     kind: str
     docstring: str | None
@@ -58,8 +55,7 @@ class Declaration:
     attr_close_byte: int | None  # byte offset of `]` closing an existing `@[...]`
 
 
-@dataclass(frozen=True)
-class RawComment:
+class RawComment(NamedTuple):
     """Free-form LaTeX passed through verbatim via ``blueprint_comment``."""
 
     text: str
@@ -67,8 +63,7 @@ class RawComment:
     namespace_context: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class UpstreamAttribution:
+class UpstreamAttribution(NamedTuple):
     """An ``attribute [blueprint ...] Name`` command tagging a foreign constant."""
 
     target: Name
@@ -78,8 +73,7 @@ class UpstreamAttribution:
     opens: tuple[Name, ...] = ()
 
 
-@dataclass(frozen=True)
-class OpenCommand:
+class OpenCommand(NamedTuple):
     """Names opened at some point of the file; anchored before item `index`."""
 
     names: tuple[Name, ...]
@@ -87,8 +81,7 @@ class OpenCommand:
     namespace_context: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ParseWarning:
+class ParseWarning(NamedTuple):
     message: str
     path: str | None
     line: int
@@ -98,8 +91,7 @@ class ParseWarning:
         return f"{where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ModuleUnit:
+class ModuleUnit(NamedTuple):
     name: Name
     imports: tuple[Name, ...]
     items: tuple[Declaration | RawComment | UpstreamAttribution, ...]

@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 import textwrap
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import read_source, source_hash
 from .errors import ParseError
@@ -70,8 +70,7 @@ ATTRIBUTE_KEYS = (
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "string" | "number" | "docstring" | "symbol"
     text: str
     value: str
@@ -385,8 +384,7 @@ def _reference_candidates(toks: list[Token]) -> tuple[str, ...]:
     return tuple(t.text for t in toks if t.kind == "ident" and t.text not in _NOT_REFERENCES)
 
 
-@dataclass
-class _AttrItem:
+class _AttrItem(NamedTuple):
     name: str
     config_tokens: list[Token]
     start_tok: Token

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .config import DEFAULT_UPSTREAM_PREFIXES
 from .errors import NotFoundError, StoreError
@@ -20,8 +19,7 @@ PROOF_KINDS = frozenset({"theorem", "lemma"})
 SORRY_AX = Name(("sorryAx",))
 
 
-@dataclass(frozen=True)
-class NodePart:
+class NodePart(NamedTuple):
     """One half of a node: its statement or its proof."""
 
     text: str
@@ -32,8 +30,7 @@ class NodePart:
     latex_env: str
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A blueprint node produced by one tagged declaration or attribution."""
 
     name: Name
@@ -49,22 +46,38 @@ class Node:
     placement_index: int  # index into that module's items
 
 
-@dataclass
 class NodeStore:
-    """Everything later stages need, precomputed once per module set."""
+    """Everything later stages need, precomputed once per module set.
 
-    modules: dict[Name, ModuleUnit]
-    by_name: dict[Name, Node]
-    by_label: dict[str, tuple[Name, ...]]
-    import_graph: dict[Name, tuple[Name, ...]]
-    topo_order: tuple[Name, ...]
-    topo_positions: dict[Name, int]  # module -> index in topo_order
-    declarations: dict[Name, Declaration]
-    decl_module: dict[Name, Name]
-    placements: dict[tuple[Name, int], Name]  # (module, item index) -> node name
-    upstream_index: frozenset[Name]
-    upstream_prefixes: tuple[str, ...]
-    _infer_cache: object = field(default=None, repr=False, compare=False)
+    `infer` keeps what it derives from the store in `_infer_cache`.
+    """
+
+    def __init__(
+        self,
+        modules: dict[Name, ModuleUnit],
+        by_name: dict[Name, Node],
+        by_label: dict[str, tuple[Name, ...]],
+        import_graph: dict[Name, tuple[Name, ...]],
+        topo_order: tuple[Name, ...],
+        topo_positions: dict[Name, int],  # module -> index in topo_order
+        declarations: dict[Name, Declaration],
+        decl_module: dict[Name, Name],
+        placements: dict[tuple[Name, int], Name],  # (module, item index) -> node name
+        upstream_index: frozenset[Name],
+        upstream_prefixes: tuple[str, ...],
+    ) -> None:
+        self.modules = modules
+        self.by_name = by_name
+        self.by_label = by_label
+        self.import_graph = import_graph
+        self.topo_order = topo_order
+        self.topo_positions = topo_positions
+        self.declarations = declarations
+        self.decl_module = decl_module
+        self.placements = placements
+        self.upstream_index = upstream_index
+        self.upstream_prefixes = upstream_prefixes
+        self._infer_cache: object = None
 
     def topo_index(self, module: Name) -> int:
         return self.topo_positions.get(module, len(self.topo_order))

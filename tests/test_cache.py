@@ -6,7 +6,6 @@ import os
 import pickle
 import random
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ from archforge import cache, records, source
 from archforge.build import extract, load_project
 from archforge.cli import main
 from archforge.config import load_config
-from archforge.names import Name
+from archforge.names import Name, SourceSpan
 from archforge.source import Declaration, parse_module
 
 import _gen
@@ -119,10 +118,17 @@ def _not_units(root, tmp_path):
     path.write_bytes(stamp + b"\n" + pickle.dumps(("not", "units")))
 
 
+def _backward_span(root, tmp_path):
+    # built around the check, which must run again as the unit loads
+    bad = tuple.__new__(SourceSpan, (5, 1, 5, 1, 1))
+    units = [u for u, _ in cache.read_units(root).values()]
+    cache.write_units(root, [u._replace(items=(u.items[0]._replace(span=bad),)) for u in units])
+
+
 @pytest.mark.parametrize(
     "spoil",
-    [_truncate, _runs_code, _wrong_stamp, _not_units],
-    ids=["truncated", "runs-code", "wrong-stamp", "wrong-shape"],
+    [_truncate, _runs_code, _wrong_stamp, _not_units, _backward_span],
+    ids=["truncated", "runs-code", "wrong-stamp", "wrong-shape", "backward-span"],
 )
 def test_spoiled_cache_parses_everything(tmp_path, parses, spoil):
     root = tmp_path / "p"
@@ -216,7 +222,7 @@ def test_force_ignores_and_rewrites_the_cache(tmp_path, monkeypatch, capsys):
     assert main(["extract", "--force", "--out", "clean"]) == 0
     config = config_at(tmp_path)
     # a cache entry that matches the source but not its parse
-    poisoned = [replace(u, items=()) for u in load_project(config).store.modules.values()]
+    poisoned = [u._replace(items=()) for u in load_project(config).store.modules.values()]
     cache.write_units(tmp_path, poisoned)
     assert load_project(config).store.by_label == {}
     assert main(["extract", "--force"]) == 0
@@ -238,7 +244,7 @@ def test_names_round_trip_through_the_cache(tmp_path):
     units = list(load_project(config_at(tmp_path)).store.modules.values())
     cache.write_units(tmp_path, units)
     read = {name: unit for name, (unit, _) in cache.read_units(tmp_path).items()}
-    assert read == {u.name: replace(u, source_text="") for u in units}
+    assert read == {u.name: u._replace(source_text="") for u in units}
     b = read[Name.parse("B")]
     (decl,) = [item for item in b.items if isinstance(item, Declaration)]
     for name in (b.name, *b.imports, decl.name):

@@ -1,8 +1,9 @@
 """Import budget: each command loads only the archforge modules it runs.
 
 Every command runs in a fresh interpreter, as a user runs it, and then
-reports the `archforge.*` and `pickle` entries of `sys.modules` on the last
-line of its standard error.
+reports the `archforge.*`, `pickle` and `dataclasses` entries of
+`sys.modules` on the last line of its standard error.  No command loads
+`dataclasses`, which would bring `inspect`, `ast` and `dis` with it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ LAUNCH = (
     "import sys\n"
     "from archforge.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "loaded = [m for m in sys.modules if m.startswith('archforge') or m == 'pickle']\n"
+    "loaded = [m for m in sys.modules if m.startswith('archforge') or m in ('pickle', 'dataclasses')]\n"
     "print(*sorted(loaded), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -39,14 +40,16 @@ NOOP_MODULES = {
 
 
 def run(root: Path, *argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
-    """The finished command and the modules it loaded."""
+    """The finished command and the modules it loaded, which never include `dataclasses`."""
 
     env = dict(os.environ, PYTHONPATH=str(Path(archforge.__file__).parent.parent))
     env.pop("ARCHFORGE_CONFIG", None)
     proc = subprocess.run(
         [sys.executable, "-c", LAUNCH, *argv], cwd=root, env=env, capture_output=True, text=True
     )
-    return proc, set(proc.stderr.splitlines()[-1].split())
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert "dataclasses" not in loaded, argv
+    return proc, loaded
 
 
 @pytest.fixture

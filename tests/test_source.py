@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -147,7 +146,7 @@ TOKEN_TABLE = {
 @pytest.mark.parametrize("case", sorted(TOKEN_TABLE))
 def test_token_table(case):
     text, expected = TOKEN_TABLE[case]
-    assert [dataclasses.astuple(t) for t in tokenize(text)] == expected
+    assert [tuple(t) for t in tokenize(text)] == expected
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from archforge.errors import NotFoundError, StoreError
 from archforge.config import load_upstream_index
-from archforge.names import Name
+from archforge.names import LabelRef, Name, SourceSpan
 from archforge.source import parse_module_text
 from archforge.store import build_store, is_upstream, merged_nodes
 
@@ -28,6 +28,38 @@ def test_name_order_str_and_validation():
             Name(bad)
     with pytest.raises(ValueError):
         Name.parse("a..b")
+
+
+def test_label_ref_is_not_a_one_segment_name():
+    ref, name = LabelRef("x"), Name(("x",))
+    assert ref != name and name != ref and ref == LabelRef("x")
+    assert hash(ref) != hash(name)
+    assert len({ref, name, LabelRef("x"), Name.parse("x")}) == 2
+    assert {ref: 1, name: 2} == {LabelRef("x"): 1, Name.parse("x"): 2}
+    with pytest.raises(ValueError, match="empty label reference"):
+        LabelRef("")
+
+
+def test_source_span_checks_its_ends():
+    assert SourceSpan(1, 1, 2, 2, 1).end == 1
+    for bad in ((2, 1, 2, 3, 1), (1, 2, 3, 2, 1)):
+        with pytest.raises(ValueError, match="span ends before it starts"):
+            SourceSpan(*bad)
+
+
+def test_record_fields_cannot_be_assigned(golden_store):
+    node = next(iter(golden_store.by_name.values()))
+    unit = next(iter(golden_store.modules.values()))
+    for record, field in (
+        (node, "latex_label"),
+        (node.statement, "text"),
+        (unit, "items"),
+        (unit.items[0], "span"),
+        (unit.items[0].span, "start"),
+        (LabelRef("x"), "label"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_golden_node_set(golden_store):
