@@ -106,6 +106,31 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
     )
 
 
+STATUS_KEYS = frozenset(  # the keys of `status_counts`, which a manifest must hold
+    "nodes labels statementsLeanOk proofsTotal proofsLeanOk sorriedProofs upstreamNodes"
+    " notReadyNodes".split()
+)
+
+
+def status_counts(store: NodeStore) -> dict:
+    from .infer import part_status
+    from .store import is_upstream
+
+    nodes = list(store.by_name.values())
+    with_proof = [n for n in nodes if n.proof is not None]
+    proofs_ok = sum(1 for n in with_proof if part_status(store, n, "proof").lean_ok)
+    return {
+        "nodes": len(nodes),
+        "labels": len(store.by_label),
+        "statementsLeanOk": sum(1 for n in nodes if part_status(store, n, "statement").lean_ok),
+        "proofsTotal": len(with_proof),
+        "proofsLeanOk": proofs_ok,
+        "sorriedProofs": len(with_proof) - proofs_ok,
+        "upstreamNodes": sum(1 for n in nodes if is_upstream(store, n.name)),
+        "notReadyNodes": sum(1 for n in nodes if n.not_ready),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Manifest and staleness
 
@@ -147,8 +172,9 @@ def transitive_hashes(store: NodeStore, fingerprint: str) -> dict[Name, str]:
 def load_manifest(out_dir: Path) -> dict | None:
     """The manifest in `out_dir`; None when it is missing, unreadable or in another layout.
 
-    A manifest whose `entries` is not a `{module: transitiveHash}` map was
-    written by an older layout, so the tree it describes is rebuilt once.
+    A manifest whose `entries` is not a `{module: transitiveHash}` map, or
+    whose `status` is not the `status_counts` of a store, was written by an
+    older layout, so the tree it describes is rebuilt once.
     """
 
     path = out_dir / MANIFEST_NAME
@@ -160,6 +186,11 @@ def load_manifest(out_dir: Path) -> dict | None:
         return None
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, dict) or not all(isinstance(h, str) for h in entries.values()):
+        return None
+    status = data.get("status")
+    if not isinstance(status, dict) or status.keys() != STATUS_KEYS:
+        return None
+    if any(type(n) is not int for n in status.values()):  # a bool is an int too
         return None
     return data
 
@@ -421,6 +452,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             "artifactDigest": digest.hexdigest(),
             "warnings": warnings,
             "entries": {str(name): transitive[name] for name in store.topo_order},
+            "status": status_counts(store),
         }
         tmp = out / MANIFEST_TMP
         tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
@@ -441,27 +473,40 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
     )
 
 
-def up_to_date(config: ProjectConfig, out_dir: Path | None = None) -> ExtractResult | None:
-    """What `extract` would return if it had nothing to write, or None.
+class FreshBuild(NamedTuple):  # an output tree that passed every freshness check
+    result: ExtractResult  # what `extract` would return
+    manifest: dict
+    files: dict[str, bytes]  # the bytes of each of `GLOBAL_FILES`
+
+
+def fresh_build(config: ProjectConfig, out_dir: Path | None = None) -> FreshBuild | None:
+    """The build in the output directory if `extract` would have nothing to write, or None.
 
     Under the build lock, checks the manifest against the tool version, the
     configuration and upstream index, the discovered modules' names, paths
     and source hashes, and the paths and bytes of the global files and of
     every file under `nodes/` and `modules/`.  No half-written manifest may
     be left over.  Parses nothing and writes nothing.  Any mismatch,
-    unreadable file or malformed manifest gives None; the caller then runs
-    the full `extract`, which reports errors as it always has.
+    unreadable file, malformed manifest or held lock gives None; the caller
+    then loads the project, which reports errors as it always has.
     """
 
     out = out_dir if out_dir is not None else config.resolved_out_dir()
     try:
         with _BuildLock(out):
-            return _unchanged_result(config, out)
+            return _fresh_build(config, out)
     except (OSError, ValueError, BlueprintError):
         return None
 
 
-def _unchanged_result(config: ProjectConfig, out: Path) -> ExtractResult | None:
+def up_to_date(config: ProjectConfig, out_dir: Path | None = None) -> ExtractResult | None:
+    """What `extract` would return if it had nothing to write, or None."""
+
+    fresh = fresh_build(config, out_dir)
+    return None if fresh is None else fresh.result
+
+
+def _fresh_build(config: ProjectConfig, out: Path) -> FreshBuild | None:
     manifest = load_manifest(out)
     if (
         manifest is None
@@ -485,13 +530,17 @@ def _unchanged_result(config: ProjectConfig, out: Path) -> ExtractResult | None:
     # every path is keyed, so a missing, extra or altered file changes the digest
     artifacts = sorted([*GLOBAL_FILES, *_managed_files(out)])
     digest = _Digest()
+    files: dict[str, bytes] = {}
     root = os.fspath(out)
     for rel in artifacts:
         with open(f"{root}/{rel}", "rb") as f:
-            digest.add(rel, f.read())
+            data = f.read()
+        digest.add(rel, data)
+        if rel in GLOBAL_FILES:
+            files[rel] = data
     if digest.hexdigest() != manifest.get("artifactDigest"):
         return None
-    return ExtractResult(
+    result = ExtractResult(
         stale=set(),
         fresh={name for name, _ in modules},
         written=[],
@@ -499,3 +548,4 @@ def _unchanged_result(config: ProjectConfig, out: Path) -> ExtractResult | None:
         warnings=warnings,
         node_count=sum(1 for rel in artifacts if rel.startswith("nodes/")),
     )
+    return FreshBuild(result, manifest, files)

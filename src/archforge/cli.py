@@ -7,16 +7,17 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .build import Project, _dump_json, extract, load_project, up_to_date
+from .build import Project, _dump_json, extract, fresh_build, load_project, up_to_date
+from .build import status_counts  # `archforge.cli.status_counts` stays importable
 from .config import load_config
 from .errors import BlueprintError
 
 if TYPE_CHECKING:
     from .graph import LintFinding
-    from .store import NodeStore
 
 # Every other module is imported by the command that uses it, so that a no-op
-# `extract` loads none of them and `check` never loads the converter.
+# `extract`, and `status` or `graph` on an up-to-date build, load none of them,
+# and `check` never loads the converter.
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +45,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    from .graph import build_graph, emit_dot, emit_json
-
     config = load_config()
-    project = load_project(config)
-    graph = build_graph(project.store)
-    payload = emit_json(graph) if args.format == "json" else emit_dot(graph)
+    fresh = fresh_build(config)
+    if fresh is not None:  # the build holds exactly the bytes a full load would emit
+        payload = fresh.files[f"graph.{args.format}"].decode("utf-8")
+    else:
+        from .graph import build_graph, emit_dot, emit_json
+
+        graph = build_graph(load_project(config).store)
+        payload = emit_json(graph) if args.format == "json" else emit_dot(graph)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
@@ -149,31 +153,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 # status
 
 
-def status_counts(store: NodeStore) -> dict:
-    from .infer import part_status
-    from .store import is_upstream
-
-    nodes = list(store.by_name.values())
-    with_proof = [n for n in nodes if n.proof is not None]
-    proofs_ok = sum(1 for n in with_proof if part_status(store, n, "proof").lean_ok)
-    return {
-        "nodes": len(nodes),
-        "labels": len(store.by_label),
-        "statementsLeanOk": sum(
-            1 for n in nodes if part_status(store, n, "statement").lean_ok
-        ),
-        "proofsTotal": len(with_proof),
-        "proofsLeanOk": proofs_ok,
-        "sorriedProofs": len(with_proof) - proofs_ok,
-        "upstreamNodes": sum(1 for n in nodes if is_upstream(store, n.name)),
-        "notReadyNodes": sum(1 for n in nodes if n.not_ready),
-    }
-
-
 def cmd_status(args: argparse.Namespace) -> int:
     config = load_config()
-    project = load_project(config)
-    counts = status_counts(project.store)
+    fresh = fresh_build(config)
+    counts = fresh.manifest["status"] if fresh else status_counts(load_project(config).store)
     if args.json:
         sys.stdout.write(_dump_json(counts))
         return 0

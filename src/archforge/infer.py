@@ -273,6 +273,13 @@ def reference_closure(start: Iterable[Name], store: NodeStore) -> tuple[Name, ..
         if comp[i] < 0:
             _search(i, graph, store)
         reached |= graph.reach[comp[i]]
+    if reached.bit_count() * 32 <= reached.bit_length():  # sparse: one step per set bit
+        out = []
+        while reached:
+            low = reached & -reached
+            out.append(graph.names[low.bit_length() - 1])
+            reached ^= low
+        return tuple(out)
     selectors = bin(reached)[:1:-1].encode().translate(_BIT_BYTES)  # bit i -> selectors[i]
     return tuple(compress(graph.names, selectors))
 

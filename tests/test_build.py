@@ -18,6 +18,7 @@ from archforge.build import (
     extract,
     load_manifest,
     load_project,
+    status_counts,
     transitive_hashes,
     up_to_date,
 )
@@ -153,8 +154,10 @@ def test_manifest_schema(tmp_path):
         "artifactDigest",
         "warnings",
         "entries",
+        "status",
     }
     assert manifest["warnings"] == []
+    assert manifest["status"] == status_counts(project.store)
     fingerprint = _env_fingerprint(project.config, project.store.upstream_index)
     assert manifest["envFingerprint"] == fingerprint
     # one transitive hash per module, nothing else

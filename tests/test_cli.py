@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -11,6 +12,8 @@ from archforge.config import load_config
 from archforge.errors import ConfigError
 
 from conftest import golden_text, make_project
+
+import _gen
 
 
 GOLDEN_STATUS = [
@@ -292,6 +295,154 @@ def test_graph_out_file(golden_project, capsys):
     text = (golden_project / "dep.dot").read_text(encoding="utf-8")
     assert text.startswith("digraph blueprint {")
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# status and graph from a fresh build
+
+READ_COMMANDS = (["status"], ["status", "--json"], ["graph"], ["graph", "--format", "json"])
+FILL_SORRY = ("  /-- Proof by induction on $b$. -/\n  sorry", "  induction b <;> simp [*, add]")
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """One entry per `load_project` call made by a command: an entry means the full path ran."""
+
+    from archforge import cli
+
+    calls = []
+    real = cli.load_project
+
+    def spy(config, **kwargs):
+        calls.append(config.root)
+        return real(config, **kwargs)
+
+    monkeypatch.setattr(cli, "load_project", spy)
+    return calls
+
+
+def read_outputs(capsys) -> list[tuple[int, str]]:
+    """Exit code and stdout of each of `READ_COMMANDS`, in order."""
+
+    outputs = []
+    for argv in READ_COMMANDS:
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    return outputs
+
+
+def full_outputs(root, capsys) -> list[tuple[int, str]]:
+    """`read_outputs` with the output tree removed, so that every command loads the project."""
+
+    shutil.rmtree(root / "build" / "blueprint")
+    return read_outputs(capsys)
+
+
+@pytest.fixture
+def extracted(golden_project, capsys):
+    assert main(["extract"]) == 0
+    capsys.readouterr()
+    return golden_project
+
+
+def test_fresh_build_answers_without_loading_the_project(extracted, capsys, loads):
+    fast = read_outputs(capsys)
+    assert loads == []
+    assert fast[0] == (0, "\n".join(GOLDEN_STATUS) + "\n")
+    graph_json = extracted / "build" / "blueprint" / "graph.json"
+    assert fast[3] == (0, graph_json.read_text(encoding="utf-8"))
+    assert full_outputs(extracted, capsys) == fast
+    assert len(loads) == len(READ_COMMANDS)
+
+
+def test_source_edited_without_extract_is_reloaded(extracted, capsys, loads):
+    before = read_outputs(capsys)
+    src = extracted / "src" / "MyNat.lean"
+    src.write_text(src.read_text(encoding="utf-8").replace(*FILL_SORRY), encoding="utf-8")
+    after = read_outputs(capsys)
+    assert len(loads) == len(READ_COMMANDS)
+    assert "proofs leanOk: 2 of 3\n" in after[0][1]
+    assert [out != old for out, old in zip(after, before)] == [True] * len(READ_COMMANDS)
+    assert full_outputs(extracted, capsys) == after
+
+
+def test_hand_edited_graph_json_is_recomputed(extracted, capsys, loads):
+    path = extracted / "build" / "blueprint" / "graph.json"
+    built = path.read_text(encoding="utf-8")
+    path.write_text(built.replace('"label": "MyNat"', '"label": "Edited"'), encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != built
+    assert main(["graph", "--format", "json"]) == 0
+    assert capsys.readouterr().out == built
+    assert len(loads) == 1
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda status: status.pop("nodes"),
+        lambda status: status.update(upstreamNodes=False),
+        lambda status: status.update(nodes="5"),
+    ],
+    ids=["missing-key", "bool", "string"],
+)
+def test_malformed_status_block_loads_the_project_and_rebuilds(extracted, capsys, loads, spoil):
+    fast = read_outputs(capsys)
+    path = extracted / "build" / "blueprint" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    spoil(manifest["status"])
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert read_outputs(capsys) == fast
+    assert len(loads) == len(READ_COMMANDS)
+    assert main(["extract"]) == 0
+    assert capsys.readouterr().out.startswith("module MyNat: stale (rebuilt)\n")
+    loads.clear()
+    assert read_outputs(capsys) == fast
+    assert loads == []
+
+
+def test_held_build_lock_loads_the_project(extracted, capsys, loads):
+    import fcntl
+
+    fast = read_outputs(capsys)
+    with open(extracted / "build" / "blueprint" / ".lock", "w") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert read_outputs(capsys) == fast  # every exit code is 0
+    assert len(loads) == len(READ_COMMANDS)
+
+
+def test_build_elsewhere_loads_the_project(golden_project, capsys, loads):
+    assert main(["extract", "--out", "elsewhere"]) == 0
+    capsys.readouterr()
+    loads.clear()
+    outputs = read_outputs(capsys)
+    assert len(loads) == len(READ_COMMANDS)
+    assert outputs[0] == (0, "\n".join(GOLDEN_STATUS) + "\n")
+    assert outputs[3] == (0, (golden_project / "elsewhere" / "graph.json").read_text("utf-8"))
+    assert not (golden_project / "build").exists()
+
+
+def test_fresh_build_prints_what_a_full_load_prints(tmp_path, monkeypatch, capsys, loads):
+    """Generated projects, with merged labels, upstream nodes and sorries, print alike both ways."""
+
+    totals = dict.fromkeys(("merged", "upstreamNodes", "sorriedProofs"), 0)
+    for seed in range(12):
+        gp = _gen.gen_project(seed, max_decls=40, roundtrip=True)
+        root = tmp_path / f"gen{seed}"
+        sources = {m: _gen.render_module_source(gp, m, tagged=True) for m in gp.module_names}
+        make_project(root, sources, upstream_names=[u.name for u in gp.upstream])
+        monkeypatch.chdir(root)
+        assert main(["extract"]) == 0
+        capsys.readouterr()
+        loads.clear()
+        fast = read_outputs(capsys)
+        assert loads == []
+        assert full_outputs(root, capsys) == fast
+        assert len(loads) == len(READ_COMMANDS)
+        counts = json.loads(fast[1][1])
+        totals["merged"] += counts["nodes"] - counts["labels"]
+        totals["upstreamNodes"] += counts["upstreamNodes"]
+        totals["sorriedProofs"] += counts["sorriedProofs"]
+    assert all(totals.values()), totals
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,19 @@ def test_noop_extract_loads_only_the_manifest_check(built):
     assert loaded == NOOP_MODULES
 
 
+@pytest.mark.parametrize("argv", [("status", "--json"), ("graph", "--format", "json")], ids=" ".join)
+def test_read_command_on_a_fresh_build_loads_only_the_manifest_check(built, argv):
+    proc, loaded = run(built, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert loaded == NOOP_MODULES
+
+
 @pytest.mark.parametrize(
     "argv", [("status", "--json"), ("graph", "--format", "json"), ("check",)], ids=" ".join
 )
 def test_warm_cache_command_skips_the_parser(built, argv):
+    shutil.rmtree(built / "build" / "blueprint")  # no build to answer from: load the project
     proc, loaded = run(built, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -521,6 +521,24 @@ def test_generated_closures_keep_oracle_order():
     assert cyclic >= 5
 
 
+def test_sparse_and_dense_closures_keep_oracle_order():
+    """Over more than 32 sinks, closures decode both ways and still match the oracle."""
+
+    decoded = set()
+    for seed in range(8):
+        gp = _gen.gen_project(seed, max_decls=160)
+        store = _gen.build_gen_store(gp)
+        for d in gp.decls:
+            for start in (_gen.gt_statement_start(d), _gen.gt_proof_start(d)):
+                names = [N(s) for s in start]
+                got = reference_closure(names, store)
+                assert got == placement_sorted(naive_closure(names, store), store)
+                ids = infer._cache(store).graph.ids
+                reached = sum(1 << ids[n] for n in got)
+                decoded.add((reached.bit_count() * 32 <= reached.bit_length(), bool(got)))
+    assert {(True, True), (False, True)} <= decoded  # non-empty sparse and dense sets
+
+
 class IdentReads:
     """A declaration stand-in that records each read of its identifiers."""
 
