@@ -27,6 +27,7 @@ MANIFEST_TMP = MANIFEST_NAME + ".tmp"  # written in full, then renamed over the 
 LOCK_NAME = ".lock"
 GLOBAL_FILES = ("macros.tex", "blueprint.json", "graph.dot", "graph.json")
 MANAGED_DIRS = ("nodes", "modules")  # swept of files the plan does not hold
+STATUS_DIGEST_KEY = MANIFEST_NAME + "\0status"  # the manifest's counts, in the artifact digest
 
 
 class Project(NamedTuple):
@@ -106,10 +107,8 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
     )
 
 
-STATUS_KEYS = frozenset(  # the keys of `status_counts`, which a manifest must hold
-    "nodes labels statementsLeanOk proofsTotal proofsLeanOk sorriedProofs upstreamNodes"
-    " notReadyNodes".split()
-)
+STATUS_KEYS = {"nodes", "labels", "statementsLeanOk", "proofsTotal", "proofsLeanOk", "sorriedProofs",
+               "upstreamNodes", "notReadyNodes"}  # of `status_counts`; a manifest holds all eight
 
 
 def status_counts(store: NodeStore) -> dict:
@@ -187,10 +186,8 @@ def load_manifest(out_dir: Path) -> dict | None:
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, dict) or not all(isinstance(h, str) for h in entries.values()):
         return None
-    status = data.get("status")
-    if not isinstance(status, dict) or status.keys() != STATUS_KEYS:
-        return None
-    if any(type(n) is not int for n in status.values()):  # a bool is an int too
+    status = data.get("status")  # `type` tells a bool from an int
+    if not isinstance(status, dict) or status.keys() != STATUS_KEYS or {*map(type, status.values())} != {int}:
         return None
     return data
 
@@ -436,6 +433,8 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             written.append(rel)
         stale.update(plan.owners[rel] for rel in written if plan.owners[rel] is not None)
 
+        counts = status_counts(store)
+        digest.add(STATUS_DIGEST_KEY, _ENCODE(counts).encode("utf-8"))
         deleted = [rel for rel in _managed_files(out) if rel not in plan.files]
         for rel in deleted:
             (out / rel).unlink()
@@ -452,7 +451,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             "artifactDigest": digest.hexdigest(),
             "warnings": warnings,
             "entries": {str(name): transitive[name] for name in store.topo_order},
-            "status": status_counts(store),
+            "status": counts,
         }
         tmp = out / MANIFEST_TMP
         tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
@@ -476,33 +475,34 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 class FreshBuild(NamedTuple):  # an output tree that passed every freshness check
     result: ExtractResult  # what `extract` would return
     manifest: dict
-    files: dict[str, bytes]  # the bytes of each of `GLOBAL_FILES`
+    graph: dict[str, bytes]  # the bytes of `graph.dot` and `graph.json`, by file name
 
 
 def fresh_build(config: ProjectConfig, out_dir: Path | None = None) -> FreshBuild | None:
     """The build in the output directory if `extract` would have nothing to write, or None.
 
-    Under the build lock, checks the manifest against the tool version, the
-    configuration and upstream index, the discovered modules' names, paths
-    and source hashes, and the paths and bytes of the global files and of
-    every file under `nodes/` and `modules/`.  No half-written manifest may
-    be left over.  Parses nothing and writes nothing.  Any mismatch,
-    unreadable file, malformed manifest or held lock gives None; the caller
-    then loads the project, which reports errors as it always has.
+    Checks the manifest against the tool version, the configuration, the upstream index, the
+    modules' names, paths and source hashes, and the paths and bytes of every artifact and the
+    status counts.  Takes no lock: a tree that an extract is rewriting has no manifest that
+    digests it.  Any mismatch, unreadable file or leftover `manifest.json.tmp` gives None.
     """
 
     out = out_dir if out_dir is not None else config.resolved_out_dir()
     try:
-        with _BuildLock(out):
-            return _fresh_build(config, out)
+        return _fresh_build(config, out)
     except (OSError, ValueError, BlueprintError):
         return None
 
 
 def up_to_date(config: ProjectConfig, out_dir: Path | None = None) -> ExtractResult | None:
-    """What `extract` would return if it had nothing to write, or None."""
+    """What `extract` would return if it had nothing to write, or None, as when the lock is held."""
 
-    fresh = fresh_build(config, out_dir)
+    out = out_dir if out_dir is not None else config.resolved_out_dir()
+    try:
+        with _BuildLock(out):
+            fresh = fresh_build(config, out)
+    except (OSError, BlueprintError):
+        return None
     return None if fresh is None else fresh.result
 
 
@@ -530,14 +530,15 @@ def _fresh_build(config: ProjectConfig, out: Path) -> FreshBuild | None:
     # every path is keyed, so a missing, extra or altered file changes the digest
     artifacts = sorted([*GLOBAL_FILES, *_managed_files(out)])
     digest = _Digest()
-    files: dict[str, bytes] = {}
+    graph: dict[str, bytes] = {}
     root = os.fspath(out)
     for rel in artifacts:
         with open(f"{root}/{rel}", "rb") as f:
             data = f.read()
         digest.add(rel, data)
-        if rel in GLOBAL_FILES:
-            files[rel] = data
+        if rel in ("graph.dot", "graph.json"):
+            graph[rel] = data
+    digest.add(STATUS_DIGEST_KEY, _ENCODE(manifest["status"]).encode("utf-8"))
     if digest.hexdigest() != manifest.get("artifactDigest"):
         return None
     result = ExtractResult(
@@ -548,4 +549,4 @@ def _fresh_build(config: ProjectConfig, out: Path) -> FreshBuild | None:
         warnings=warnings,
         node_count=sum(1 for rel in artifacts if rel.startswith("nodes/")),
     )
-    return FreshBuild(result, manifest, files)
+    return FreshBuild(result, manifest, graph)

@@ -15,9 +15,8 @@ from .errors import BlueprintError
 if TYPE_CHECKING:
     from .graph import LintFinding
 
-# Every other module is imported by the command that uses it, so that a no-op
-# `extract`, and `status` or `graph` on an up-to-date build, load none of them,
-# and `check` never loads the converter.
+# Every other module is imported by the command that uses it: a no-op `extract`, and
+# `status` or `graph` on a fresh build, load none of them; `check` never loads the converter.
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     config = load_config()
     fresh = fresh_build(config)
     if fresh is not None:  # the build holds exactly the bytes a full load would emit
-        payload = fresh.files[f"graph.{args.format}"].decode("utf-8")
+        payload = fresh.graph[f"graph.{args.format}"].decode("utf-8")
     else:
         from .graph import build_graph, emit_dot, emit_json
 

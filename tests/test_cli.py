@@ -376,6 +376,16 @@ def test_hand_edited_graph_json_is_recomputed(extracted, capsys, loads):
     assert len(loads) == 1
 
 
+def test_hand_edited_status_counts_are_recomputed(extracted, capsys, loads):
+    path = extracted / "build" / "blueprint" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["status"]["proofsLeanOk"] += 1  # still a well-formed count
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["status"]) == 0
+    assert capsys.readouterr().out == "\n".join(GOLDEN_STATUS) + "\n"
+    assert len(loads) == 1
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -400,14 +410,44 @@ def test_malformed_status_block_loads_the_project_and_rebuilds(extracted, capsys
     assert loads == []
 
 
-def test_held_build_lock_loads_the_project(extracted, capsys, loads):
+def test_held_build_lock_does_not_stop_reads(extracted, capsys, loads):
     import fcntl
 
     fast = read_outputs(capsys)
     with open(extracted / "build" / "blueprint" / ".lock", "w") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         assert read_outputs(capsys) == fast  # every exit code is 0
-    assert len(loads) == len(READ_COMMANDS)
+    assert loads == []
+
+
+@pytest.mark.parametrize("argv", [["status"], ["graph", "--format", "json"]], ids=" ".join)
+def test_extract_during_a_freshness_check(extracted, capsys, monkeypatch, argv):
+    """An extract that runs while a read command checks the tree succeeds, and the reader,
+    whose manifest no longer describes the tree, loads the edited project."""
+
+    import contextlib
+    import io
+
+    from archforge import build
+
+    before = main(argv), capsys.readouterr().out
+    src = extracted / "src" / "MyNat.lean"
+    real = build._managed_files
+    codes = []
+
+    def extract_midway(out):
+        if not src.read_text(encoding="utf-8").count(FILL_SORRY[1]):
+            # the reader has checked the manifest and sources, not yet the artifacts
+            src.write_text(src.read_text(encoding="utf-8").replace(*FILL_SORRY), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(["extract"]))
+        return real(out)
+
+    monkeypatch.setattr(build, "_managed_files", extract_midway)
+    during = main(argv), capsys.readouterr().out
+    assert codes == [0]
+    after = main(argv), capsys.readouterr().out
+    assert during == after != before
 
 
 def test_build_elsewhere_loads_the_project(golden_project, capsys, loads):
