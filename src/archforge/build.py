@@ -47,22 +47,26 @@ class Project(NamedTuple):
 
 
 def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
-    """All .lean files under the source roots, named by their relative path."""
+    """All .lean files under the source roots, named by their relative path.
 
-    found: dict[Name, Path] = {}
+    Two files with one dotted name, in two roots or as `A/B.lean` and
+    `A.B.lean`, raise StoreError.
+    """
+
+    found: dict[str, tuple[Name, Path]] = {}  # by dotted name
     for root in config.source_roots:
         if not root.is_dir():
             raise StoreError(f"source root '{root}' is not a directory")
         for path in sorted(root.rglob("*.lean")):
             rel = path.relative_to(root)
-            segments = rel.parts[:-1] + (rel.stem,)
-            name = Name(tuple(segments))
-            if name in found and found[name] != path:
+            name = Name(rel.parts[:-1] + (rel.stem,))
+            key = str(name)
+            if key in found and found[key][1] != path:
                 raise StoreError(
-                    f"module '{name}' found in two source roots: {found[name]} and {path}"
+                    f"module '{name}' comes from two files: {found[key][1]} and {path}"
                 )
-            found[name] = path
-    return sorted(found.items(), key=lambda kv: str(kv[0]))
+            found[key] = (name, path)
+    return [found[key] for key in sorted(found)]
 
 
 def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
@@ -283,9 +287,9 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     owners: dict[str, Name | None] = {}
 
     rendered = {label: render_node(store, label, options) for label in sorted(store.by_label)}
-    for label, node in rendered.items():
+    for label, tex in rendered.items():
         rel = node_paths[label]
-        files[rel] = node.tex + "\n"
+        files[rel] = tex + "\n"
         owners[rel] = label_view(store, label).anchor[0]
 
     for name in store.topo_order:
@@ -341,7 +345,6 @@ class ExtractResult(NamedTuple):
     written: list[str]
     deleted: list[str]
     warnings: list[str]
-    node_count: int
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -463,12 +466,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 
     fresh = set(store.topo_order) - stale
     return ExtractResult(
-        stale=stale,
-        fresh=fresh,
-        written=written,
-        deleted=deleted,
-        warnings=warnings,
-        node_count=len(store.by_label),
+        stale=stale, fresh=fresh, written=written, deleted=deleted, warnings=warnings
     )
 
 
@@ -542,11 +540,6 @@ def _fresh_build(config: ProjectConfig, out: Path) -> FreshBuild | None:
     if digest.hexdigest() != manifest.get("artifactDigest"):
         return None
     result = ExtractResult(
-        stale=set(),
-        fresh={name for name, _ in modules},
-        written=[],
-        deleted=[],
-        warnings=warnings,
-        node_count=sum(1 for rel in artifacts if rel.startswith("nodes/")),
+        stale=set(), fresh={name for name, _ in modules}, written=[], deleted=[], warnings=warnings
     )
     return FreshBuild(result, manifest, graph)

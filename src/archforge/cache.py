@@ -28,7 +28,6 @@ from .records import (
     AttributeSpec,
     Declaration,
     ModuleUnit,
-    OpenCommand,
     ParseWarning,
     RawComment,
     SorryMarker,
@@ -40,7 +39,7 @@ CACHE_NAME = "units.pickle"
 
 # the record classes a unit is made of, and `Name`
 _RECORDS = (
-    ModuleUnit, Declaration, RawComment, UpstreamAttribution, OpenCommand, ParseWarning,
+    ModuleUnit, Declaration, RawComment, UpstreamAttribution, ParseWarning,
     AttributeSpec, SorryMarker, LabelRef, SourceSpan,
 )
 _ALLOWED = {(cls.__module__, cls.__qualname__): cls for cls in (*_RECORDS, Name)}

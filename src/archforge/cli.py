@@ -64,13 +64,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
 # check
 
 
-_CROSS_SEVERITY = {
-    "unknown-label": "error",
-    "unknown-module": "error",
-    "unreferenced-label": "warning",
-}
-
-
 def blueprint_cross_findings(project: Project) -> list[LintFinding]:
     """Cross-check configured blueprint .tex files against the store."""
 

@@ -162,34 +162,28 @@ def graph_json_data(graph: DepGraph) -> dict:
     }
 
 
-def run_lints(store: NodeStore, graph: DepGraph | None = None, strict: bool = False) -> list[LintFinding]:
-    """Structural health checks over the label graph.
+def run_lints(store: NodeStore, strict: bool = False) -> list[LintFinding]:
+    """Structural health checks over the labels' `LabelView` records.
 
-    Findings come back sorted by (code, label).  `strict` also reports
-    upstream nodes that nothing depends on.
+    A label's dependencies are its statement and proof uses; its dependents
+    are the labels whose uses name it.  Findings come back sorted by (code,
+    label).  `strict` also reports upstream nodes that nothing depends on.
     """
 
-    if graph is None:
-        graph = build_graph(store)
-
-    dependents: dict[str, list[str]] = {}  # one entry per edge: a label used by both parts shows twice
-    has_incoming: set[str] = set()
-    for src, dst, _ in graph.edges:
-        dependents.setdefault(src, []).append(dst)
-        has_incoming.add(dst)
+    views = [label_view(store, label) for label in sorted(store.by_label)]
+    # one entry per use: a label used by both parts of a view shows twice
+    dependents: dict[str, list[str]] = {}
+    for view in views:
+        for dep in (*view.statement_uses, *view.proof_uses):
+            dependents.setdefault(dep, []).append(view.label)
 
     findings: list[LintFinding] = []
 
     def add(code: str, label: str, message: str) -> None:
         findings.append(LintFinding(code, label, message, LINT_SEVERITY[code]))
 
-    for label, info in graph.vertices.items():
-        if info.dangling:
-            users = ", ".join(sorted(dependents[label]))
-            add("dangling-label", label, f"used by {users} but no declaration carries it")
-            continue
-
-        view = label_view(store, label)
+    for view in views:
+        label = view.label
         if len(view.envs) > 1:
             names = ", ".join(view.names)
             add(
@@ -198,20 +192,23 @@ def run_lints(store: NodeStore, graph: DepGraph | None = None, strict: bool = Fa
                 f"environments {sorted(view.envs)} conflict across declarations {names}",
             )
 
-        incoming = label in has_incoming
-        outgoing = label in dependents
-        if not incoming and not outgoing:
+        uses = bool(view.statement_uses or view.proof_uses)
+        used = label in dependents
+        if not uses and not used:
             add("isolated-node", label, "no dependencies in either direction")
-        elif incoming and not outgoing:
-            if not (info.upstream and not strict):
-                add("unused-node", label, "nothing depends on this node")
+        elif uses and not used and (strict or not view.upstream):
+            add("unused-node", label, "nothing depends on this node")
 
-        if view.proof_ok and not view.proof_uses and not info.upstream:
+        if view.proof_ok and not view.proof_uses and not view.upstream:
             add(
                 "empty-proof-uses",
                 label,
                 "proof is complete but no dependencies were inferred or declared",
             )
+
+    for label in dependents.keys() - store.by_label.keys():
+        users = ", ".join(sorted(dependents[label]))
+        add("dangling-label", label, f"used by {users} but no declaration carries it")
 
     findings.sort(key=lambda f: (f.code, f.label))
     return findings

@@ -34,20 +34,18 @@ class RefSets(NamedTuple):
 class PartStatus(NamedTuple):
     inferred_uses: tuple[Name, ...]
     lean_ok: bool
-    mathlib_ok: bool
 
 
 class LabelView(NamedTuple):
     """Every fact the emitters need about one label, merged over its nodes.
 
-    `nodes` are in placement order (module topo index, item index).  Flags
+    `names` are in placement order (module topo index, item index).  Flags
     and texts merge as README's merged-label paragraph says.  `proof_ok` is
     None when no constituent has a proof; `proof_uses` and `proof_text` are
     then empty.
     """
 
     label: str
-    nodes: tuple[Node, ...]
     names: tuple[str, ...]
     envs: tuple[str, ...]  # deduplicated; more than one is a conflict
     title: str | None
@@ -95,7 +93,7 @@ class _InferCache:
         self.status: dict[tuple[Name, str], PartStatus] = {}
         self.effective: dict[tuple[Name, str], tuple[str, ...]] = {}
         self.views: dict[str, LabelView] = {}
-        self.warnings: list[str] = []
+        self.warnings: dict[str, None] = {}  # insertion-ordered set
         self.graph: _ClosureGraph | None = None
 
 
@@ -285,7 +283,7 @@ def reference_closure(start: Iterable[Name], store: NodeStore) -> tuple[Name, ..
 
 
 def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:
-    """Status of one node part: inferred uses, leanOk, mathlibOk."""
+    """Status of one node part: inferred uses and leanOk."""
 
     if part not in ("statement", "proof"):
         raise ValueError(f"unknown part {part!r}")
@@ -298,13 +296,8 @@ def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:
     if cached is not None:
         return cached
 
-    upstream = is_upstream(store, node.name)
     if node.origin == "upstream":
-        status = PartStatus(
-            inferred_uses=(),
-            lean_ok=True,
-            mathlib_ok=upstream and part == "statement",
-        )
+        status = PartStatus(inferred_uses=(), lean_ok=True)
         cache.status[key] = status
         return status
 
@@ -319,11 +312,7 @@ def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:
 
     collected = reference_closure(start, store)
     inferred = tuple(n for n in collected if n != SORRY_AX and n != node.name)
-    status = PartStatus(
-        inferred_uses=inferred,
-        lean_ok=SORRY_AX not in collected,
-        mathlib_ok=upstream and part == "statement",
-    )
+    status = PartStatus(inferred_uses=inferred, lean_ok=SORRY_AX not in collected)
     cache.status[key] = status
     return status
 
@@ -368,11 +357,8 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
         labels.append(store.by_name[resolve_explicit(entry, "uses")].latex_label)
     for lbl in part_obj.uses_labels:
         if lbl not in store.by_label:
-            warning = (
-                f"node '{node.name}' ({part}) uses label '{lbl}' that no declaration carries"
-            )
-            if warning not in cache.warnings:
-                cache.warnings.append(warning)
+            warning = f"node '{node.name}' ({part}) uses label '{lbl}' that no declaration carries"
+            cache.warnings[warning] = None
         labels.append(lbl)
 
     excluded: set[str] = {node.latex_label, "sorryAx"}
@@ -380,8 +366,7 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
         hit = resolve_name(entry, context, opens, known)
         if hit is None:
             warning = f"excludes entry '{entry}' on node '{node.name}' does not name a blueprint node"
-            if warning not in cache.warnings:
-                cache.warnings.append(warning)
+            cache.warnings[warning] = None
             continue
         excluded.add(store.by_name[hit].latex_label)
     excluded.update(part_obj.excludes_labels)
@@ -417,7 +402,6 @@ def label_view(store: NodeStore, label: str) -> LabelView:
     head = nodes[0]
     view = LabelView(
         label=label,
-        nodes=tuple(nodes),
         names=tuple(str(n.name) for n in nodes),
         envs=_dedup(n.statement.latex_env for n in nodes),
         title=next((n.title for n in nodes if n.title is not None), None),

@@ -17,20 +17,6 @@ class RenderOptions(NamedTuple):
     emit_leanok_with_mathlibok: bool = False
 
 
-class RenderedNode(NamedTuple):
-    label: str
-    names: tuple[str, ...]
-    env: str
-    statement_tex: str
-    proof_tex: str | None
-
-    @property
-    def tex(self) -> str:
-        if self.proof_tex is None:
-            return self.statement_tex
-        return self.statement_tex + "\n\n" + self.proof_tex
-
-
 def sanitize_label(label: str) -> str:
     """Filesystem-safe base name for a label."""
 
@@ -66,8 +52,8 @@ def _body_lines(text: str) -> list[str]:
     return [("  " + line).rstrip() for line in text.split("\n")] if text else []
 
 
-def render_node(store: NodeStore, label: str, options: RenderOptions = RenderOptions()) -> RenderedNode:
-    """Render the merged LaTeX fragment for one label."""
+def render_node(store: NodeStore, label: str, options: RenderOptions = RenderOptions()) -> str:
+    """The merged LaTeX fragment for one label: its statement, then its proof if any."""
 
     view = label_view(store, label)
     if len(view.envs) > 1:
@@ -98,36 +84,25 @@ def render_node(store: NodeStore, label: str, options: RenderOptions = RenderOpt
     lines += _status_line(status)
     lines += _body_lines(view.statement_text)
     lines.append(f"\\end{{{env}}}")
-    statement_tex = "\n".join(lines)
 
-    proof_tex = None
     if view.proof_ok is not None:
-        plines = ["\\begin{proof}"]
+        lines += ["", "\\begin{proof}"]
         pstatus: list[str] = []
         if view.proof_ok:
             pstatus.append("\\leanok")
         if view.proof_uses:
             pstatus.append("\\uses{" + ", ".join(view.proof_uses) + "}")
-        plines += _status_line(pstatus)
-        plines += _body_lines(view.proof_text)
-        plines.append("\\end{proof}")
-        proof_tex = "\n".join(plines)
+        lines += _status_line(pstatus)
+        lines += _body_lines(view.proof_text)
+        lines.append("\\end{proof}")
 
-    rendered = RenderedNode(
-        label=label,
-        names=view.names,
-        env=env,
-        statement_tex=statement_tex,
-        proof_tex=proof_tex,
-    )
-    if "sorryAx" in rendered.tex:
+    tex = "\n".join(lines)
+    if "sorryAx" in tex:
         raise RenderError(f"fragment for '{label}' leaked a sorry axiom reference")
-    return rendered
+    return tex
 
 
-def render_module_fragment(
-    store: NodeStore, module: Name, rendered: dict[str, RenderedNode]
-) -> str:
+def render_module_fragment(store: NodeStore, module: Name, rendered: dict[str, str]) -> str:
     """Concatenate a module's comments and node fragments in source order.
 
     A label's fragment, taken from `rendered`, appears where its first
@@ -150,7 +125,7 @@ def render_module_fragment(
         label = store.by_name[name].latex_label
         anchor_module, anchor_idx = label_view(store, label).anchor
         if (anchor_module, anchor_idx) == (module, idx):
-            blocks.append(rendered[label].tex)
+            blocks.append(rendered[label])
         else:
             blocks.append(f"% node {label} appears in module {anchor_module}")
     if not blocks:

@@ -40,7 +40,6 @@ class Declaration(NamedTuple):
     kind: str
     docstring: str | None
     attribute: AttributeSpec | None
-    other_attributes: tuple[str, ...]
     signature_text: str
     body_text: str | None
     # candidate constant references, in source order with duplicates kept
@@ -60,7 +59,6 @@ class RawComment(NamedTuple):
 
     text: str
     span: SourceSpan
-    namespace_context: tuple[str, ...] = ()
 
 
 class UpstreamAttribution(NamedTuple):
@@ -71,14 +69,6 @@ class UpstreamAttribution(NamedTuple):
     span: SourceSpan
     namespace_context: tuple[str, ...] = ()
     opens: tuple[Name, ...] = ()
-
-
-class OpenCommand(NamedTuple):
-    """Names opened at some point of the file; anchored before item `index`."""
-
-    names: tuple[Name, ...]
-    index: int
-    namespace_context: tuple[str, ...]
 
 
 class ParseWarning(NamedTuple):
@@ -97,6 +87,5 @@ class ModuleUnit(NamedTuple):
     items: tuple[Declaration | RawComment | UpstreamAttribution, ...]
     source_hash: str
     warnings: tuple[ParseWarning, ...] = ()
-    open_commands: tuple[OpenCommand, ...] = ()
     source_text: str = ""
     path: str | None = None

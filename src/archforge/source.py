@@ -20,7 +20,6 @@ from .records import (
     AttributeSpec,
     Declaration,
     ModuleUnit,
-    OpenCommand,
     ParseWarning,
     RawComment,
     SorryMarker,
@@ -80,7 +79,6 @@ class Token(NamedTuple):
     byte_end: int
     line: int
     col: int
-    first_on_line: bool
 
     def span(self) -> SourceSpan:
         return SourceSpan(self.start, self.end, self.byte_start, self.byte_end, self.line)
@@ -163,7 +161,6 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
     pos = 0
     line, line_start, counted = 1, 0, 0  # `line` and `line_start` hold at `counted`
     char_at = byte_at = 0  # a char offset and its byte offset, for non-ASCII text
-    line_of_last_token = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         kind, start, pos = m.lastgroup, m.start(), m.end()
@@ -208,10 +205,9 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
         tokens.append(
             Token(
                 kind, raw, raw if value is None else value, start, pos,
-                byte_start, byte_end, line, start - line_start, line != line_of_last_token,
+                byte_start, byte_end, line, start - line_start,
             )
         )
-        line_of_last_token = line
     return tokens
 
 
@@ -401,7 +397,6 @@ class _ModuleParser:
         self.opens: list[tuple[int, Name]] = []  # (scope depth, opened name)
         self.imports: list[Name] = []
         self.items: list[Declaration | RawComment | UpstreamAttribution] = []
-        self.open_commands: list[OpenCommand] = []
         self.warnings: list[ParseWarning] = []
 
     # -- helpers
@@ -490,7 +485,6 @@ class _ModuleParser:
             items=tuple(self.items),
             source_hash=source_hash(self.text.encode("utf-8")),
             warnings=tuple(self.warnings),
-            open_commands=tuple(self.open_commands),
             source_text=self.text,
             path=self.path,
         )
@@ -573,9 +567,6 @@ class _ModuleParser:
         depth = len(self.scopes)
         for n in names:
             self.opens.append((depth, n))
-        self.open_commands.append(
-            OpenCommand(names=tuple(names), index=len(self.items), namespace_context=self.context())
-        )
 
     def parse_blueprint_comment(self) -> None:
         kw = self.take()
@@ -585,7 +576,7 @@ class _ModuleParser:
             return
         self.take()
         self.items.append(
-            RawComment(text=tok.value, span=self.span_between(kw, tok), namespace_context=self.context())
+            RawComment(text=tok.value, span=self.span_between(kw, tok))
         )
 
     def parse_attribute_command(self) -> None:
@@ -724,7 +715,6 @@ class _ModuleParser:
             spec = _parse_attribute_tokens(
                 blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
             )
-        others = tuple(a.name for a in attrs if a.name != "blueprint")
 
         takes_body = kw.text not in ("inductive", "structure")
         sig_tokens: list[Token] = []
@@ -794,7 +784,6 @@ class _ModuleParser:
                 kind=kw.text,
                 docstring=doc.value if doc is not None else None,
                 attribute=spec,
-                other_attributes=others,
                 signature_text=signature_text,
                 body_text=body_text,
                 signature_idents=_reference_candidates(sig_tokens),

@@ -57,7 +57,6 @@ class NodeStore:
         modules: dict[Name, ModuleUnit],
         by_name: dict[Name, Node],
         by_label: dict[str, tuple[Name, ...]],
-        import_graph: dict[Name, tuple[Name, ...]],
         topo_order: tuple[Name, ...],
         topo_positions: dict[Name, int],  # module -> index in topo_order
         declarations: dict[Name, Declaration],
@@ -69,7 +68,6 @@ class NodeStore:
         self.modules = modules
         self.by_name = by_name
         self.by_label = by_label
-        self.import_graph = import_graph
         self.topo_order = topo_order
         self.topo_positions = topo_positions
         self.declarations = declarations
@@ -86,15 +84,11 @@ class NodeStore:
         return sorted(self.by_label)
 
 
-def _topo_sort(modules: dict[Name, ModuleUnit]) -> tuple[tuple[Name, ...], dict[Name, tuple[Name, ...]]]:
-    graph = {
-        name: tuple(imp for imp in unit.imports if imp in modules)
-        for name, unit in modules.items()
-    }
+def _topo_sort(modules: dict[Name, ModuleUnit]) -> tuple[Name, ...]:
     indeg = {name: 0 for name in modules}
     dependents: dict[Name, list[Name]] = {name: [] for name in modules}
-    for name, imps in graph.items():
-        for imp in set(imps):
+    for name, unit in modules.items():
+        for imp in {imp for imp in unit.imports if imp in modules}:
             indeg[name] += 1
             dependents[imp].append(name)
     ready = sorted(n for n, d in indeg.items() if d == 0)
@@ -113,7 +107,7 @@ def _topo_sort(modules: dict[Name, ModuleUnit]) -> tuple[tuple[Name, ...], dict[
     if len(order) != len(modules):
         cyclic = sorted(str(n) for n, d in indeg.items() if d > 0)
         raise StoreError("import cycle among modules: " + ", ".join(cyclic))
-    return tuple(order), graph
+    return tuple(order)
 
 
 def _split_dep_entries(
@@ -217,7 +211,7 @@ def build_store(
             raise StoreError(f"duplicate module name '{unit.name}'")
         module_map[unit.name] = unit
 
-    topo, import_graph = _topo_sort(module_map)
+    topo = _topo_sort(module_map)
 
     declarations: dict[Name, Declaration] = {}
     decl_module: dict[Name, Name] = {}
@@ -304,7 +298,6 @@ def build_store(
         modules=module_map,
         by_name=by_name,
         by_label={label: tuple(names) for label, names in by_label.items()},
-        import_graph=import_graph,
         topo_order=topo,
         topo_positions={name: i for i, name in enumerate(topo)},
         declarations=declarations,

@@ -387,5 +387,5 @@ def legacy_blueprint_text(store) -> str:
         return (store.topo_index(first.placement_module), first.placement_index)
 
     labels = sorted(store.by_label, key=order_key)
-    blocks = [render_node(store, label).tex for label in labels]
+    blocks = [render_node(store, label) for label in labels]
     return "\n\n".join(blocks) + "\n" if blocks else ""

@@ -106,7 +106,7 @@ EXPECTED_ADD_COMM = r"""
 
 def test_criterion_2_golden_latex_expansion():
     store = store_from({"AddComm": addcomm_text()})
-    got = render_node(store, "thm:add-comm").tex
+    got = render_node(store, "thm:add-comm")
     ok = got.split() == EXPECTED_ADD_COMM.split()
     report(
         2,
@@ -424,7 +424,7 @@ def test_criterion_6_lint_reproduction():
     )
     if _codes(fixed) != []:
         failures.append(f"missing mathlibok after: {_codes(fixed)}")
-    if "\\mathlibok" not in render_node(fixed, "ml:lemma").tex:
+    if "\\mathlibok" not in render_node(fixed, "ml:lemma"):
         failures.append("fixed upstream node does not render \\mathlibok")
 
     # class 4: statement-only leanok, a finished proof with no dependencies

@@ -63,8 +63,20 @@ def test_discover_modules_duplicate_across_roots(tmp_path):
     config = project_config(
         tmp_path, source_roots=(tmp_path / "r1", tmp_path / "r2")
     )
-    with pytest.raises(StoreError, match="two source roots"):
+    with pytest.raises(StoreError, match="comes from two files"):
         discover_modules(config)
+
+
+def test_discover_modules_rejects_two_files_with_one_dotted_name(tmp_path):
+    # `A/B.lean` and `A.B.lean` are both module `A.B`; keeping both would
+    # define its macro twice and lose one module's nodes
+    make_project(tmp_path, {"A.B": '@[blueprint "x"]\ndef x := 1\n'})
+    (tmp_path / "src" / "A.B.lean").write_text('@[blueprint "y"]\ndef y := 2\n', encoding="utf-8")
+    config = load_config(tmp_path / "architect.json")
+    with pytest.raises(StoreError, match="module 'A.B'") as err:
+        discover_modules(config)
+    assert str(tmp_path / "src" / "A" / "B.lean") in str(err.value)
+    assert str(tmp_path / "src" / "A.B.lean") in str(err.value)
 
 
 def test_discover_missing_root_errors(tmp_path):
@@ -107,7 +119,6 @@ def test_first_extract_writes_everything(tmp_path):
     result = extract(project)
     assert result.stale == {Name.parse("MyNat")}
     assert result.fresh == set()
-    assert result.node_count == 5
 
     out = tmp_path / "build" / "blueprint"
     node_files = sorted(p.name for p in (out / "nodes").iterdir())

@@ -99,6 +99,18 @@ def test_check_strict_escalates(golden_project, capsys):
     assert main(["check", "--strict"]) == 1
 
 
+def test_check_never_builds_the_graph(golden_project, monkeypatch, capsys):
+    from archforge import graph
+
+    calls = []
+    monkeypatch.setattr(graph, "build_graph", lambda store: calls.append(store))
+    assert main(["check"]) == 0
+    assert main(["check", "--strict"]) == 1
+    assert calls == []
+    out = capsys.readouterr().out
+    assert out == "warning unused-node MyNat.add_comm: nothing depends on this node\n" * 2
+
+
 def test_check_clean_project(tmp_path, monkeypatch, capsys):
     make_project(
         tmp_path,

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from archforge.graph import (
     Edge,
     LINT_SEVERITY,
+    LintFinding,
     build_graph,
     emit_dot,
     graph_json_data,
     run_lints,
 )
-from archforge.infer import effective_uses
+from archforge.infer import effective_uses, label_view
 from archforge.names import Name
 
 from conftest import golden_text, store_from
@@ -308,3 +311,83 @@ def test_generated_graphs_lint_clean_run():
         store = _gen.build_gen_store(gp)
         got = [(f.code, f.label) for f in run_lints(store, strict=True)]
         assert got == sorted(got)
+
+
+def reference_lints(store, strict):
+    """The lints recomputed from `build_graph`: degrees counted over its edges."""
+
+    graph = build_graph(store)
+    dependents: dict[str, list[str]] = {}
+    for e in graph.edges:
+        dependents.setdefault(e.src, []).append(e.dst)
+    depends = {e.dst for e in graph.edges}
+    out = []
+
+    def add(code, label, message):
+        out.append(LintFinding(code, label, message, LINT_SEVERITY[code]))
+
+    for label, info in graph.vertices.items():
+        if info.dangling:
+            users = ", ".join(sorted(dependents[label]))
+            add("dangling-label", label, f"used by {users} but no declaration carries it")
+            continue
+        view = label_view(store, label)
+        if len(view.envs) > 1:
+            add(
+                "env-mismatch",
+                label,
+                f"environments {sorted(view.envs)} conflict across declarations "
+                f"{', '.join(view.names)}",
+            )
+        if label not in depends and label not in dependents:
+            add("isolated-node", label, "no dependencies in either direction")
+        elif label in depends and label not in dependents and (strict or not info.upstream):
+            add("unused-node", label, "nothing depends on this node")
+        if info.proof_ok and not view.proof_uses and not info.upstream:
+            add(
+                "empty-proof-uses",
+                label,
+                "proof is complete but no dependencies were inferred or declared",
+            )
+    return sorted(out, key=lambda f: (f.code, f.label))
+
+
+ORACLE_STORES = {
+    "golden": lambda: store_from({"MyNat": golden_text()}),
+    # a dangling label used by both parts, an environment conflict, and an
+    # upstream node that uses a label but that nothing uses
+    "corners": lambda: store_from(
+        {
+            "M": '@[blueprint "a" (uses := ["ghost"]) (proofUses := ["ghost"])]\n'
+            "theorem a : x := by trivial\n\n"
+            'attribute [blueprint "ml:u" (uses := ["a"])] Mathlib.A.u\n\n'
+            '@[blueprint "pair"]\ndef p1 := 1\n\n'
+            '@[blueprint "pair"]\ntheorem p2 : x := by trivial\n'
+        },
+        upstream=frozenset({Name.parse("Mathlib.A.u")}),
+    ),
+    **{
+        f"roundtrip{seed}": lambda seed=seed: _gen.build_gen_store(
+            _gen.gen_project(seed, max_decls=40, roundtrip=True)
+        )
+        for seed in range(12)
+    },
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("name", list(ORACLE_STORES))
+def test_lints_match_the_graph_degree_oracle(name, strict):
+    store = ORACLE_STORES[name]()
+    assert run_lints(store, strict=strict) == reference_lints(store, strict)
+
+
+def test_lint_oracle_stores_cover_the_lint_codes():
+    # the property above means little unless the stores raise every finding
+    found: dict[bool, set] = {False: set(), True: set()}
+    for make in ORACLE_STORES.values():
+        store = make()
+        for strict in found:
+            found[strict].update((f.code, f.label) for f in run_lints(store, strict=strict))
+    assert {code for code, _ in found[False]} == set(LINT_SEVERITY)
+    assert found[True] - found[False] == {("unused-node", "ml:u")}

@@ -247,7 +247,6 @@ def test_addcomm_statement_status(addcomm_store):
     st = part_status(addcomm_store, node, "statement")
     assert st.inferred_uses == (N("MyNat"),)
     assert st.lean_ok is True
-    assert st.mathlib_ok is False
 
 
 def test_addcomm_proof_status(addcomm_store):
@@ -296,7 +295,7 @@ def test_upstream_part_status():
     )
     node = store.by_name[N("Mathlib.A.b")]
     st = part_status(store, node, "statement")
-    assert st == st.__class__(inferred_uses=(), lean_ok=True, mathlib_ok=True)
+    assert st == st.__class__(inferred_uses=(), lean_ok=True)
 
 
 def test_part_status_bad_part(golden_store):
@@ -368,6 +367,23 @@ def test_unknown_uses_label_kept_with_warning():
     assert any("not:here" in w for w in inference_warnings(store))
 
 
+def test_inference_warnings_once_each_in_first_seen_order():
+    # a label repeated in one `uses` list, and `excludes` shared by both parts
+    store = store_from(
+        {
+            "M": '@[blueprint "b" (excludes := [Nowhere, Nowhere])]\n'
+            "theorem b : True := by trivial\n\n"
+            '@[blueprint "a" (uses := ["ghost", "ghost"]) (proofUses := ["ghost"])]\n'
+            "theorem a : True := by trivial\n"
+        }
+    )
+    assert inference_warnings(store) == (
+        "node 'a' (statement) uses label 'ghost' that no declaration carries",
+        "node 'a' (proof) uses label 'ghost' that no declaration carries",
+        "excludes entry 'Nowhere' on node 'b' does not name a blueprint node",
+    )
+
+
 def test_excludes_remove_inferred_dependency():
     store = store_from(
         {
@@ -407,7 +423,6 @@ def test_label_view_merges_constituents():
     view = label_view(store, "pair")
     assert view is infer._cache(store).views["pair"]  # merged once per store
     assert view.names == ("first", "second", "third")
-    assert [n.name for n in view.nodes] == [N("first"), N("second"), N("third")]
     assert view.envs == ("definition", "theorem")
     assert (view.title, view.discussion) == ("Second", 7)
     assert (view.not_ready, view.upstream) == (True, False)

@@ -37,11 +37,11 @@ ADD_COMM_EXPECTED = r"""
 
 def test_addcomm_render_tokens(addcomm_store):
     rendered = render_node(addcomm_store, "thm:add-comm")
-    assert rendered.tex.split() == ADD_COMM_EXPECTED.split()
+    assert rendered.split() == ADD_COMM_EXPECTED.split()
 
 
 def test_addcomm_render_layout(addcomm_store):
-    tex = render_node(addcomm_store, "thm:add-comm").tex
+    tex = render_node(addcomm_store, "thm:add-comm")
     lines = tex.splitlines()
     assert lines[0] == r"\begin{theorem}"
     assert lines[1] == r"  \label{thm:add-comm} \lean{MyNat.add_comm}"
@@ -53,20 +53,19 @@ def test_addcomm_render_layout(addcomm_store):
 
 def test_statement_without_proof_part(addcomm_store):
     rendered = render_node(addcomm_store, "def:nat")
-    assert r"\begin{definition}" in rendered.tex
-    assert r"\begin{proof}" not in rendered.tex
-    assert rendered.env == "definition"
+    assert r"\begin{definition}" in rendered
+    assert r"\begin{proof}" not in rendered
 
 
 def test_minimal_node():
     store = store_from({"M": "@[blueprint]\ndef d := 1\n"})
-    tex = render_node(store, "d").tex
+    tex = render_node(store, "d")
     assert tex == "\\begin{definition}\n  \\label{d} \\lean{d}\n  \\leanok\n\\end{definition}"
 
 
 def test_sorried_statement_has_no_leanok():
     store = store_from({"M": "@[blueprint]\ndef d :=\n  pack x\n  sorry\n"})
-    tex = render_node(store, "d").tex
+    tex = render_node(store, "d")
     assert "\\leanok" not in tex
 
 
@@ -74,7 +73,7 @@ def test_title_rendered_as_option():
     store = store_from(
         {"M": "@[blueprint (title := /-- Key bound -/)]\ndef d := 1\n"}
     )
-    assert "\\begin{definition}[Key bound]" in render_node(store, "d").tex
+    assert "\\begin{definition}[Key bound]" in render_node(store, "d")
 
 
 def test_notready_and_discussion_tokens():
@@ -84,7 +83,7 @@ def test_notready_and_discussion_tokens():
             "theorem t : x := by sorry\n"
         }
     )
-    tex = render_node(store, "t").tex
+    tex = render_node(store, "t")
     assert "\\notready" in tex and "\\discussion{7}" in tex
 
 
@@ -93,7 +92,7 @@ def test_upstream_mathlibok_replaces_leanok():
         {"M": 'attribute [blueprint "ml:x"] Mathlib.A.b\n'},
         upstream=frozenset({Name.parse("Mathlib.A.b")}),
     )
-    tex = render_node(store, "ml:x").tex
+    tex = render_node(store, "ml:x")
     assert "\\mathlibok" in tex
     assert "\\leanok" not in tex
 
@@ -103,9 +102,7 @@ def test_emit_leanok_with_mathlibok_option():
         {"M": 'attribute [blueprint "ml:x"] Mathlib.A.b\n'},
         upstream=frozenset({Name.parse("Mathlib.A.b")}),
     )
-    tex = render_node(
-        store, "ml:x", options=RenderOptions(emit_leanok_with_mathlibok=True)
-    ).tex
+    tex = render_node(store, "ml:x", options=RenderOptions(emit_leanok_with_mathlibok=True))
     assert "\\mathlibok \\leanok" in tex
 
 
@@ -117,9 +114,7 @@ def test_merged_node_lists_all_names():
             '@[blueprint "pair"]\ntheorem b : y := by trivial\n'
         }
     )
-    rendered = render_node(store, "pair")
-    assert rendered.names == ("a", "b")
-    assert "\\lean{a, b}" in rendered.tex
+    assert "\\lean{a, b}" in render_node(store, "pair")
 
 
 def test_merged_proof_leanok_requires_all():
@@ -129,7 +124,7 @@ def test_merged_proof_leanok_requires_all():
             '@[blueprint "pair"]\ntheorem b : y := by sorry\n'
         }
     )
-    tex = render_node(store, "pair").tex
+    tex = render_node(store, "pair")
     stmt, proof = tex.split("\n\n")
     assert "\\leanok" not in proof
 
@@ -142,7 +137,7 @@ def test_merged_statement_texts_joined_deduped():
             '@[blueprint "solo" (statement := /-- Other. -/)]\ndef c := 3\n'
         }
     )
-    tex = render_node(store, "pair").tex
+    tex = render_node(store, "pair")
     assert tex.count("Same.") == 1
 
 
@@ -162,7 +157,7 @@ def test_sorry_ax_label_filtered_from_uses():
     store = store_from(
         {"M": '@[blueprint (uses := ["sorryAx"])]\ndef d := 1\n'}
     )
-    assert "sorryAx" not in render_node(store, "d").tex
+    assert "sorryAx" not in render_node(store, "d")
 
 
 def test_sorry_ax_leak_guard_raises():
@@ -284,8 +279,8 @@ def test_json_file_field_matches_fragment_path(addcomm_store):
 
 
 def test_render_determinism(addcomm_store):
-    a = render_node(addcomm_store, "thm:add-comm").tex
-    b = render_node(addcomm_store, "thm:add-comm").tex
+    a = render_node(addcomm_store, "thm:add-comm")
+    b = render_node(addcomm_store, "thm:add-comm")
     assert a == b
     paths = fragment_paths(addcomm_store)
     assert blueprint_json_data(addcomm_store, paths) == blueprint_json_data(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
 import archforge
+from archforge.config import DEFAULT_UPSTREAM_PREFIXES, load_config
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_pyproject_version_is_the_library_version():
@@ -19,3 +22,12 @@ def test_pyproject_version_is_the_library_version():
     version = re.search(r'^version\s*=\s*"([^"]*)"\s*$', project.group(1), re.M)
     assert version is not None
     assert version.group(1) == archforge.__version__
+
+
+def test_readme_upstream_prefixes_default_is_the_code_default(tmp_path):
+    readme = README.read_text(encoding="utf-8")
+    row = re.search(r"^\| `upstreamPrefixes` \| `([^`]*)` \|", readme, re.M)
+    assert row is not None
+    assert tuple(json.loads(row.group(1))) == DEFAULT_UPSTREAM_PREFIXES
+    (tmp_path / "architect.json").write_text("{}", encoding="utf-8")
+    assert load_config(tmp_path / "architect.json").upstream_prefixes == DEFAULT_UPSTREAM_PREFIXES

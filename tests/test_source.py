@@ -86,58 +86,58 @@ def test_unterminated_string_raises():
 
 
 # Every Token field, in order:
-# (kind, text, value, start, end, byte_start, byte_end, line, col, first_on_line)
+# (kind, text, value, start, end, byte_start, byte_end, line, col)
 TOKEN_TABLE = {
     # U+2081 SUBSCRIPT ONE is No: it continues an identifier
-    "subscript": ("x₁", [("ident", "x₁", "x₁", 0, 2, 0, 4, 1, 0, True)]),
+    "subscript": ("x₁", [("ident", "x₁", "x₁", 0, 2, 0, 4, 1, 0)]),
     # e plus U+0301 COMBINING ACUTE ACCENT (Mn) is one identifier
-    "combining_mark": ("e\u0301", [("ident", "e\u0301", "e\u0301", 0, 2, 0, 3, 1, 0, True)]),
+    "combining_mark": ("e\u0301", [("ident", "e\u0301", "e\u0301", 0, 2, 0, 3, 1, 0)]),
     # U+216B ROMAN NUMERAL TWELVE is Nl: neither a letter nor a digit
     "letter_number": (
         "xⅫ",
         [
-            ("ident", "x", "x", 0, 1, 0, 1, 1, 0, True),
-            ("symbol", "Ⅻ", "Ⅻ", 1, 2, 1, 4, 1, 1, False),
+            ("ident", "x", "x", 0, 1, 0, 1, 1, 0),
+            ("symbol", "Ⅻ", "Ⅻ", 1, 2, 1, 4, 1, 1),
         ],
     ),
     "greek": (
         "λ α₁",
         [
-            ("ident", "λ", "λ", 0, 1, 0, 2, 1, 0, True),
-            ("ident", "α₁", "α₁", 2, 4, 3, 8, 1, 2, False),
+            ("ident", "λ", "λ", 0, 1, 0, 2, 1, 0),
+            ("ident", "α₁", "α₁", 2, 4, 3, 8, 1, 2),
         ],
     ),
-    "dotted_greek": ("Foo.λ", [("ident", "Foo.λ", "Foo.λ", 0, 5, 0, 6, 1, 0, True)]),
+    "dotted_greek": ("Foo.λ", [("ident", "Foo.λ", "Foo.λ", 0, 5, 0, 6, 1, 0)]),
     # U+00B2 SUPERSCRIPT TWO is a digit to str.isdigit
-    "superscript_number": ("1²", [("number", "1²", "1²", 0, 2, 0, 3, 1, 0, True)]),
+    "superscript_number": ("1²", [("number", "1²", "1²", 0, 2, 0, 3, 1, 0)]),
     # U+00A0 NO-BREAK SPACE is not whitespace here
     "nbsp": (
         "a\u00a0b",
         [
-            ("ident", "a", "a", 0, 1, 0, 1, 1, 0, True),
-            ("symbol", "\u00a0", "\u00a0", 1, 2, 1, 3, 1, 1, False),
-            ("ident", "b", "b", 2, 3, 3, 4, 1, 2, False),
+            ("ident", "a", "a", 0, 1, 0, 1, 1, 0),
+            ("symbol", "\u00a0", "\u00a0", 1, 2, 1, 3, 1, 1),
+            ("ident", "b", "b", 2, 3, 3, 4, 1, 2),
         ],
     ),
     # U+1D538 is four bytes long; columns count characters
     "multibyte_before": (
         "αβ := \U0001d538\n  x",
         [
-            ("ident", "αβ", "αβ", 0, 2, 0, 4, 1, 0, True),
-            ("symbol", ":=", ":=", 3, 5, 5, 7, 1, 3, False),
-            ("ident", "\U0001d538", "\U0001d538", 6, 7, 8, 12, 1, 6, False),
-            ("ident", "x", "x", 10, 11, 15, 16, 2, 2, True),
+            ("ident", "αβ", "αβ", 0, 2, 0, 4, 1, 0),
+            ("symbol", ":=", ":=", 3, 5, 5, 7, 1, 3),
+            ("ident", "\U0001d538", "\U0001d538", 6, 7, 8, 12, 1, 6),
+            ("ident", "x", "x", 10, 11, 15, 16, 2, 2),
         ],
     ),
     "escapes": (
         '"a\\n\\t\\"\\\\\\\'"',
-        [("string", '"a\\n\\t\\"\\\\\\\'"', 'a\n\t"\\\'', 0, 13, 0, 13, 1, 0, True)],
+        [("string", '"a\\n\\t\\"\\\\\\\'"', 'a\n\t"\\\'', 0, 13, 0, 13, 1, 0)],
     ),
     "docstring_then_ident": (
         "/-- A\n  /- b -/ -/ c",
         [
-            ("docstring", "/-- A\n  /- b -/ -/", "A\n/- b -/", 0, 18, 0, 18, 1, 0, True),
-            ("ident", "c", "c", 19, 20, 19, 20, 2, 13, True),
+            ("docstring", "/-- A\n  /- b -/ -/", "A\n/- b -/", 0, 18, 0, 18, 1, 0),
+            ("ident", "c", "c", 19, 20, 19, 20, 2, 13),
         ],
     ),
 }
@@ -518,7 +518,6 @@ def test_attr_arguments_consumed_silently():
     )
     d = decls(unit)[0]
     assert d.attribute is not None
-    assert "simp" in d.other_attributes
     assert unit.warnings == ()
 
 

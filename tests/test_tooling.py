@@ -82,3 +82,37 @@ def test_traced_status_reparses_only_edited_modules(tmp_path, monkeypatch, capsy
         parse_calls.append(tracer.calls.get("source.parse", 0))
         assert tracer.metrics()["source.tokenize_calls"] == parse_calls[-1]
     assert parse_calls == [0, 1]
+
+
+SRC = Path(__file__).parent.parent / "src" / "archforge"
+
+# Written by the parser and read by no command: they are the inputs of the
+# oracle in `test_decl_idents_match_relexed_text`, which re-lexes them.
+UNREAD_FIELDS = {"signature_text", "body_text"}
+
+
+def test_every_record_field_has_a_reader():
+    # a field no command reads is still built, pickled into the parse cache and carried
+    import ast
+
+    from archforge import infer, records
+
+    read = {
+        node.attr
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    classes = [
+        cls
+        for cls in vars(records).values()
+        if isinstance(cls, type) and cls.__module__ == records.__name__ and hasattr(cls, "_fields")
+    ]
+    assert records.Declaration in classes and records.ModuleUnit in classes
+    unread = [
+        f"{cls.__name__}.{field}"
+        for cls in (*classes, infer.PartStatus, infer.LabelView)
+        for field in cls._fields
+        if field not in read and field not in UNREAD_FIELDS
+    ]
+    assert unread == []
