@@ -33,7 +33,6 @@ STATUS_DIGEST_KEY = MANIFEST_NAME + "\0status"  # the manifest's counts, in the 
 class Project(NamedTuple):
     config: ProjectConfig
     store: NodeStore
-    module_paths: dict[Name, Path]
     cache_stale: bool  # a module was reparsed or has gone since the parse cache was written
     pickled: dict[Name, bytes]  # cache bytes of the reused units
 
@@ -49,8 +48,10 @@ class Project(NamedTuple):
 def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
     """All .lean files under the source roots, named by their relative path.
 
-    Two files with one dotted name, in two roots or as `A/B.lean` and
-    `A.B.lean`, raise StoreError.
+    Each directory and the file's stem give one name segment per dot, so
+    `A/B.lean` and `A.B.lean` are both `A.B`.  Two files with one name, in
+    two roots or as those two, raise StoreError, and so does a path that
+    would give an empty segment (`a..b.lean`, a `.lake/` directory).
     """
 
     found: dict[str, tuple[Name, Path]] = {}  # by dotted name
@@ -59,13 +60,14 @@ def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
             raise StoreError(f"source root '{root}' is not a directory")
         for path in sorted(root.rglob("*.lean")):
             rel = path.relative_to(root)
-            name = Name(rel.parts[:-1] + (rel.stem,))
-            key = str(name)
+            key = ".".join((*rel.parts[:-1], rel.stem))
+            if "" in key.split("."):
+                raise StoreError(f"'{path}' does not name a module: empty name segment")
             if key in found and found[key][1] != path:
                 raise StoreError(
-                    f"module '{name}' comes from two files: {found[key][1]} and {path}"
+                    f"module '{key}' comes from two files: {found[key][1]} and {path}"
                 )
-            found[key] = (name, path)
+            found[key] = (Name(key.split(".")), path)
     return [found[key] for key in sorted(found)]
 
 
@@ -84,7 +86,6 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
 
     cached = read_units(config.root) if use_cache else {}
     units: list[ModuleUnit] = []
-    paths: dict[Name, Path] = {}
     pickled: dict[Name, bytes] = {}
     reparsed = False
     for name, path in discover_modules(config):
@@ -102,13 +103,10 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
             unit = parse_module(path, name)
             reparsed = True
         units.append(unit)
-        paths[name] = path
     store = build_store(units, _upstream_names(config), config.upstream_prefixes)
     warm_statuses(store)
     stale = reparsed or bool(cached)  # what is left in `cached` names modules that are gone
-    return Project(
-        config=config, store=store, module_paths=paths, cache_stale=stale, pickled=pickled
-    )
+    return Project(config=config, store=store, cache_stale=stale, pickled=pickled)
 
 
 STATUS_KEYS = {"nodes", "labels", "statementsLeanOk", "proofsTotal", "proofsLeanOk", "sorriedProofs",
@@ -210,7 +208,7 @@ class _Digest:
         return self._hash.hexdigest()
 
 
-def _sources_digest(modules: Iterable[tuple[Name, Path, str]]) -> str:
+def _sources_digest(modules: Iterable[tuple[Name, Path | str, str]]) -> str:
     """Digest of every module's name, path string and source hash, in discovery order."""
 
     digest = _Digest()
@@ -443,8 +441,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             (out / rel).unlink()
 
         sources = _sources_digest(
-            (name, path, store.modules[name].source_hash)
-            for name, path in project.module_paths.items()
+            (name, unit.path, unit.source_hash) for name, unit in store.modules.items()
         )
         warnings = project.warnings
         manifest_data = {

@@ -183,9 +183,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
     )
     root_path = None
     if config.root_modules:
-        root = project.module_paths.get(config.root_modules[0])
+        root = project.store.modules.get(config.root_modules[0])
         if root is not None:
-            root_path = str(root)
+            root_path = root.path
     plan = plan_conversion(legacy, project.store, options, root_path)
 
     for node, reason in plan.skipped:

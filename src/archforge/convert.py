@@ -11,9 +11,11 @@ import hashlib
 import os
 import re
 import textwrap
+from bisect import bisect_left
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import read_source
 from .errors import ConversionError, StaleSourceError
 from .names import Name, SourceSpan
 from .records import Declaration
@@ -49,7 +51,7 @@ class LegacyNode(NamedTuple):
 
 class SourceInsert(NamedTuple):
     path: str
-    insert_at: int  # byte offset
+    insert_at: int  # character offset in the file as stored
     text: str
     priority: int = 1  # attribute commands sort before declaration attributes
     seq: int = 0
@@ -57,7 +59,7 @@ class SourceInsert(NamedTuple):
 
 class LatexReplace(NamedTuple):
     path: str
-    start: int  # byte offsets
+    start: int  # character offsets in the file as stored
     end: int
     replacement: str
     seq: int = 0
@@ -184,7 +186,7 @@ def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
     nodes: list[LegacyNode] = []
     for path in tex_files:
         p = Path(path)
-        # no newline translation: spans, lines and byte offsets are the file's
+        # no newline translation: spans and lines are the file's
         with open(p, encoding="utf-8", newline="") as f:
             text = f.read()
         sc = TexScanner(text, str(p))
@@ -226,9 +228,7 @@ def parse_legacy_blueprint(tex_files: list[str | Path]) -> list[LegacyNode]:
                     statement_text=data.text,
                     proof=proof,
                     path=str(p),
-                    span=SourceSpan(
-                        start, span_end, sc.byte_of(start), sc.byte_of(span_end), sc.line_of(start)
-                    ),
+                    span=SourceSpan(start, span_end, sc.line_of(start)),
                 )
             )
             pos = span_end
@@ -352,11 +352,9 @@ def _attribute_command(name: Name, label: str | None, groups: list[list[str]]) -
 # Planning
 
 
-def _decl_block_start_byte(store: NodeStore, decl: Declaration) -> int:
-    unit = store.modules[store.decl_module[decl.name]]
-    text = unit.source_text
-    line_start = text.rfind("\n", 0, decl.span.start) + 1
-    return decl.span.byte_start - len(text[line_start : decl.span.start].encode("utf-8"))
+def _decl_block_start(store: NodeStore, decl: Declaration) -> int:
+    text = store.modules[store.decl_module[decl.name]].source_text
+    return text.rfind("\n", 0, decl.span.start) + 1
 
 
 def _module_path(store: NodeStore, module: Name) -> str:
@@ -375,7 +373,9 @@ def plan_conversion(
     """Decide every edit needed to convert a legacy blueprint.
 
     The store here is built from the un-annotated sources; it supplies the
-    declaration index, module paths, and import topology.
+    declaration index, module paths, and import topology.  Source offsets
+    are taken in the text as parsed and mapped onto the files as stored
+    once, when the plan hashes them.
     """
 
     plan = ConversionPlan()
@@ -461,10 +461,10 @@ def plan_conversion(
                 )
             return  # source already annotated; only the LaTeX side needs rewriting
         path = _module_path(store, store.decl_module[decl.name])
-        if decl.attr_close_byte is not None:
-            insert(path, decl.attr_close_byte, _attribute_inline(written, groups))
+        if decl.attr_close is not None:
+            insert(path, decl.attr_close, _attribute_inline(written, groups))
         else:
-            insert(path, decl.keyword_line_byte, _attribute_block(written, groups))
+            insert(path, decl.keyword_line_start, _attribute_block(written, groups))
 
     for node, label, groups, project_decls, upstream in converted:
         # the label string can only be left implicit when it would default
@@ -489,26 +489,36 @@ def plan_conversion(
             if label in first_dependent:
                 decl = first_dependent[label][1]
                 path = _module_path(store, store.decl_module[decl.name])
-                insert(path, _decl_block_start_byte(store, decl), cmd, priority=0)
+                insert(path, _decl_block_start(store, decl), cmd, priority=0)
             else:
                 path = root_path or _module_path(store, store.topo_order[-1])
-                data = Path(path).read_bytes()
-                prefix = "" if not data or data.endswith(b"\n") else "\n"
-                insert(path, len(data), prefix + cmd, priority=2)
+                text = read_source(path)
+                prefix = "" if not text or text.endswith("\n") else "\n"
+                insert(path, len(text), prefix + cmd, priority=2)
 
         plan.latex_edits.append(
             LatexReplace(
                 path=node.path,
-                start=node.span.byte_start,
-                end=node.span.byte_end,
+                start=node.span.start,
+                end=node.span.end,
                 replacement=f"\\inputleannode{{{label}}}",
                 seq=seq(),
             )
         )
 
-    touched = {e.path for e in plan.source_edits} | {e.path for e in plan.latex_edits}
-    for path in sorted(touched):
-        plan.file_hashes[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    sources = {e.path for e in plan.source_edits}
+    breaks: dict[str, list[int]] = {}
+    for path in sorted(sources | {e.path for e in plan.latex_edits}):
+        data = Path(path).read_bytes()
+        plan.file_hashes[path] = hashlib.sha256(data).hexdigest()
+        if path in sources:
+            # `read_source` reads each stored "\r\n" as one "\n"; list where each stands when parsed
+            text = data.decode("utf-8")
+            breaks[path] = [m.start() - i for i, m in enumerate(re.finditer("\r\n", text))]
+    plan.source_edits = [
+        e._replace(insert_at=e.insert_at + bisect_left(breaks[e.path], e.insert_at))
+        for e in plan.source_edits
+    ]
     return plan
 
 
@@ -516,31 +526,28 @@ def plan_conversion(
 # Application
 
 
-def _apply_file_edits(data: bytes, edits: list[tuple[int, int, bytes, int, int]]) -> bytes:
+def _apply_file_edits(text: str, edits: list[tuple[int, int, str, int, int]]) -> str:
     edits = sorted(edits, key=lambda e: (e[0], e[3], e[4]))
-    out = bytearray()
+    out: list[str] = []
     cursor = 0
     for offset, length, replacement, _prio, _seq in edits:
         if offset < cursor:
             raise ConversionError("overlapping edits in conversion plan")
-        out += data[cursor:offset]
-        out += replacement
+        out += (text[cursor:offset], replacement)
         cursor = offset + length
-    out += data[cursor:]
-    return bytes(out)
+    out.append(text[cursor:])
+    return "".join(out)
 
 
 def apply_plan(plan: ConversionPlan, dry_run: bool = False) -> ApplySummary:
     """Apply a plan atomically per file, verifying nothing changed since planning."""
 
-    by_file: dict[str, list[tuple[int, int, bytes, int, int]]] = {}
+    by_file: dict[str, list[tuple[int, int, str, int, int]]] = {}
     for ins in plan.source_edits:
-        by_file.setdefault(ins.path, []).append(
-            (ins.insert_at, 0, ins.text.encode("utf-8"), ins.priority, ins.seq)
-        )
+        by_file.setdefault(ins.path, []).append((ins.insert_at, 0, ins.text, ins.priority, ins.seq))
     for rep in plan.latex_edits:
         by_file.setdefault(rep.path, []).append(
-            (rep.start, rep.end - rep.start, rep.replacement.encode("utf-8"), 1, rep.seq)
+            (rep.start, rep.end - rep.start, rep.replacement, 1, rep.seq)
         )
 
     contents: dict[str, bytes] = {}
@@ -552,7 +559,7 @@ def apply_plan(plan: ConversionPlan, dry_run: bool = False) -> ApplySummary:
             raise StaleSourceError(
                 f"'{path}' changed since the conversion was planned; aborting with no edits"
             )
-        contents[path] = _apply_file_edits(data, by_file[path])
+        contents[path] = _apply_file_edits(data.decode("utf-8"), by_file[path]).encode("utf-8")
 
     if not dry_run:
         for path, data in contents.items():

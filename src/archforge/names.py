@@ -113,20 +113,18 @@ class LabelRef:
 class _SpanFields(NamedTuple):
     start: int
     end: int
-    byte_start: int
-    byte_end: int
     line: int
 
 
 class SourceSpan(_SpanFields):
-    """Half-open region of a source file, tracked in characters and bytes.
+    """Half-open region of a source text, in characters.
 
     The check lives in `__new__`, which unpickling calls too.
     """
 
     __slots__ = ()
 
-    def __new__(cls, start: int, end: int, byte_start: int, byte_end: int, line: int) -> "SourceSpan":
-        if start > end or byte_start > byte_end:
+    def __new__(cls, start: int, end: int, line: int) -> "SourceSpan":
+        if start > end:
             raise ValueError("span ends before it starts")
-        return tuple.__new__(cls, (start, end, byte_start, byte_end, line))
+        return tuple.__new__(cls, (start, end, line))

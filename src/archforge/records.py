@@ -50,8 +50,9 @@ class Declaration(NamedTuple):
     namespace_context: tuple[str, ...]
     opens: tuple[Name, ...]
     span: SourceSpan
-    keyword_line_byte: int  # byte offset where an attribute block may be inserted
-    attr_close_byte: int | None  # byte offset of `]` closing an existing `@[...]`
+    # character offsets in the text as parsed
+    keyword_line_start: int  # where an attribute block may be inserted
+    attr_close: int | None  # the `]` closing an existing `@[...]`
 
 
 class RawComment(NamedTuple):

@@ -75,13 +75,11 @@ class Token(NamedTuple):
     value: str
     start: int
     end: int
-    byte_start: int
-    byte_end: int
     line: int
     col: int
 
     def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end, self.byte_start, self.byte_end, self.line)
+        return SourceSpan(self.start, self.end, self.line)
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -160,7 +158,6 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
     ascii_only = text.isascii()
     pos = 0
     line, line_start, counted = 1, 0, 0  # `line` and `line_start` hold at `counted`
-    char_at = byte_at = 0  # a char offset and its byte offset, for non-ASCII text
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         kind, start, pos = m.lastgroup, m.start(), m.end()
@@ -196,17 +193,8 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
             elif kind == "number" or text[start].isdigit():
                 kind, pos = "number", _word_end(text, start, "number")
         raw = text[start:pos]
-        if ascii_only:
-            byte_start, byte_end = start, pos
-        else:
-            byte_start = byte_at + len(text[char_at:start].encode("utf-8"))
-            byte_end = byte_start + len(raw.encode("utf-8"))
-            char_at, byte_at = pos, byte_end
         tokens.append(
-            Token(
-                kind, raw, raw if value is None else value, start, pos,
-                byte_start, byte_end, line, start - line_start,
-            )
+            Token(kind, raw, raw if value is None else value, start, pos, line, start - line_start)
         )
     return tokens
 
@@ -425,12 +413,8 @@ class _ModuleParser:
     def visible_opens(self) -> tuple[Name, ...]:
         return tuple(name for _, name in self.opens)
 
-    def line_start_byte(self, tok: Token) -> int:
-        before = self.text[tok.start - tok.col : tok.start]
-        return tok.byte_start - len(before.encode("utf-8"))
-
     def span_between(self, first: Token, last: Token) -> SourceSpan:
-        return SourceSpan(first.start, last.end, first.byte_start, last.byte_end, first.line)
+        return SourceSpan(first.start, last.end, first.line)
 
     # -- top-level loop
 
@@ -671,6 +655,9 @@ class _ModuleParser:
         if doc is None and tok is not None and tok.kind == "docstring":
             doc = self.take()
         if not self.at_declaration():
+            if any(a.name == "blueprint" for a in attrs):
+                message = "blueprint attribute is not attached to a declaration"
+                raise ParseError(message, path=self.path, line=at.line)
             self.warn("attribute block is not attached to a declaration; ignored", at.line)
             return
         self.parse_declaration(attrs, doc, first, attr_close=close)
@@ -793,8 +780,8 @@ class _ModuleParser:
                 namespace_context=self.context(),
                 opens=self.visible_opens(),
                 span=self.span_between(first_tok, last),
-                keyword_line_byte=self.line_start_byte(lead),
-                attr_close_byte=attr_close.byte_start if attr_close is not None else None,
+                keyword_line_start=lead.start - lead.col,
+                attr_close=attr_close.start if attr_close is not None else None,
             )
         )
 

@@ -16,7 +16,7 @@ from .errors import ConversionError
 
 
 class TexScanner:
-    """Cursor over one LaTeX file that knows its % comments, lines and bytes.
+    """Cursor over one LaTeX file that knows its % comments and lines.
 
     A `%` starts a comment unless an odd run of backslashes precedes it
     (`\\%` is an escaped percent sign, `\\\\%` a line break and then a
@@ -28,8 +28,6 @@ class TexScanner:
     def __init__(self, text: str, path: str):
         self.text = text
         self.path = path
-        self._ascii = text.isascii()
-        self._bytes_at = (0, 0)  # (offset, byte offset) of the last `byte_of`
         starts: list[int] = []
         ends: list[int] = []
         pos = 0
@@ -49,18 +47,6 @@ class TexScanner:
 
     def line_of(self, pos: int) -> int:
         return bisect_left(self._newlines, pos) + 1
-
-    def byte_of(self, pos: int) -> int:
-        """UTF-8 offset of `pos`; cheapest when offsets are asked in increasing order."""
-
-        if self._ascii:
-            return pos
-        last, count = self._bytes_at
-        if pos < last:
-            last = count = 0
-        count += len(self.text[last:pos].encode("utf-8"))
-        self._bytes_at = (pos, count)
-        return count
 
     def comment_end(self, pos: int) -> int:
         """End of the comment that covers `pos`, or -1 when `pos` is not commented."""

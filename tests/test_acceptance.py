@@ -260,7 +260,7 @@ def test_criterion_4_converter_round_trip(tmp_path):
         legacy = parse_legacy_blueprint([root / "bp.tex"])
         first_mod = Name.parse(gp.module_names[0])
         plan = plan_conversion(
-            legacy, bare.store, root_path=str(bare.module_paths[first_mod])
+            legacy, bare.store, root_path=bare.store.modules[first_mod].path
         )
         if plan.skipped:
             mismatches.append(f"seed {seed}: skipped {[r for _, r in plan.skipped]}")

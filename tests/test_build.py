@@ -79,6 +79,30 @@ def test_discover_modules_rejects_two_files_with_one_dotted_name(tmp_path):
     assert str(tmp_path / "src" / "A.B.lean") in str(err.value)
 
 
+def test_dotted_file_name_is_one_segment_per_dot(tmp_path):
+    # `Z.Y.lean` is module `Z.Y`, the name `import Z.Y` gives, so `B` is
+    # ordered after it and its hash folds in `Z.Y`'s
+    make_project(tmp_path, {"B": "import Z.Y\n\ndef b := y\n"})
+    (tmp_path / "src" / "Z.Y.lean").write_text("def y := 1\n", encoding="utf-8")
+    project = load_project_at(tmp_path)
+    assert [tuple(n) for n in project.store.topo_order] == [("Z", "Y"), ("B",)]
+    before = transitive_hashes(project.store, "env")[Name.parse("B")]
+    (tmp_path / "src" / "Z.Y.lean").write_text("def y := 2\n", encoding="utf-8")
+    after = transitive_hashes(load_project_at(tmp_path).store, "env")[Name.parse("B")]
+    assert before != after
+
+
+@pytest.mark.parametrize("rel", ["a..b.lean", ".lake/M.lean", "A./M.lean"])
+def test_path_with_empty_name_segment_errors(tmp_path, rel):
+    make_project(tmp_path, {"Ok": "def x := 1\n"})
+    bad = tmp_path / "src" / rel
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    bad.write_text("def y := 2\n", encoding="utf-8")
+    with pytest.raises(StoreError, match="empty name segment") as err:
+        discover_modules(load_config(tmp_path / "architect.json"))
+    assert str(bad) in str(err.value)
+
+
 def test_discover_missing_root_errors(tmp_path):
     from conftest import project_config
 
@@ -100,7 +124,7 @@ def test_load_project_tokenizes_each_module_once(tmp_path, monkeypatch):
     monkeypatch.setattr(source, "tokenize", counting_tokenize)
     project = load_project_at(tmp_path)
     assert len(project.store.modules) == 4
-    assert sorted(tokenized) == sorted(str(p) for p in project.module_paths.values())
+    assert sorted(tokenized) == sorted(unit.path for unit in project.store.modules.values())
 
 
 def test_load_project_collects_warnings(tmp_path):

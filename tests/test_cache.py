@@ -47,7 +47,7 @@ def parses(monkeypatch):
 
 def assert_units_fresh(project) -> None:
     for name, unit in project.store.modules.items():
-        assert unit == parse_module(project.module_paths[name], name), name
+        assert unit == parse_module(unit.path, name), name
 
 
 def _edit(rng: random.Random, text: str, step: int) -> str:

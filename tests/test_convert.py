@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from archforge.build import extract
 from archforge.convert import (
     NODE_ENVS,
     ConversionOptions,
@@ -23,6 +24,10 @@ from archforge.names import Name, SourceSpan
 from archforge.source import parse_module_text
 from archforge.store import build_store
 from archforge.texscan import find_input_macros
+
+from conftest import load_project_at, make_project, read_tree
+
+import _gen
 
 
 def write(path: Path, text: str) -> Path:
@@ -242,10 +247,10 @@ def test_convert_keeps_crlf_line_breaks_and_tail(tmp_path):
     warm_statuses(store)
     legacy = parse_legacy_blueprint([tex])
     assert [n.label for n in legacy] == ["def:zero", "thm:main"]
-    assert legacy[0].span.byte_start == before.index(b"\\begin{definition}") == len(head)
+    assert legacy[0].span.start == before.index(b"\\begin{definition}") == len(head)
     assert legacy[1].span.line == 7
     assert legacy[1].proof.text == "Proof prose."
-    assert before[legacy[1].span.byte_end - len(b"\\end{proof}") : legacy[1].span.byte_end] == (
+    assert before[legacy[1].span.end - len(b"\\end{proof}") : legacy[1].span.end] == (
         b"\\end{proof}"
     )
 
@@ -284,14 +289,11 @@ class NaiveScanner:
 
     def __init__(self, text: str, path: str):
         self.text, self.path = text, path
-        self.byte_of: list[int] = []
         self.commented: list[bool] = []
         self.inactive: list[bool] = []  # commented or escaped
-        total = run = 0
+        run = 0
         in_comment = False
         for ch in text:
-            self.byte_of.append(total)
-            total += len(ch.encode("utf-8"))
             escaped = run % 2 == 1
             if not in_comment and ch == "%" and not escaped:
                 in_comment = True
@@ -300,7 +302,6 @@ class NaiveScanner:
             if ch == "\n":
                 in_comment = False
             run = run + 1 if ch == "\\" else 0
-        self.byte_of.append(total)
         self.commented.append(False)
         self.inactive.append(False)
 
@@ -434,7 +435,7 @@ def naive_parse(path: Path) -> list[LegacyNode]:
             p_end, span_end = naive_env_end(sc, "proof", p_body)
             pd = naive_env_body(sc, text[p_body:p_end], p_body)
             proof = LegacyProof(uses=pd["uses"], lean_ok=pd["leanok"], text=pd["text"])
-        span = SourceSpan(start, span_end, sc.byte_of[start], sc.byte_of[span_end], sc.line_of(start))
+        span = SourceSpan(start, span_end, sc.line_of(start))
         nodes.append(
             LegacyNode(env, title, d["label"], d["lean"], d["uses"], d["leanok"], d["mathlibok"],
                        d["notready"], d["discussion"], d["text"], proof, str(path), span)
@@ -870,3 +871,49 @@ def test_apply_skipped_nodes_left_in_place(tmp_path):
     new_tex = tex.read_text(encoding="utf-8")
     assert "\\begin{theorem}\\label{keep:me}" in new_tex
     assert "\\inputleannode{def:zero}" in new_tex
+
+
+def _bare_source(gp, module: str) -> str:
+    """The untagged module, behind a comment that makes characters and bytes differ."""
+
+    return "-- α₁ é\n" + _gen.render_module_source(gp, module, tagged=False)
+
+
+def _convert_generated(root: Path, gp, legacy_text: str, eol: str) -> None:
+    """Write the untagged project `gp` with line ends `eol`, convert it, then extract it."""
+
+    modules = {m: _bare_source(gp, m).replace("\n", eol) for m in gp.module_names}
+    make_project(root, modules, upstream_names=[u.name for u in gp.upstream])
+    (root / "bp.tex").write_bytes(legacy_text.replace("\n", eol).encode("utf-8"))
+    bare = load_project_at(root)
+    first = bare.store.modules[Name.parse(gp.module_names[0])]
+    plan = plan_conversion(parse_legacy_blueprint([root / "bp.tex"]), bare.store, root_path=first.path)
+    assert not plan.skipped
+    apply_plan(plan)
+    extract(load_project_at(root))
+
+
+def test_convert_crlf_and_non_ascii_sources_like_lf(tmp_path):
+    for seed in range(6):
+        gp = _gen.gen_project(seed, max_decls=16, roundtrip=True)
+        legacy_text = _gen.legacy_blueprint_text(_gen.build_gen_store(gp, tagged=True))
+        lf, crlf = tmp_path / f"lf{seed}", tmp_path / f"crlf{seed}"
+        _convert_generated(lf, gp, legacy_text, "\n")
+        _convert_generated(crlf, gp, legacy_text, "\r\n")
+
+        converted = {k: v for k, v in read_tree(crlf).items() if k.startswith(("src/", "bp.tex"))}
+        want = {k: v for k, v in read_tree(lf).items() if k.startswith(("src/", "bp.tex"))}
+        assert {k: v.replace(b"\r\n", b"\n") for k, v in converted.items()} == want, seed
+        for m in gp.module_names:
+            original = _bare_source(gp, m).encode("utf-8")
+            rel = "src/" + "/".join(m.split(".")) + ".lean"
+            # inserted lines end in `\n`; every original line break is still `\r\n`
+            assert converted[rel].count(b"\r\n") == original.count(b"\n"), (seed, rel)
+            assert converted[rel].count(b"\r") == original.count(b"\n"), (seed, rel)
+        tex = converted["bp.tex"]
+        assert tex.count(b"\n") == tex.count(b"\r\n") == tex.count(b"\r"), seed
+
+        artifacts = {k: v for k, v in read_tree(crlf / "build").items() if not k.endswith("manifest.json")}
+        assert artifacts == {
+            k: v for k, v in read_tree(lf / "build").items() if not k.endswith("manifest.json")
+        }, seed

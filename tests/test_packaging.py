@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import archforge
+from archforge import source
 from archforge.config import DEFAULT_UPSTREAM_PREFIXES, load_config
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -31,3 +32,15 @@ def test_readme_upstream_prefixes_default_is_the_code_default(tmp_path):
     assert tuple(json.loads(row.group(1))) == DEFAULT_UPSTREAM_PREFIXES
     (tmp_path / "architect.json").write_text("{}", encoding="utf-8")
     assert load_config(tmp_path / "architect.json").upstream_prefixes == DEFAULT_UPSTREAM_PREFIXES
+
+
+def test_readme_dialect_keywords_are_the_parser_keywords():
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    dialect = re.search(r"The parser understands .*?: (.*?), declarations \((.*?)\),", readme)
+    modifiers = re.search(r"The modifiers (.*?) may stand", readme)
+    assert dialect is not None and modifiers is not None
+    # `example` is listed with the commands, since it declares no constant
+    assert "example" in re.findall(r"`([^`]*)`", dialect.group(1))
+    keywords = set(re.findall(r"`([^`]*)`", dialect.group(2))) | {"example"}
+    assert keywords == source.DECL_KEYWORDS
+    assert set(re.findall(r"`([^`]*)`", modifiers.group(1))) == source.DECL_MODIFIERS

@@ -86,58 +86,58 @@ def test_unterminated_string_raises():
 
 
 # Every Token field, in order:
-# (kind, text, value, start, end, byte_start, byte_end, line, col)
+# (kind, text, value, start, end, line, col)
 TOKEN_TABLE = {
     # U+2081 SUBSCRIPT ONE is No: it continues an identifier
-    "subscript": ("x₁", [("ident", "x₁", "x₁", 0, 2, 0, 4, 1, 0)]),
+    "subscript": ("x₁", [("ident", "x₁", "x₁", 0, 2, 1, 0)]),
     # e plus U+0301 COMBINING ACUTE ACCENT (Mn) is one identifier
-    "combining_mark": ("e\u0301", [("ident", "e\u0301", "e\u0301", 0, 2, 0, 3, 1, 0)]),
+    "combining_mark": ("e\u0301", [("ident", "e\u0301", "e\u0301", 0, 2, 1, 0)]),
     # U+216B ROMAN NUMERAL TWELVE is Nl: neither a letter nor a digit
     "letter_number": (
         "xⅫ",
         [
-            ("ident", "x", "x", 0, 1, 0, 1, 1, 0),
-            ("symbol", "Ⅻ", "Ⅻ", 1, 2, 1, 4, 1, 1),
+            ("ident", "x", "x", 0, 1, 1, 0),
+            ("symbol", "Ⅻ", "Ⅻ", 1, 2, 1, 1),
         ],
     ),
     "greek": (
         "λ α₁",
         [
-            ("ident", "λ", "λ", 0, 1, 0, 2, 1, 0),
-            ("ident", "α₁", "α₁", 2, 4, 3, 8, 1, 2),
+            ("ident", "λ", "λ", 0, 1, 1, 0),
+            ("ident", "α₁", "α₁", 2, 4, 1, 2),
         ],
     ),
-    "dotted_greek": ("Foo.λ", [("ident", "Foo.λ", "Foo.λ", 0, 5, 0, 6, 1, 0)]),
+    "dotted_greek": ("Foo.λ", [("ident", "Foo.λ", "Foo.λ", 0, 5, 1, 0)]),
     # U+00B2 SUPERSCRIPT TWO is a digit to str.isdigit
-    "superscript_number": ("1²", [("number", "1²", "1²", 0, 2, 0, 3, 1, 0)]),
+    "superscript_number": ("1²", [("number", "1²", "1²", 0, 2, 1, 0)]),
     # U+00A0 NO-BREAK SPACE is not whitespace here
     "nbsp": (
         "a\u00a0b",
         [
-            ("ident", "a", "a", 0, 1, 0, 1, 1, 0),
-            ("symbol", "\u00a0", "\u00a0", 1, 2, 1, 3, 1, 1),
-            ("ident", "b", "b", 2, 3, 3, 4, 1, 2),
+            ("ident", "a", "a", 0, 1, 1, 0),
+            ("symbol", "\u00a0", "\u00a0", 1, 2, 1, 1),
+            ("ident", "b", "b", 2, 3, 1, 2),
         ],
     ),
-    # U+1D538 is four bytes long; columns count characters
+    # U+1D538 is four bytes long in UTF-8; offsets and columns count characters
     "multibyte_before": (
         "αβ := \U0001d538\n  x",
         [
-            ("ident", "αβ", "αβ", 0, 2, 0, 4, 1, 0),
-            ("symbol", ":=", ":=", 3, 5, 5, 7, 1, 3),
-            ("ident", "\U0001d538", "\U0001d538", 6, 7, 8, 12, 1, 6),
-            ("ident", "x", "x", 10, 11, 15, 16, 2, 2),
+            ("ident", "αβ", "αβ", 0, 2, 1, 0),
+            ("symbol", ":=", ":=", 3, 5, 1, 3),
+            ("ident", "\U0001d538", "\U0001d538", 6, 7, 1, 6),
+            ("ident", "x", "x", 10, 11, 2, 2),
         ],
     ),
     "escapes": (
         '"a\\n\\t\\"\\\\\\\'"',
-        [("string", '"a\\n\\t\\"\\\\\\\'"', 'a\n\t"\\\'', 0, 13, 0, 13, 1, 0)],
+        [("string", '"a\\n\\t\\"\\\\\\\'"', 'a\n\t"\\\'', 0, 13, 1, 0)],
     ),
     "docstring_then_ident": (
         "/-- A\n  /- b -/ -/ c",
         [
-            ("docstring", "/-- A\n  /- b -/ -/", "A\n/- b -/", 0, 18, 0, 18, 1, 0),
-            ("ident", "c", "c", 19, 20, 19, 20, 2, 13),
+            ("docstring", "/-- A\n  /- b -/ -/", "A\n/- b -/", 0, 18, 1, 0),
+            ("ident", "c", "c", 19, 20, 2, 13),
         ],
     ),
 }
@@ -610,7 +610,7 @@ def test_modifier_at_column_zero_ends_previous_body():
     f, h = decls(unit)
     assert f.body_text == "1" and h.name == Name.parse("h")
     # an attribute block is inserted in front of the modifiers
-    assert h.keyword_line_byte == text.index("private")
+    assert h.keyword_line_start == text.index("private")
 
 
 def test_modifier_without_declaration_warns():
@@ -658,6 +658,24 @@ def test_tagged_anonymous_instance_raises():
     with pytest.raises(ParseError, match="'instance' tagged with blueprint needs a name") as info:
         parse_module_text('def f := 1\n@[blueprint "i"]\ninstance : Foo Nat := 1\n', Name.parse("M"))
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "decl", ["class MyGroup (G : Type) where\n  one : G", "opaque secret : Nat"]
+)
+def test_tagged_attribute_block_without_declaration_raises(decl):
+    # `class` and `opaque` are outside the dialect: the tag would be lost
+    text = f'def f := 1\n@[blueprint "c:group"]\n{decl}\n'
+    with pytest.raises(ParseError, match="blueprint attribute is not attached to a declaration") as info:
+        parse_module_text(text, Name.parse("M"))
+    assert info.value.line == 2
+
+
+def test_untagged_attribute_block_without_declaration_warns():
+    unit = parse_module_text("@[simp]\nopaque secret : Nat\ndef g := 2\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["g"]
+    messages = [w.message for w in unit.warnings]
+    assert "attribute block is not attached to a declaration; ignored" in messages
 
 
 def test_untagged_anonymous_instance_warns():
@@ -817,8 +835,9 @@ NAMELESS_LINES = ("instance : C T where", "theorem : x := by trivial")
 def parse_soup(text: str) -> ModuleUnit | None:
     """Parse soup; None when a blueprint tag has nothing to attach to, which must raise.
 
-    That is a tagged nameless declaration, or `attribute [blueprint]` whose
-    next token is not a plain name.
+    That is a tagged nameless declaration, a tagged attribute block that no
+    declaration follows, or `attribute [blueprint]` whose next token is not
+    a plain name.
     """
 
     try:
@@ -827,6 +846,9 @@ def parse_soup(text: str) -> ModuleUnit | None:
         lines = text.split("\n")
         if exc.message == "'attribute [blueprint ...]' needs a target name":
             assert lines[exc.line - 1] == "attribute [blueprint]", exc
+            return None
+        if exc.message == "blueprint attribute is not attached to a declaration":
+            assert lines[exc.line - 1].startswith("@[blueprint"), exc
             return None
         assert exc.message.endswith("tagged with blueprint needs a name"), exc
         assert lines[exc.line - 1] in NAMELESS_LINES, exc
@@ -839,8 +861,9 @@ def test_parser_never_raises_on_tokenizable_soup():
     """Malformed but tokenizable files degrade instead of raising.
 
     The exceptions are a blueprint tag with nothing to attach to (a
-    declaration without a name, an attribute command without a target):
-    they raise rather than drop the tag.
+    declaration without a name, an attribute block with no declaration
+    after it, an attribute command without a target): they raise rather
+    than drop the tag.
     """
 
     rng = random.Random(20260814)

@@ -41,10 +41,9 @@ def test_label_ref_is_not_a_one_segment_name():
 
 
 def test_source_span_checks_its_ends():
-    assert SourceSpan(1, 1, 2, 2, 1).end == 1
-    for bad in ((2, 1, 2, 3, 1), (1, 2, 3, 2, 1)):
-        with pytest.raises(ValueError, match="span ends before it starts"):
-            SourceSpan(*bad)
+    assert SourceSpan(1, 1, 1).end == 1
+    with pytest.raises(ValueError, match="span ends before it starts"):
+        SourceSpan(2, 1, 1)
 
 
 def test_record_fields_cannot_be_assigned(golden_store):
