@@ -49,16 +49,23 @@ def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
     """All .lean files under the source roots, named by their relative path.
 
     Each directory and the file's stem give one name segment per dot, so
-    `A/B.lean` and `A.B.lean` are both `A.B`.  Two files with one name, in
-    two roots or as those two, raise StoreError, and so does a path that
-    would give an empty segment (`a..b.lean`, a `.lake/` directory).
+    `A/B.lean` and `A.B.lean` are both `A.B`.  Files and directories whose
+    names start with `.` are skipped, so a `.lake/` checkout is never walked.
+    Two files with one name, in two roots or as those two, raise StoreError,
+    and so does a path that would give an empty segment (`a..b.lean`).
     """
 
     found: dict[str, tuple[Name, Path]] = {}  # by dotted name
     for root in config.source_roots:
         if not root.is_dir():
             raise StoreError(f"source root '{root}' is not a directory")
-        for path in sorted(root.rglob("*.lean")):
+        paths: list[Path] = []
+        for dirpath, dirnames, filenames in os.walk(root):
+            dirnames[:] = [d for d in dirnames if not d.startswith(".")]
+            paths.extend(
+                Path(dirpath, f) for f in filenames if f.endswith(".lean") and not f.startswith(".")
+            )
+        for path in sorted(paths):
             rel = path.relative_to(root)
             key = ".".join((*rel.parts[:-1], rel.stem))
             if "" in key.split("."):

@@ -60,10 +60,15 @@ RESERVED_WORDS = COMMAND_KEYWORDS | _TERM_KEYWORDS
 # Identifiers that are never candidate constant references.
 _NOT_REFERENCES = RESERVED_WORDS | {"true", "false"}
 
-ATTRIBUTE_KEYS = (
-    "statement", "hasProof", "proof", "uses", "proofUses", "excludes",
-    "title", "notReady", "discussion", "latexEnv",
-)
+# Each blueprint option, and the AttributeSpec field it sets.
+ATTRIBUTE_KEYS = {
+    "statement": "statement", "hasProof": "has_proof", "proof": "proof", "uses": "uses",
+    "proofUses": "proof_uses", "excludes": "excludes", "title": "title",
+    "notReady": "not_ready", "discussion": "discussion", "latexEnv": "latex_env",
+}
+
+# What may begin a declaration: `@` of `@[`, a modifier or a keyword.
+_DECL_STARTS = DECL_KEYWORDS | DECL_MODIFIERS | {"@"}
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -217,6 +222,74 @@ def _clean_docstring(body: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Token cursor
+
+
+class _Cursor:
+    """A position in a token list, read by the module and attribute parsers.
+
+    `what` names the construct in "unexpected end of ..." and "expected ...
+    in ..." errors, and `end_line` is the line of an error past the last token.
+    """
+
+    def __init__(
+        self, tokens: list[Token], path: str | None, end_line: int | None, what: str, pos: int = 0
+    ):
+        self.tokens = tokens
+        self.path = path
+        self.end_line = end_line
+        self.what = what
+        self.pos = pos
+
+    def peek(self, ahead: int = 0) -> Token | None:
+        i = self.pos + ahead
+        return self.tokens[i] if i < len(self.tokens) else None
+
+    def take(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise self.error(f"unexpected end of {self.what}")
+        self.pos += 1
+        return tok
+
+    def at(self, symbol: str, ahead: int = 0) -> bool:
+        tok = self.peek(ahead)
+        return tok is not None and tok.kind == "symbol" and tok.text == symbol
+
+    def expect(self, symbol: str) -> Token:
+        tok = self.take()
+        if tok.kind != "symbol" or tok.text != symbol:
+            raise self.error(f"expected '{symbol}' in {self.what}, got {tok.text!r}", tok)
+        return tok
+
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        return ParseError(message, path=self.path, line=self.end_line if tok is None else tok.line)
+
+    def ref_list(self) -> tuple[Name | LabelRef, ...]:
+        """Read `[`, names and nonempty label strings, each with an optional comma, then `]`."""
+
+        self.expect("[")
+        out: list[Name | LabelRef] = []
+        while not self.at("]"):
+            tok = self.peek()
+            if tok is None:
+                raise self.error("unterminated dependency list")
+            if tok.kind == "ident":
+                out.append(Name.parse(tok.text))
+            elif tok.kind == "string" and tok.value:
+                out.append(LabelRef(tok.value))
+            elif tok.kind == "string":
+                raise self.error("empty label in dependency list", tok)
+            else:
+                raise self.error(f"expected name or label string, got {tok.text!r}", tok)
+            self.take()
+            if self.at(","):
+                self.take()
+        self.take()
+        return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Attribute configuration parsing
 
 
@@ -230,134 +303,68 @@ def parse_attribute_config(text: str, *, path: str | None = None, line: int | No
 def _parse_attribute_tokens(
     tokens: list[Token], *, path: str | None = None, line: int | None = None
 ) -> AttributeSpec:
-    pos = 0
+    cur = _Cursor(tokens, path, line, "blueprint attribute")
+    fields: dict[str, object] = {}  # by AttributeSpec field
 
-    def err(message: str, tok: Token | None = None) -> ParseError:
-        at = tok.line if tok is not None else line
-        return ParseError(message, path=path, line=at)
-
-    def peek() -> Token | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> Token:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise err("unexpected end of blueprint attribute")
-        pos += 1
-        return tok
-
-    def expect_symbol(sym: str) -> Token:
-        tok = take()
-        if tok.kind != "symbol" or tok.text != sym:
-            raise err(f"expected '{sym}' in blueprint attribute, got {tok.text!r}", tok)
-        return tok
-
-    fields: dict[str, object] = {}
-
-    tok = peek()
+    tok = cur.peek()
     if tok is not None and tok.kind == "string":
-        take()
+        cur.take()
         if not tok.value:
-            raise err("blueprint label must be nonempty", tok)
+            raise cur.error("blueprint label must be nonempty", tok)
         fields["label"] = tok.value
 
-    def parse_dep_list() -> tuple[Name | LabelRef, ...]:
-        expect_symbol("[")
-        out: list[Name | LabelRef] = []
-        while True:
-            tok = peek()
-            if tok is None:
-                raise err("unterminated dependency list")
-            if tok.kind == "symbol" and tok.text == "]":
-                take()
-                break
-            if tok.kind == "ident":
-                take()
-                out.append(Name.parse(tok.text))
-            elif tok.kind == "string":
-                take()
-                if not tok.value:
-                    raise err("empty label in dependency list", tok)
-                out.append(LabelRef(tok.value))
-            else:
-                raise err(f"expected name or label string, got {tok.text!r}", tok)
-            tok = peek()
-            if tok is not None and tok.kind == "symbol" and tok.text == ",":
-                take()
-        return tuple(out)
-
-    seen: set[str] = set()
-
-    def claim(key: str, key_tok: Token) -> None:
-        if key in seen:
-            raise err(f"duplicate blueprint option '{key}'", key_tok)
-        seen.add(key)
-
-    while (tok := peek()) is not None:
-        if tok.kind == "ident" and tok.text == "notReady":
-            # the bare flag is short for `(notReady := true)`
-            take()
-            claim("notReady", tok)
-            fields["notReady"] = True
-            continue
-        if tok.kind != "symbol" or tok.text != "(":
-            raise err(f"unexpected token {tok.text!r} in blueprint attribute", tok)
-        take()
-        key_tok = take()
+    while (tok := cur.peek()) is not None:
+        bare = tok.kind == "ident" and tok.text == "notReady"  # short for `(notReady := true)`
+        if not bare and not cur.at("("):
+            raise cur.error(f"unexpected token {tok.text!r} in blueprint attribute", tok)
+        cur.take()
+        key_tok = tok if bare else cur.take()
         if key_tok.kind != "ident":
-            raise err(f"expected option name, got {key_tok.text!r}", key_tok)
+            raise cur.error(f"expected option name, got {key_tok.text!r}", key_tok)
         key = key_tok.text
-        if key not in ATTRIBUTE_KEYS:
-            raise err(f"unknown blueprint option '{key}'", key_tok)
-        claim(key, key_tok)
-        expect_symbol(":=")
+        field = ATTRIBUTE_KEYS.get(key)
+        if field is None:
+            raise cur.error(f"unknown blueprint option '{key}'", key_tok)
+        if field in fields:
+            raise cur.error(f"duplicate blueprint option '{key}'", key_tok)
+        if bare:
+            fields[field] = True
+            continue
+        cur.expect(":=")
 
         if key in ("statement", "proof"):
-            val = take()
+            val = cur.take()
             if val.kind != "docstring":
-                raise err(f"option '{key}' expects a /-- ... -/ docstring", val)
-            fields[key] = val.value
+                raise cur.error(f"option '{key}' expects a /-- ... -/ docstring", val)
+            fields[field] = val.value
         elif key == "title":
-            val = take()
+            val = cur.take()
             if val.kind not in ("docstring", "string"):
-                raise err("option 'title' expects a /-- ... -/ docstring or a string", val)
-            fields[key] = val.value
+                raise cur.error("option 'title' expects a /-- ... -/ docstring or a string", val)
+            fields[field] = val.value
         elif key in ("hasProof", "notReady"):
-            val = take()
+            val = cur.take()
             if val.kind != "ident" or val.text not in ("true", "false"):
-                raise err(f"option '{key}' expects true or false", val)
-            fields[key] = val.text == "true"
+                raise cur.error(f"option '{key}' expects true or false", val)
+            fields[field] = val.text == "true"
         elif key in ("uses", "proofUses", "excludes"):
-            fields[key] = parse_dep_list()
+            fields[field] = cur.ref_list()
         elif key == "discussion":
-            val = take()
+            val = cur.take()
             if val.kind != "number":
-                raise err("option 'discussion' expects an issue number", val)
+                raise cur.error("option 'discussion' expects an issue number", val)
             num = int(val.text)
             if num < 1:
-                raise err("option 'discussion' expects a number >= 1", val)
-            fields[key] = num
+                raise cur.error("option 'discussion' expects a number >= 1", val)
+            fields[field] = num
         elif key == "latexEnv":
-            val = take()
+            val = cur.take()
             if val.kind != "string" or not val.value:
-                raise err("option 'latexEnv' expects a nonempty string", val)
-            fields[key] = val.value
-        expect_symbol(")")
+                raise cur.error("option 'latexEnv' expects a nonempty string", val)
+            fields[field] = val.value
+        cur.expect(")")
 
-    return AttributeSpec(
-        label=fields.get("label"),  # type: ignore[arg-type]
-        statement=fields.get("statement"),  # type: ignore[arg-type]
-        has_proof=fields.get("hasProof"),  # type: ignore[arg-type]
-        proof=fields.get("proof"),  # type: ignore[arg-type]
-        uses=fields.get("uses", ()),  # type: ignore[arg-type]
-        proof_uses=fields.get("proofUses", ()),  # type: ignore[arg-type]
-        excludes=fields.get("excludes", ()),  # type: ignore[arg-type]
-        title=fields.get("title"),  # type: ignore[arg-type]
-        not_ready=fields.get("notReady", False),  # type: ignore[arg-type]
-        discussion=fields.get("discussion"),  # type: ignore[arg-type]
-        latex_env=fields.get("latexEnv"),  # type: ignore[arg-type]
-    )
+    return AttributeSpec(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +381,11 @@ class _AttrItem(NamedTuple):
     start_tok: Token
 
 
-class _ModuleParser:
+class _ModuleParser(_Cursor):
     def __init__(self, text: str, module_name: Name, path: str | None):
+        super().__init__(tokenize(text, path=path), path, None, "file")
         self.text = text
         self.module_name = module_name
-        self.path = path
-        self.tokens = tokenize(text, path=path)
-        self.pos = 0
         self.scopes: list[tuple[str, tuple[str, ...]]] = []  # ("namespace" | "section", name)
         self.opens: list[tuple[int, Name]] = []  # (scope depth, opened name)
         self.imports: list[Name] = []
@@ -388,17 +393,6 @@ class _ModuleParser:
         self.warnings: list[ParseWarning] = []
 
     # -- helpers
-
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of file", path=self.path)
-        self.pos += 1
-        return tok
 
     def warn(self, message: str, line: int) -> None:
         self.warnings.append(ParseWarning(message, self.path, line))
@@ -423,12 +417,8 @@ class _ModuleParser:
             if tok.kind == "docstring":
                 self.parse_docstring_block()
                 continue
-            if tok.kind == "symbol" and tok.text == "@":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.kind == "symbol" and nxt.text == "[":
-                    self.parse_attributed_block()
-                    continue
-                self.skip_unrecognized(tok)
+            if self.at_attr_list():
+                self.parse_attributed_block()
                 continue
             if tok.kind != "ident":
                 self.skip_unrecognized(tok)
@@ -439,8 +429,7 @@ class _ModuleParser:
             elif word == "namespace":
                 self.parse_namespace()
             elif word == "section":
-                self.take()
-                self.scopes.append(("section", self.name_on_line(tok)))
+                self.scopes.append(("section", self.name_on_line(self.take())))
             elif word == "end":
                 self.parse_end()
             elif word == "open":
@@ -482,44 +471,49 @@ class _ModuleParser:
 
         line = tok.line
         while (tok := self.peek()) is not None:
-            if tok.col == 0 and tok.line != line and self.is_block_start(tok):
+            if tok.line != line and self.at_block_start(tok):
                 break
             self.take()
 
-    def is_block_start(self, tok: Token) -> bool:
-        """Whether the token at self.peek() can begin a new top-level block."""
+    def at_block_start(self, tok: Token) -> bool:
+        """Whether `tok`, the next token, ends the command before it.
 
-        if tok.kind == "docstring":
+        At column 0 every command keyword, docstring and `@[` does.  At any
+        indentation, so does the first token on a line that begins a
+        declaration: `@[`, modifiers and a declaration keyword, or a
+        docstring before either.
+        """
+
+        if tok.col == 0 and (tok.kind == "docstring" or tok.text in COMMAND_KEYWORDS):
             return True
-        if tok.kind == "ident" and tok.text in COMMAND_KEYWORDS:
-            return True
-        if tok.kind == "symbol" and tok.text == "@":
-            nxt = self.peek(1)
-            return nxt is not None and nxt.kind == "symbol" and nxt.text == "["
-        return False
+        if tok.col and self.tokens[self.pos - 1].end > tok.start - tok.col:
+            return False  # not the first token on its line
+        ahead = 1 if tok.kind == "docstring" else 0
+        return self.at_attr_list(ahead) or self.at_declaration(ahead)
+
+    def at_attr_list(self, ahead: int = 0) -> bool:
+        return self.at("@", ahead) and self.at("[", ahead + 1)
 
     # -- commands
 
     def parse_import(self) -> None:
         kw = self.take()
-        tok = self.peek()
-        if tok is None or tok.kind != "ident" or tok.line != kw.line:
+        name = self.name_on_line(kw)
+        if not name:
             self.warn("import without module name", kw.line)
             return
-        self.take()
-        self.imports.append(Name.parse(tok.text))
+        self.imports.append(Name(name))
 
     def parse_namespace(self) -> None:
         kw = self.take()
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
+        name = self.name_on_line(kw)
+        if not name:
             self.warn("namespace without name", kw.line)
             return
-        self.take()
-        self.scopes.append(("namespace", tuple(tok.text.split("."))))
+        self.scopes.append(("namespace", name))
 
     def name_on_line(self, kw: Token) -> tuple[str, ...]:
-        """Take the optional name after `section` or `end`, on the keyword's line."""
+        """Take the name after a command keyword, if one is on the keyword's line."""
 
         tok = self.peek()
         if tok is None or tok.kind != "ident" or tok.line != kw.line:
@@ -565,8 +559,7 @@ class _ModuleParser:
 
     def parse_attribute_command(self) -> None:
         kw = self.take()
-        tok = self.peek()
-        if tok is None or tok.kind != "symbol" or tok.text != "[":
+        if not self.at("["):
             self.warn("'attribute' without '[...]' list", kw.line)
             return
         attrs, _close = self.parse_attr_list()
@@ -574,9 +567,7 @@ class _ModuleParser:
         tok = self.peek()
         if tok is None or tok.kind != "ident" or tok.text in RESERVED_WORDS:
             if blueprint:
-                raise ParseError(
-                    "'attribute [blueprint ...]' needs a target name", path=self.path, line=kw.line
-                )
+                raise self.error("'attribute [blueprint ...]' needs a target name", kw)
             self.warn("'attribute [...]' without target name", kw.line)
             return
         self.take()
@@ -604,23 +595,17 @@ class _ModuleParser:
     def parse_attr_list(self) -> tuple[list[_AttrItem], Token]:
         open_tok = self.take()  # '['
         items: list[_AttrItem] = []
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise ParseError("unterminated attribute list", path=self.path, line=open_tok.line)
-            if tok.kind == "symbol" and tok.text == "]" and depth == 0:
-                close = self.take()
-                return items, close
-            if tok.kind == "symbol" and tok.text == "," and depth == 0:
-                self.take()
-                continue
-            if tok.kind != "ident":
-                self.warn(f"unexpected token {tok.text!r} in attribute list; skipped", tok.line)
-                self.take()
-                continue
+        while not self.at("]"):
+            if self.peek() is None:
+                raise self.error("unterminated attribute list", open_tok)
             name_tok = self.take()
+            if name_tok.kind != "ident":
+                if name_tok.text != ",":
+                    message = f"unexpected token {name_tok.text!r} in attribute list; skipped"
+                    self.warn(message, name_tok.line)
+                continue
             config: list[Token] = []
+            depth = 0
             while (tok := self.peek()) is not None:
                 if tok.kind == "symbol":
                     if tok.text in ("[", "("):
@@ -633,15 +618,13 @@ class _ModuleParser:
                         break
                 config.append(self.take())
             items.append(_AttrItem(name=name_tok.text, config_tokens=config, start_tok=name_tok))
+        return items, self.take()
 
     def parse_docstring_block(self) -> None:
         doc = self.take()
-        tok = self.peek()
-        if tok is not None and tok.kind == "symbol" and tok.text == "@":
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == "symbol" and nxt.text == "[":
-                self.parse_attributed_block(doc)
-                return
+        if self.at_attr_list():
+            self.parse_attributed_block(doc)
+            return
         if self.at_declaration():
             self.parse_declaration([], doc, doc)
             return
@@ -656,19 +639,17 @@ class _ModuleParser:
             doc = self.take()
         if not self.at_declaration():
             if any(a.name == "blueprint" for a in attrs):
-                message = "blueprint attribute is not attached to a declaration"
-                raise ParseError(message, path=self.path, line=at.line)
+                raise self.error("blueprint attribute is not attached to a declaration", at)
             self.warn("attribute block is not attached to a declaration; ignored", at.line)
             return
         self.parse_declaration(attrs, doc, first, attr_close=close)
 
-    def at_declaration(self) -> bool:
+    def at_declaration(self, ahead: int = 0) -> bool:
         """Whether modifiers, if any, then a declaration keyword come next."""
 
-        ahead = 0
         while (tok := self.peek(ahead)) is not None and tok.text in DECL_MODIFIERS:
             ahead += 1
-        return tok is not None and tok.kind == "ident" and tok.text in DECL_KEYWORDS
+        return tok is not None and tok.text in DECL_KEYWORDS
 
     def parse_declaration(
         self,
@@ -684,9 +665,7 @@ class _ModuleParser:
         blueprint = [a for a in attrs if a.name == "blueprint"]
         if kw.text == "example" or name_tok is None or name_tok.kind != "ident":
             if blueprint:
-                raise ParseError(
-                    f"'{kw.text}' tagged with blueprint needs a name", path=self.path, line=kw.line
-                )
+                raise self.error(f"'{kw.text}' tagged with blueprint needs a name", kw)
             if kw.text == "example":
                 self.skip_command(kw)  # declares no constant
             else:
@@ -709,13 +688,14 @@ class _ModuleParser:
         in_body = False
         depth = 0
         last = name_tok
-        unbalanced_warned = False
         while (tok := self.peek()) is not None:
-            if tok.col == 0 and self.is_block_start(tok):
-                if depth != 0 and not unbalanced_warned:
-                    self.warn(
-                        f"unbalanced brackets in declaration '{name_tok.text}'", kw.line
-                    )
+            if (
+                tok.line != last.line
+                and (tok.col == 0 or tok.text in _DECL_STARTS or tok.kind == "docstring")
+                and self.at_block_start(tok)
+            ):
+                if depth != 0:
+                    self.warn(f"unbalanced brackets in declaration '{name_tok.text}'", kw.line)
                 break
             if tok.kind == "symbol":
                 if tok.text in ("(", "[", "{"):
@@ -752,15 +732,16 @@ class _ModuleParser:
             elif tok.kind == "ident" and tok.text == "sorry":
                 markers.append(SorryMarker(using=(), span=tok.span()))
             elif tok.kind == "ident" and tok.text == "sorry_using":
+                using_list = _Cursor(body_tokens, self.path, tok.line, "sorry_using", i + 1)
                 try:
-                    using, i = self.parse_sorry_using(body_tokens, i)
+                    using = using_list.ref_list()
                 except ParseError as exc:
                     self.warn(f"malformed sorry_using treated as sorry: {exc.message}", tok.line)
                     markers.append(SorryMarker(using=(), span=tok.span()))
                 else:
-                    end_tok = body_tokens[i]
+                    i = using_list.pos - 1  # the closing ']'
                     markers.append(
-                        SorryMarker(using=using, span=self.span_between(tok, end_tok))
+                        SorryMarker(using=using, span=self.span_between(tok, body_tokens[i]))
                     )
             i += 1
 
@@ -784,37 +765,6 @@ class _ModuleParser:
                 attr_close=attr_close.start if attr_close is not None else None,
             )
         )
-
-    def parse_sorry_using(
-        self, toks: list[Token], i: int
-    ) -> tuple[tuple[Name | LabelRef, ...], int]:
-        kw = toks[i]
-        j = i + 1
-        if j >= len(toks) or toks[j].text != "[":
-            raise ParseError("sorry_using expects '[...]'", path=self.path, line=kw.line)
-        j += 1
-        out: list[Name | LabelRef] = []
-        while True:
-            if j >= len(toks):
-                raise ParseError("unterminated sorry_using list", path=self.path, line=kw.line)
-            tok = toks[j]
-            if tok.kind == "symbol" and tok.text == "]":
-                return tuple(out), j
-            if tok.kind == "ident":
-                out.append(Name.parse(tok.text))
-            elif tok.kind == "string":
-                if not tok.value:
-                    raise ParseError("empty label in sorry_using", path=self.path, line=tok.line)
-                out.append(LabelRef(tok.value))
-            elif tok.kind == "symbol" and tok.text == ",":
-                pass
-            else:
-                raise ParseError(
-                    f"expected name or label in sorry_using, got {tok.text!r}",
-                    path=self.path,
-                    line=tok.line,
-                )
-            j += 1
 
     def slice_tokens(self, toks: list[Token]) -> str:
         if not toks:

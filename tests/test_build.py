@@ -92,7 +92,7 @@ def test_dotted_file_name_is_one_segment_per_dot(tmp_path):
     assert before != after
 
 
-@pytest.mark.parametrize("rel", ["a..b.lean", ".lake/M.lean", "A./M.lean"])
+@pytest.mark.parametrize("rel", ["a..b.lean", "A./M.lean"])
 def test_path_with_empty_name_segment_errors(tmp_path, rel):
     make_project(tmp_path, {"Ok": "def x := 1\n"})
     bad = tmp_path / "src" / rel
@@ -101,6 +101,18 @@ def test_path_with_empty_name_segment_errors(tmp_path, rel):
     with pytest.raises(StoreError, match="empty name segment") as err:
         discover_modules(load_config(tmp_path / "architect.json"))
     assert str(bad) in str(err.value)
+
+
+def test_discover_skips_dot_directories_and_files(tmp_path):
+    # a `.lake/` checkout of dependency sources is not part of the project
+    (tmp_path / "A.lean").write_text("def a := 1\n", encoding="utf-8")
+    for rel in (".lake/packages/dep/D.lean", ".hidden.lean", "B/.M.lean", "B/.git/C.lean"):
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("def d := 1\n", encoding="utf-8")
+    (tmp_path / "architect.json").write_text("{}", encoding="utf-8")
+    found = discover_modules(load_config(tmp_path / "architect.json"))
+    assert [(str(n), p) for n, p in found] == [("A", tmp_path / "A.lean")]
 
 
 def test_discover_missing_root_errors(tmp_path):

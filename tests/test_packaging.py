@@ -44,3 +44,12 @@ def test_readme_dialect_keywords_are_the_parser_keywords():
     keywords = set(re.findall(r"`([^`]*)`", dialect.group(2))) | {"example"}
     assert keywords == source.DECL_KEYWORDS
     assert set(re.findall(r"`([^`]*)`", modifiers.group(1))) == source.DECL_MODIFIERS
+
+
+def test_readme_attribute_example_is_the_parser_options():
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("### The `@[blueprint]` attribute", 1)[1].split("```lean\n", 1)[1]
+    block = block.split("```", 1)[0]
+    # `(key := value)` lines and the bare `notReady` flag
+    options = re.findall(r"^\s+\(?(\w+)(?: :=|\])", block, re.M)
+    assert sorted(options) == sorted(source.ATTRIBUTE_KEYS)

@@ -295,6 +295,34 @@ def test_config_proof_uses_and_excludes():
     assert spec.excludes == (Name.parse("helper"),)
 
 
+NAME_LISTS = {
+    "[a b]": (Name.parse("a"), Name.parse("b")),
+    '[a, "l:b",]': (Name.parse("a"), LabelRef("l:b")),
+    "[a,,b]": None,
+    "[,a]": None,
+    '[""]': None,
+    "[1]": None,
+}
+
+
+@pytest.mark.parametrize("text", list(NAME_LISTS))
+def test_name_list_grammar(text):
+    # `uses`, `proofUses`, `excludes` and `sorry_using` read one list grammar;
+    # a bad list fails the attribute, and degrades `sorry_using` to `sorry`
+    expected = NAME_LISTS[text]
+    for key, field in (("uses", "uses"), ("proofUses", "proof_uses"), ("excludes", "excludes")):
+        if expected is None:
+            with pytest.raises(ParseError):
+                parse_attribute_config(f"({key} := {text})")
+        else:
+            assert getattr(parse_attribute_config(f"({key} := {text})"), field) == expected
+    unit = parse_module_text(f"theorem t : x := by\n  sorry_using {text}\n", Name.parse("M"))
+    (marker,) = decls(unit)[0].sorry_markers
+    assert marker.using == (expected or ())
+    malformed = [w.message for w in unit.warnings if "malformed sorry_using" in w.message]
+    assert len(malformed) == (expected is None)
+
+
 def test_config_unknown_key_raises():
     with pytest.raises(ParseError, match="unknown blueprint option 'bogus'"):
         parse_attribute_config("(bogus := true)")
@@ -373,6 +401,12 @@ def test_namespace_prefixes_names():
     )
     assert [str(d.name) for d in decls(unit)] == ["A.B.f", "g"]
     assert decls(unit)[0].namespace_context == ("A", "B")
+
+
+def test_namespace_name_must_be_on_its_line():
+    unit = parse_module_text("namespace\ntheorem t : True := trivial\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["t"]
+    assert [(w.message, w.line) for w in unit.warnings] == [("namespace without name", 1)]
 
 
 def test_open_applies_to_following_decls():
@@ -645,6 +679,47 @@ def test_example_ends_the_previous_declaration():
     f, g = decls(unit)
     assert (f.body_text, f.body_idents) == ("1", ())
     assert g.name == Name.parse("g")
+    assert unit.warnings == ()
+
+
+@pytest.mark.parametrize(
+    "before", ["def f := 1", "variable (x : Nat)", "example : 1 = 1 := rfl", "mutual"]
+)
+def test_indented_declaration_ends_the_command_before_it(before):
+    # a declaration keyword, `@[` or a docstring before one, first on its
+    # line, starts a declaration at any indentation
+    text = f'namespace Foo\n  {before}\n  @[blueprint "a"]\n  theorem t : True := trivial\nend Foo\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    *rest, t = decls(unit)
+    assert (t.name, t.attribute.label, t.body_text) == (Name.parse("Foo.t"), "a", "trivial")
+    assert all(d.body_idents == () for d in rest)
+    expected = ["unrecognized top-level command starting at 'mutual'"] if before == "mutual" else []
+    assert [w.message for w in unit.warnings] == expected
+
+
+def test_indented_docstring_and_modifiers_start_a_declaration():
+    text = "namespace Foo\n  def f := 1\n  /-- Claim. -/\n  private theorem t : True := trivial\nend Foo\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    f, t = decls(unit)
+    assert f.body_text == "1"
+    assert (t.name, t.docstring, t.kind) == (Name.parse("Foo.t"), "Claim.", "theorem")
+    assert unit.warnings == ()
+
+
+def test_indented_non_declarations_stay_in_the_command():
+    # only a declaration ends a command at an indented line start; other
+    # commands, a docstring before a tactic, and a modifier before a
+    # structure field belong to the command they stand in
+    text = (
+        "theorem t : x := by\n  /-- Step. -/\n  open Foo in\n  exact (theorem_like)\n"
+        "  attribute [local simp] f in\n  simp\n"
+        "structure S where\n  protected x : Nat\ndef g := 1\n"
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    t, s, g = decls(unit)
+    assert t.tactic_docstrings == ("Step.",)
+    assert t.body_text.endswith("simp") and g.body_text == "1"
+    assert s.signature_text == "where\n  protected x : Nat"
     assert unit.warnings == ()
 
 
