@@ -26,6 +26,7 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_TMP = MANIFEST_NAME + ".tmp"  # written in full, then renamed over the manifest
 LOCK_NAME = ".lock"
 GLOBAL_FILES = ("macros.tex", "blueprint.json", "graph.dot", "graph.json")
+READ_ARTIFACTS = ("graph.dot", "graph.json", "blueprint.json")  # what `graph` and `check` read
 MANAGED_DIRS = ("nodes", "modules")  # swept of files the plan does not hold
 STATUS_DIGEST_KEY = MANIFEST_NAME + "\0status"  # the manifest's counts, in the artifact digest
 
@@ -477,7 +478,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 class FreshBuild(NamedTuple):  # an output tree that passed every freshness check
     result: ExtractResult  # what `extract` would return
     manifest: dict
-    graph: dict[str, bytes]  # the bytes of `graph.dot` and `graph.json`, by file name
+    artifacts: dict[str, bytes]  # the digested bytes of `READ_ARTIFACTS`, by file name
 
 
 def fresh_build(config: ProjectConfig, out_dir: Path | None = None) -> FreshBuild | None:
@@ -532,18 +533,18 @@ def _fresh_build(config: ProjectConfig, out: Path) -> FreshBuild | None:
     # every path is keyed, so a missing, extra or altered file changes the digest
     artifacts = sorted([*GLOBAL_FILES, *_managed_files(out)])
     digest = _Digest()
-    graph: dict[str, bytes] = {}
+    kept: dict[str, bytes] = {}
     root = os.fspath(out)
     for rel in artifacts:
         with open(f"{root}/{rel}", "rb") as f:
             data = f.read()
         digest.add(rel, data)
-        if rel in ("graph.dot", "graph.json"):
-            graph[rel] = data
+        if rel in READ_ARTIFACTS:
+            kept[rel] = data
     digest.add(STATUS_DIGEST_KEY, _ENCODE(manifest["status"]).encode("utf-8"))
     if digest.hexdigest() != manifest.get("artifactDigest"):
         return None
     result = ExtractResult(
         stale=set(), fresh={name for name, _ in modules}, written=[], deleted=[], warnings=warnings
     )
-    return FreshBuild(result, manifest, graph)
+    return FreshBuild(result, manifest, kept)

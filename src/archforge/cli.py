@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .build import Project, _dump_json, extract, fresh_build, load_project, up_to_date
+from .build import _dump_json, extract, fresh_build, load_project, up_to_date
 from .build import status_counts  # `archforge.cli.status_counts` stays importable
 from .config import load_config
 from .errors import BlueprintError
@@ -16,7 +17,8 @@ if TYPE_CHECKING:
     from .graph import LintFinding
 
 # Every other module is imported by the command that uses it: a no-op `extract`, and
-# `status` or `graph` on a fresh build, load none of them; `check` never loads the converter.
+# `status` or `graph` on a fresh build, load none of them; `check` on a fresh build loads
+# only `graph` and `texscan`, and `check` never loads the converter.
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +49,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     config = load_config()
     fresh = fresh_build(config)
     if fresh is not None:  # the build holds exactly the bytes a full load would emit
-        payload = fresh.graph[f"graph.{args.format}"].decode("utf-8")
+        payload = fresh.artifacts[f"graph.{args.format}"].decode("utf-8")
     else:
         from .graph import build_graph, emit_dot, emit_json
 
@@ -64,19 +66,23 @@ def cmd_graph(args: argparse.Namespace) -> int:
 # check
 
 
-def blueprint_cross_findings(project: Project) -> list[LintFinding]:
-    """Cross-check configured blueprint .tex files against the store."""
+def blueprint_cross_findings(
+    tex_files: list[Path], anchors: dict[str, str], module_names: set[str]
+) -> list[LintFinding]:
+    """Cross-check the configured blueprint .tex files against the labels and modules.
+
+    `anchors` maps each label to the module its fragment is placed in.
+    """
+
+    if not tex_files:
+        return []
 
     from .graph import LintFinding
-    from .infer import label_view
     from .texscan import find_input_macros
 
-    store = project.store
     referenced_labels: set[str] = set()
     referenced_modules: set[str] = set()
-    findings: list[LintFinding] = []
-
-    for path in project.config.blueprint_tex_files:
+    for path in tex_files:
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
@@ -85,11 +91,8 @@ def blueprint_cross_findings(project: Project) -> list[LintFinding]:
         referenced_labels |= labels
         referenced_modules |= modules
 
-    if not project.config.blueprint_tex_files:
-        return findings
-
-    module_names = {str(m) for m in store.modules}
-    for label in sorted(referenced_labels - set(store.by_label)):
+    findings: list[LintFinding] = []
+    for label in sorted(referenced_labels - anchors.keys()):
         findings.append(
             LintFinding(
                 "unknown-label",
@@ -107,11 +110,8 @@ def blueprint_cross_findings(project: Project) -> list[LintFinding]:
                 "error",
             )
         )
-    for label in sorted(store.by_label):
-        if label in referenced_labels:
-            continue
-        anchor_module, _ = label_view(store, label).anchor
-        if str(anchor_module) in referenced_modules:
+    for label in sorted(anchors):
+        if label in referenced_labels or anchors[label] in referenced_modules:
             continue
         findings.append(
             LintFinding(
@@ -125,12 +125,24 @@ def blueprint_cross_findings(project: Project) -> list[LintFinding]:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .graph import run_lints
+    from .graph import blueprint_lint_rows, lint_rows, run_lints
 
     config = load_config()
-    project = load_project(config)
-    findings = run_lints(project.store, strict=args.strict)
-    findings.extend(blueprint_cross_findings(project))
+    fresh = fresh_build(config)
+    if fresh is not None:  # the digested blueprint.json holds every fact the lints read
+        data = json.loads(fresh.artifacts["blueprint.json"])
+        rows = blueprint_lint_rows(data)
+        anchors = {node["label"]: node["module"] for node in data["nodes"]}
+        module_names = set(data["modules"])
+    else:
+        from .infer import label_view
+
+        store = load_project(config).store
+        rows = lint_rows(store)
+        anchors = {label: str(label_view(store, label).anchor[0]) for label in store.by_label}
+        module_names = {str(m) for m in store.modules}
+    findings = run_lints(rows, strict=args.strict)
+    findings.extend(blueprint_cross_findings(config.blueprint_tex_files, anchors, module_names))
     findings.sort(key=lambda f: (f.code, f.label))
     for finding in findings:
         print(str(finding))

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from json.encoder import encode_basestring
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .infer import label_view
-from .store import NodeStore
+if TYPE_CHECKING:
+    from .store import NodeStore
+
+# `label_view` is imported where it is used, so `check` on a fresh build loads
+# neither inference nor the store.
 
 
 class VertexInfo(NamedTuple):
@@ -57,6 +60,8 @@ _DANGLING = VertexInfo(
 
 def build_graph(store: NodeStore) -> DepGraph:
     """One vertex per label; an edge u->v when v uses u in some part."""
+
+    from .infer import label_view
 
     views = [label_view(store, label) for label in sorted(store.by_label)]
     vertices: dict[str, VertexInfo] = {
@@ -162,51 +167,100 @@ def graph_json_data(graph: DepGraph) -> dict:
     }
 
 
-def run_lints(store: NodeStore, strict: bool = False) -> list[LintFinding]:
-    """Structural health checks over the labels' `LabelView` records.
+class LintRow(NamedTuple):
+    """What `run_lints` reads about one label, from its `LabelView` or its `blueprint.json` node."""
 
-    A label's dependencies are its statement and proof uses; its dependents
-    are the labels whose uses name it.  Findings come back sorted by (code,
-    label).  `strict` also reports upstream nodes that nothing depends on.
+    label: str
+    names: tuple[str, ...]
+    envs: tuple[str, ...]  # more than one is a conflict
+    statement_uses: tuple[str, ...]
+    proof_uses: tuple[str, ...]
+    proof_ok: bool | None
+    upstream: bool
+
+
+def lint_rows(store: NodeStore) -> list[LintRow]:
+    """One row per label of the store, in label order."""
+
+    from .infer import label_view
+
+    rows = []
+    for label in sorted(store.by_label):
+        v = label_view(store, label)
+        rows.append(
+            LintRow(label, v.names, v.envs, v.statement_uses, v.proof_uses, v.proof_ok, v.upstream)
+        )
+    return rows
+
+
+def blueprint_lint_rows(data: dict) -> list[LintRow]:
+    """One row per node of a `blueprint.json` document, in its (label) order.
+
+    `extract` refuses a label with conflicting environments, so a node has one.
     """
 
-    views = [label_view(store, label) for label in sorted(store.by_label)]
-    # one entry per use: a label used by both parts of a view shows twice
+    rows = []
+    for node in data["nodes"]:
+        statement, proof = node["statement"], node["proof"]
+        rows.append(
+            LintRow(
+                node["label"],
+                tuple(node["names"]),
+                (node["env"],),
+                tuple(statement["uses"]),
+                () if proof is None else tuple(proof["uses"]),
+                None if proof is None else proof["leanOk"],
+                statement["mathlibOk"],
+            )
+        )
+    return rows
+
+
+def run_lints(rows: list[LintRow], strict: bool = False) -> list[LintFinding]:
+    """Structural health checks over one row per declared label.
+
+    A label's dependencies are its statement and proof uses; its dependents
+    are the labels whose uses name it, and a used label with no row dangles.
+    Findings come back sorted by (code, label).  `strict` also reports
+    upstream nodes that nothing depends on.
+    """
+
+    # one entry per use: a label used by both parts of a row shows twice
     dependents: dict[str, list[str]] = {}
-    for view in views:
-        for dep in (*view.statement_uses, *view.proof_uses):
-            dependents.setdefault(dep, []).append(view.label)
+    for row in rows:
+        for dep in (*row.statement_uses, *row.proof_uses):
+            dependents.setdefault(dep, []).append(row.label)
 
     findings: list[LintFinding] = []
 
     def add(code: str, label: str, message: str) -> None:
         findings.append(LintFinding(code, label, message, LINT_SEVERITY[code]))
 
-    for view in views:
-        label = view.label
-        if len(view.envs) > 1:
-            names = ", ".join(view.names)
+    for row in rows:
+        label = row.label
+        if len(row.envs) > 1:
+            names = ", ".join(row.names)
             add(
                 "env-mismatch",
                 label,
-                f"environments {sorted(view.envs)} conflict across declarations {names}",
+                f"environments {sorted(row.envs)} conflict across declarations {names}",
             )
 
-        uses = bool(view.statement_uses or view.proof_uses)
+        uses = bool(row.statement_uses or row.proof_uses)
         used = label in dependents
         if not uses and not used:
             add("isolated-node", label, "no dependencies in either direction")
-        elif uses and not used and (strict or not view.upstream):
+        elif uses and not used and (strict or not row.upstream):
             add("unused-node", label, "nothing depends on this node")
 
-        if view.proof_ok and not view.proof_uses and not view.upstream:
+        if row.proof_ok and not row.proof_uses and not row.upstream:
             add(
                 "empty-proof-uses",
                 label,
                 "proof is complete but no dependencies were inferred or declared",
             )
 
-    for label in dependents.keys() - store.by_label.keys():
+    for label in dependents.keys() - {row.label for row in rows}:
         users = ", ".join(sorted(dependents[label]))
         add("dangling-label", label, f"used by {users} but no declaration carries it")
 

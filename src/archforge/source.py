@@ -41,7 +41,10 @@ DECL_MODIFIERS = frozenset({"private", "protected", "noncomputable", "partial", 
 
 # Commands that may only begin at the start of a line at top level.
 COMMAND_KEYWORDS = frozenset(
-    {"import", "namespace", "section", "end", "open", "attribute", "blueprint_comment", "variable"}
+    {
+        "import", "namespace", "section", "mutual", "end", "open", "attribute",
+        "blueprint_comment", "variable",
+    }
 ) | DECL_KEYWORDS | DECL_MODIFIERS
 
 # Term/tactic-level words that must never be reported as identifiers.
@@ -50,7 +53,7 @@ _TERM_KEYWORDS = frozenset(
         "by", "match", "with", "where", "fun", "do", "let", "in", "have",
         "show", "from", "if", "then", "else", "calc", "at", "exact",
         "intro", "intros", "rfl", "rw", "simp", "induction", "cases",
-        "constructor", "apply", "trivial", "deriving", "mutual",
+        "constructor", "apply", "trivial", "deriving",
         "Type", "Prop", "Sort", "sorry", "sorry_using",
     }
 )
@@ -386,7 +389,8 @@ class _ModuleParser(_Cursor):
         super().__init__(tokenize(text, path=path), path, None, "file")
         self.text = text
         self.module_name = module_name
-        self.scopes: list[tuple[str, tuple[str, ...]]] = []  # ("namespace" | "section", name)
+        # ("namespace" | "section" | "mutual", name); a mutual block has no name
+        self.scopes: list[tuple[str, tuple[str, ...]]] = []
         self.opens: list[tuple[int, Name]] = []  # (scope depth, opened name)
         self.imports: list[Name] = []
         self.items: list[Declaration | RawComment | UpstreamAttribution] = []
@@ -430,6 +434,9 @@ class _ModuleParser(_Cursor):
                 self.parse_namespace()
             elif word == "section":
                 self.scopes.append(("section", self.name_on_line(self.take())))
+            elif word == "mutual":
+                self.take()
+                self.scopes.append(("mutual", ()))
             elif word == "end":
                 self.parse_end()
             elif word == "open":
@@ -449,8 +456,9 @@ class _ModuleParser(_Cursor):
         if namespaces:
             open_names = ".".join(namespaces)
             self.warn(f"namespace '{open_names}' not closed at end of file", self.tokens[-1].line)
-        if any(kind == "section" for kind, _ in self.scopes):
-            self.warn("section not closed at end of file", self.tokens[-1].line)
+        for kind, what in (("section", "section"), ("mutual", "mutual block")):
+            if any(k == kind for k, _ in self.scopes):
+                self.warn(f"{what} not closed at end of file", self.tokens[-1].line)
 
         return ModuleUnit(
             name=self.module_name,
@@ -471,7 +479,7 @@ class _ModuleParser(_Cursor):
 
         line = tok.line
         while (tok := self.peek()) is not None:
-            if tok.line != line and self.at_block_start(tok):
+            if (tok.text == "@" or tok.line != line) and self.at_block_start(tok):
                 break
             self.take()
 
@@ -481,18 +489,42 @@ class _ModuleParser(_Cursor):
         At column 0 every command keyword, docstring and `@[` does.  At any
         indentation, so does the first token on a line that begins a
         declaration: `@[`, modifiers and a declaration keyword, or a
-        docstring before either.
+        docstring before either.  Anywhere on a line, so does an `@[` list
+        that a declaration (or a docstring and one) follows.
         """
 
         if tok.col == 0 and (tok.kind == "docstring" or tok.text in COMMAND_KEYWORDS):
             return True
         if tok.col and self.tokens[self.pos - 1].end > tok.start - tok.col:
-            return False  # not the first token on its line
+            # not the first token on its line
+            ahead = self.attr_list_length()
+            if ahead is None:
+                return False
+            after = self.peek(ahead)
+            return self.at_declaration(ahead + 1 if after and after.kind == "docstring" else ahead)
         ahead = 1 if tok.kind == "docstring" else 0
         return self.at_attr_list(ahead) or self.at_declaration(ahead)
 
     def at_attr_list(self, ahead: int = 0) -> bool:
         return self.at("@", ahead) and self.at("[", ahead + 1)
+
+    def attr_list_length(self) -> int | None:
+        """The tokens in the `@[...]` list that comes next; None if none does or it is unclosed."""
+
+        if not self.at_attr_list():
+            return None
+        depth = 0
+        ahead = 1
+        while (tok := self.peek(ahead)) is not None:
+            if tok.kind == "symbol":
+                if tok.text in ("[", "("):
+                    depth += 1
+                elif tok.text in ("]", ")"):
+                    depth -= 1
+                    if depth == 0:
+                        return ahead + 1
+            ahead += 1
+        return None
 
     # -- commands
 
@@ -694,8 +726,6 @@ class _ModuleParser(_Cursor):
                 and (tok.col == 0 or tok.text in _DECL_STARTS or tok.kind == "docstring")
                 and self.at_block_start(tok)
             ):
-                if depth != 0:
-                    self.warn(f"unbalanced brackets in declaration '{name_tok.text}'", kw.line)
                 break
             if tok.kind == "symbol":
                 if tok.text in ("(", "[", "{"):
@@ -707,9 +737,13 @@ class _ModuleParser(_Cursor):
                     in_body = True
                     last = tok
                     continue
+                elif tok.text == "@" and self.at_block_start(tok):  # an `@[` list mid-line
+                    break
             self.take()
             (body_tokens if in_body else sig_tokens).append(tok)
             last = tok
+        if tok is not None and depth != 0:  # the next command starts inside a bracket
+            self.warn(f"unbalanced brackets in declaration '{name_tok.text}'", kw.line)
 
         signature_text = self.slice_tokens(sig_tokens)
         body_text = self.slice_tokens(body_tokens) if in_body else None

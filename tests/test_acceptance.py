@@ -17,7 +17,7 @@ import pytest
 from archforge.build import extract
 from archforge.cli import main
 from archforge.convert import apply_plan, parse_legacy_blueprint, plan_conversion
-from archforge.graph import build_graph, emit_dot, run_lints
+from archforge.graph import build_graph, emit_dot, lint_rows, run_lints
 from archforge.infer import (
     effective_uses,
     part_status,
@@ -375,7 +375,7 @@ def test_criterion_5_incremental_equals_clean(tmp_path):
 
 
 def _codes(store, strict=False):
-    return [(f.code, f.label) for f in run_lints(store, strict=strict)]
+    return [(f.code, f.label) for f in run_lints(lint_rows(store), strict=strict)]
 
 
 def test_criterion_6_lint_reproduction():

@@ -138,6 +138,22 @@ def test_check_error_severity_fails(tmp_path, monkeypatch, capsys):
     assert "error env-mismatch pair" in capsys.readouterr().out
 
 
+def test_check_reports_an_env_conflict_that_extract_refuses(tmp_path, monkeypatch, capsys):
+    make_project(tmp_path, {"M": '@[blueprint "pair"]\ndef a := 1\n'})
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract"]) == 0  # a build whose manifest the edit below makes stale
+    src = tmp_path / "src" / "M.lean"
+    src.write_text(
+        src.read_text(encoding="utf-8") + '\n@[blueprint "pair"]\ntheorem b : x := by\n  apply a\n',
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert main(["extract"]) == 1
+    assert "conflicting environments" in capsys.readouterr().err
+    assert main(["check"]) == 1
+    assert "error env-mismatch pair: " in capsys.readouterr().out
+
+
 def test_check_cross_references_blueprint_tex(tmp_path, monkeypatch, capsys):
     make_project(
         tmp_path,
@@ -310,10 +326,24 @@ def test_graph_out_file(golden_project, capsys):
 
 
 # ---------------------------------------------------------------------------
-# status and graph from a fresh build
+# status, graph and check from a fresh build
 
-READ_COMMANDS = (["status"], ["status", "--json"], ["graph"], ["graph", "--format", "json"])
+READ_COMMANDS = (
+    ["status"],
+    ["status", "--json"],
+    ["graph"],
+    ["graph", "--format", "json"],
+    ["check"],
+    ["check", "--strict"],
+)
 FILL_SORRY = ("  /-- Proof by induction on $b$. -/\n  sorry", "  induction b <;> simp [*, add]")
+
+
+def edit_every_read(src) -> None:
+    """Fill a sorry and add an isolated node, which changes what each of `READ_COMMANDS` prints."""
+
+    text = src.read_text(encoding="utf-8").replace(*FILL_SORRY)
+    src.write_text(text + '\n@[blueprint "extra"]\ndef extra := 1\n', encoding="utf-8")
 
 
 @pytest.fixture
@@ -370,10 +400,11 @@ def test_fresh_build_answers_without_loading_the_project(extracted, capsys, load
 def test_source_edited_without_extract_is_reloaded(extracted, capsys, loads):
     before = read_outputs(capsys)
     src = extracted / "src" / "MyNat.lean"
-    src.write_text(src.read_text(encoding="utf-8").replace(*FILL_SORRY), encoding="utf-8")
+    edit_every_read(src)
     after = read_outputs(capsys)
     assert len(loads) == len(READ_COMMANDS)
     assert "proofs leanOk: 2 of 3\n" in after[0][1]
+    assert "warning isolated-node extra: " in after[4][1]  # so `check` changes too
     assert [out != old for out, old in zip(after, before)] == [True] * len(READ_COMMANDS)
     assert full_outputs(extracted, capsys) == after
 
@@ -386,6 +417,23 @@ def test_hand_edited_graph_json_is_recomputed(extracted, capsys, loads):
     assert main(["graph", "--format", "json"]) == 0
     assert capsys.readouterr().out == built
     assert len(loads) == 1
+
+
+def test_hand_edited_blueprint_json_is_relinted(extracted, capsys, loads):
+    from archforge.graph import blueprint_lint_rows, run_lints
+
+    fast = read_outputs(capsys)
+    path = extracted / "build" / "blueprint" / "blueprint.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    node = next(n for n in data["nodes"] if n["label"] == "MyNat.add_comm")
+    node["proof"]["uses"].remove("MyNat.succ_add")
+    path.write_text(json.dumps(data), encoding="utf-8")
+    edited = run_lints(blueprint_lint_rows(data))
+    assert ("unused-node", "MyNat.succ_add") in [(f.code, f.label) for f in edited]
+    assert read_outputs(capsys) == fast  # not linted from the edited file
+    assert len(loads) == len(READ_COMMANDS)
+    loads.clear()
+    assert full_outputs(extracted, capsys) == fast
 
 
 def test_hand_edited_status_counts_are_recomputed(extracted, capsys, loads):
@@ -432,7 +480,9 @@ def test_held_build_lock_does_not_stop_reads(extracted, capsys, loads):
     assert loads == []
 
 
-@pytest.mark.parametrize("argv", [["status"], ["graph", "--format", "json"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [["status"], ["graph", "--format", "json"], ["check"]], ids=" ".join
+)
 def test_extract_during_a_freshness_check(extracted, capsys, monkeypatch, argv):
     """An extract that runs while a read command checks the tree succeeds, and the reader,
     whose manifest no longer describes the tree, loads the edited project."""
@@ -450,7 +500,7 @@ def test_extract_during_a_freshness_check(extracted, capsys, monkeypatch, argv):
     def extract_midway(out):
         if not src.read_text(encoding="utf-8").count(FILL_SORRY[1]):
             # the reader has checked the manifest and sources, not yet the artifacts
-            src.write_text(src.read_text(encoding="utf-8").replace(*FILL_SORRY), encoding="utf-8")
+            edit_every_read(src)
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main(["extract"]))
         return real(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,9 +11,11 @@ from archforge.graph import (
     Edge,
     LINT_SEVERITY,
     LintFinding,
+    blueprint_lint_rows,
     build_graph,
     emit_dot,
     graph_json_data,
+    lint_rows,
     run_lints,
 )
 from archforge.infer import effective_uses, label_view
@@ -130,7 +133,7 @@ def test_graph_json_shape(golden_store):
 
 
 def findings(store, strict=False):
-    return [(f.code, f.label) for f in run_lints(store, strict=strict)]
+    return [(f.code, f.label) for f in run_lints(lint_rows(store), strict=strict)]
 
 
 def test_golden_lints(golden_store):
@@ -178,7 +181,7 @@ def test_dangling_label_lint():
     )
     got = findings(store)
     assert ("dangling-label", "ml:gone") in got
-    f = [f for f in run_lints(store) if f.code == "dangling-label"][0]
+    f = [f for f in run_lints(lint_rows(store)) if f.code == "dangling-label"][0]
     assert "no declaration carries it" in f.message
 
 
@@ -259,7 +262,7 @@ def test_env_mismatch_is_error():
             '@[blueprint "pair"]\ntheorem b : x := by trivial\n'
         }
     )
-    fs = run_lints(store)
+    fs = run_lints(lint_rows(store))
     mism = [f for f in fs if f.code == "env-mismatch"]
     assert len(mism) == 1
     assert mism[0].severity == "error"
@@ -275,14 +278,14 @@ def test_findings_sorted_and_stable():
             '@[blueprint "m" (uses := ["gone:1"])]\ndef m := 3\n'
         }
     )
-    got = [(f.code, f.label) for f in run_lints(store)]
+    got = [(f.code, f.label) for f in run_lints(lint_rows(store))]
     assert got == sorted(got)
     assert got[0][0] == "dangling-label"
 
 
 def test_finding_str_format():
     store = store_from({"M": '@[blueprint "x"]\ndef x := 1\n'})
-    f = run_lints(store)[0]
+    f = run_lints(lint_rows(store))[0]
     assert str(f) == f"{f.severity} {f.code} {f.label}: {f.message}"
 
 
@@ -309,7 +312,7 @@ def test_generated_graphs_lint_clean_run():
     for seed in range(15):
         gp = _gen.gen_project(seed, max_decls=15)
         store = _gen.build_gen_store(gp)
-        got = [(f.code, f.label) for f in run_lints(store, strict=True)]
+        got = [(f.code, f.label) for f in run_lints(lint_rows(store), strict=True)]
         assert got == sorted(got)
 
 
@@ -379,7 +382,20 @@ ORACLE_STORES = {
 @pytest.mark.parametrize("name", list(ORACLE_STORES))
 def test_lints_match_the_graph_degree_oracle(name, strict):
     store = ORACLE_STORES[name]()
-    assert run_lints(store, strict=strict) == reference_lints(store, strict)
+    assert run_lints(lint_rows(store), strict=strict) == reference_lints(store, strict)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_STORES))
+def test_blueprint_json_rows_equal_the_store_rows(name):
+    # `check` on a fresh build lints the rows read back from blueprint.json
+    from archforge.build import _dump_json
+    from archforge.latex import blueprint_json_data, fragment_paths
+
+    store = ORACLE_STORES[name]()
+    data = json.loads(_dump_json(blueprint_json_data(store, fragment_paths(store))))
+    rows = lint_rows(store)
+    # blueprint.json keeps one environment: `extract` refuses a label with two
+    assert blueprint_lint_rows(data) == [row._replace(envs=row.envs[:1]) for row in rows]
 
 
 def test_lint_oracle_stores_cover_the_lint_codes():
@@ -388,6 +404,7 @@ def test_lint_oracle_stores_cover_the_lint_codes():
     for make in ORACLE_STORES.values():
         store = make()
         for strict in found:
-            found[strict].update((f.code, f.label) for f in run_lints(store, strict=strict))
+            lints = run_lints(lint_rows(store), strict=strict)
+            found[strict].update((f.code, f.label) for f in lints)
     assert {code for code, _ in found[False]} == set(LINT_SEVERITY)
     assert found[True] - found[False] == {("unused-node", "ml:u")}

@@ -79,6 +79,21 @@ def test_read_command_on_a_fresh_build_loads_only_the_manifest_check(built, argv
     assert loaded == NOOP_MODULES
 
 
+def test_check_on_a_fresh_build_loads_the_lints_and_the_tex_scanner(built):
+    proc, loaded = run(built, "check")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "warning unused-node MyNat.add_comm: nothing depends on this node\n"
+    assert loaded == NOOP_MODULES | {"archforge.graph", "archforge.texscan"}
+
+
+def test_check_on_a_fresh_build_without_tex_files_loads_only_the_lints(tmp_path):
+    make_project(tmp_path, {"MyNat": golden_text()})
+    assert run(tmp_path, "extract")[0].returncode == 0
+    proc, loaded = run(tmp_path, "check")
+    assert proc.stdout == "warning unused-node MyNat.add_comm: nothing depends on this node\n"
+    assert loaded == NOOP_MODULES | {"archforge.graph"}
+
+
 @pytest.mark.parametrize(
     "argv", [("status", "--json"), ("graph", "--format", "json"), ("check",)], ids=" ".join
 )

@@ -606,6 +606,60 @@ def test_section_end_mismatch_and_unclosed_section_warn():
     ]
 
 
+def test_mutual_block_keeps_the_enclosing_namespace():
+    text = (
+        "namespace Foo\nmutual\n  def a := b\n  def b := a\nend\n"
+        "@[blueprint] theorem t : True := trivial\nend Foo\n"
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["Foo.a", "Foo.b", "Foo.t"]
+    a, b, t = decls(unit)
+    assert (a.body_text, b.body_text) == ("b", "a")
+    assert t.namespace_context == ("Foo",)
+    assert unit.warnings == ()
+
+
+def test_mutual_block_ends_the_command_before_it_and_warns_when_unclosed():
+    unit = parse_module_text("def f := 1\nmutual\ndef g := 2\n", Name.parse("M"))
+    f, g = decls(unit)
+    assert f.body_text == "1" and g.body_text == "2"
+    assert [w.message for w in unit.warnings] == ["mutual block not closed at end of file"]
+
+
+@pytest.mark.parametrize("modifier", ["", "private "], ids=["plain", "private"])
+def test_tagged_declaration_after_one_on_its_line_is_kept(modifier):
+    text = f'def f := 1 @[blueprint "a"] {modifier}theorem t : True := trivial\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    f, t = decls(unit)
+    assert (f.body_text, f.body_idents) == ("1", ())
+    assert (t.name, t.attribute.label, t.body_text) == (Name.parse("t"), "a", "trivial")
+    assert t.span.start == text.index("@[")
+    assert t.attr_close == text.index("]")
+    assert unit.warnings == ()
+
+
+@pytest.mark.parametrize("gap", ["\n", " "], ids=["next-line", "mid-line"])
+def test_declaration_cut_inside_a_bracket_warns(gap):
+    text = f'def f := (1{gap}@[blueprint "a"] theorem t : True := trivial\ndef g := (2\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["f", "t", "g"]
+    # the file ending inside a bracket is not reported
+    assert [w.message for w in unit.warnings] == ["unbalanced brackets in declaration 'f'"]
+
+
+def test_mid_line_attribute_list_ends_only_before_a_declaration():
+    # `@[` mid-line ends the command only when a declaration follows the list
+    text = (
+        "def f := g @[simp] x\n"
+        "variable (x : Nat) @[blueprint \"b\"] /-- Doc. -/ lemma l : True := trivial\n"
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    f, l = decls(unit)
+    assert f.body_text == "g @[simp] x"
+    assert (l.name, l.attribute.label, l.docstring) == (Name.parse("l"), "b", "Doc.")
+    assert unit.warnings == ()
+
+
 def test_section_starts_a_block():
     unit = parse_module_text("def f := 1\nsection S\ndef g := 2\nend S\n", Name.parse("M"))
     assert decls(unit)[0].body_text == "1"
@@ -688,13 +742,16 @@ def test_example_ends_the_previous_declaration():
 def test_indented_declaration_ends_the_command_before_it(before):
     # a declaration keyword, `@[` or a docstring before one, first on its
     # line, starts a declaration at any indentation
-    text = f'namespace Foo\n  {before}\n  @[blueprint "a"]\n  theorem t : True := trivial\nend Foo\n'
+    close = "end\n" if before == "mutual" else ""  # a `mutual` block ends at its own `end`
+    text = (
+        f'namespace Foo\n  {before}\n  @[blueprint "a"]\n  theorem t : True := trivial\n'
+        f"{close}end Foo\n"
+    )
     unit = parse_module_text(text, Name.parse("M"))
     *rest, t = decls(unit)
     assert (t.name, t.attribute.label, t.body_text) == (Name.parse("Foo.t"), "a", "trivial")
     assert all(d.body_idents == () for d in rest)
-    expected = ["unrecognized top-level command starting at 'mutual'"] if before == "mutual" else []
-    assert [w.message for w in unit.warnings] == expected
+    assert unit.warnings == ()
 
 
 def test_indented_docstring_and_modifiers_start_a_declaration():
