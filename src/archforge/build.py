@@ -361,6 +361,27 @@ class ExtractResult(NamedTuple):
         return lines
 
 
+def _overwrite(path: str, data: bytes) -> None:
+    """Write `data` over the file at `path`, or create it, then cut off what is left past it.
+
+    The file is not truncated to zero first: on ext4 (`auto_da_alloc`, the
+    default) closing a file that was truncated to zero starts a writeback
+    flush, which costs more than the write itself.  Nor is a file cut that
+    is no longer than `data`: ext4 journals every truncate, even to the
+    file's own length.
+    """
+
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 class _BuildLock:
     """Advisory exclusive lock so concurrent extracts cannot interleave."""
 
@@ -394,14 +415,17 @@ class _BuildLock:
 def extract(project: Project, out_dir: Path | None = None, force: bool = False) -> ExtractResult:
     """Render all artifacts and synchronize the output directory.
 
-    Content is always rendered in memory.  The files of a module whose
-    transitive hash changed are written without reading them back; every
-    other file is written only when its bytes differ, so the tree matches a
-    clean build exactly (including merged labels that cross module
-    boundaries).  A module is reported stale when its hash changed or one of
-    its files was written.  The manifest is replaced last: a crash before that
-    leaves the previous manifest, whose artifact digest no longer matches
-    the tree, so the next extract takes this path again and repairs it.
+    Content is always rendered in memory.  Files are written without being
+    read back only with `force`, without a manifest that `load_manifest`
+    accepts, or when their module's transitive hash changed and its source
+    was parsed in this run (not reused from the parse cache); every other
+    file is written only when its bytes differ, so the tree matches a clean
+    build exactly (including merged labels that cross module boundaries).
+    Each write overwrites the file in place.  A module is reported stale
+    when its hash changed or one of its files was written.  The manifest is
+    replaced last: a crash before that leaves the previous manifest, whose
+    artifact digest no longer matches the tree, so the next extract takes
+    this path again and repairs it.
     """
 
     from .latex import RenderOptions
@@ -421,24 +445,30 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         transitive = transitive_hashes(store, fingerprint)
         manifest = None if force else load_manifest(out)  # no manifest: every module is stale
         stale = compute_staleness(manifest, store, transitive)
+        # the modules whose files are written without reading them back: an import's edit
+        # seldom changes the bytes of a module that the parse cache supplied
+        unread = stale if manifest is None else stale - project.pickled.keys()
 
         written: list[str] = []
-        made: set[Path] = set()  # parent directories already created
+        made: set[str] = set()  # parent directories already created
         digest = _Digest()  # artifact paths and bytes, in path order
+        root = os.fspath(out)
         for rel in sorted(plan.files):
             content = plan.files[rel].encode("utf-8")
             digest.add(rel, content)
-            target = out / rel
-            owner = plan.owners[rel]
-            if not (force or owner in stale):
-                # a file no changed hash covers is written only when its bytes differ
-                on_disk = target.read_bytes() if target.is_file() else None
-                if on_disk == content:
-                    continue
-            if target.parent not in made:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                made.add(target.parent)
-            target.write_bytes(content)
+            path = f"{root}/{rel}"
+            if not force and plan.owners[rel] not in unread:
+                try:
+                    with open(path, "rb") as f:
+                        if f.read() == content:
+                            continue
+                except FileNotFoundError:
+                    pass
+            parent = os.path.dirname(path)
+            if parent not in made:
+                os.makedirs(parent, exist_ok=True)
+                made.add(parent)
+            _overwrite(path, content)
             written.append(rel)
         stale.update(plan.owners[rel] for rel in written if plan.owners[rel] is not None)
 

@@ -479,7 +479,7 @@ class _ModuleParser(_Cursor):
 
         line = tok.line
         while (tok := self.peek()) is not None:
-            if (tok.text == "@" or tok.line != line) and self.at_block_start(tok):
+            if (tok.line != line or tok.text == "@" or tok.kind == "docstring") and self.at_block_start(tok):
                 break
             self.take()
 
@@ -490,31 +490,37 @@ class _ModuleParser(_Cursor):
         indentation, so does the first token on a line that begins a
         declaration: `@[`, modifiers and a declaration keyword, or a
         docstring before either.  Anywhere on a line, so does an `@[` list
-        that a declaration (or a docstring and one) follows.
+        that a declaration (or a docstring and one) follows, and a docstring
+        that such a list and then a declaration follow.
         """
 
         if tok.col == 0 and (tok.kind == "docstring" or tok.text in COMMAND_KEYWORDS):
             return True
         if tok.col and self.tokens[self.pos - 1].end > tok.start - tok.col:
             # not the first token on its line
-            ahead = self.attr_list_length()
+            doc = tok.kind == "docstring"
+            ahead = self.attr_list_end(1 if doc else 0)
             if ahead is None:
                 return False
             after = self.peek(ahead)
-            return self.at_declaration(ahead + 1 if after and after.kind == "docstring" else ahead)
+            docstring_after = not doc and after is not None and after.kind == "docstring"
+            return self.at_declaration(ahead + 1 if docstring_after else ahead)
         ahead = 1 if tok.kind == "docstring" else 0
         return self.at_attr_list(ahead) or self.at_declaration(ahead)
 
     def at_attr_list(self, ahead: int = 0) -> bool:
         return self.at("@", ahead) and self.at("[", ahead + 1)
 
-    def attr_list_length(self) -> int | None:
-        """The tokens in the `@[...]` list that comes next; None if none does or it is unclosed."""
+    def attr_list_end(self, ahead: int = 0) -> int | None:
+        """How far ahead the token after the `@[...]` list that starts `ahead` tokens ahead is.
 
-        if not self.at_attr_list():
+        None if no list starts there or it is unclosed.
+        """
+
+        if not self.at_attr_list(ahead):
             return None
         depth = 0
-        ahead = 1
+        ahead += 1
         while (tok := self.peek(ahead)) is not None:
             if tok.kind == "symbol":
                 if tok.text in ("[", "("):
@@ -561,7 +567,12 @@ class _ModuleParser(_Cursor):
             return
         kind, top = self.scopes.pop()
         if name and name != top:
-            self.warn(f"'end {'.'.join(name)}' does not match {kind} '{'.'.join(top)}'", kw.line)
+            # the scope closes anyway; a mutual block and a bare `section` have no name to quote
+            if top:
+                scope = f"{kind} '{'.'.join(top)}'"
+            else:
+                scope = "a mutual block" if kind == "mutual" else "an unnamed section"
+            self.warn(f"'end {'.'.join(name)}' does not match {scope}", kw.line)
         depth = len(self.scopes)
         self.opens = [(d, n) for d, n in self.opens if d <= depth]
 
@@ -722,10 +733,10 @@ class _ModuleParser(_Cursor):
         last = name_tok
         while (tok := self.peek()) is not None:
             if (
-                tok.line != last.line
-                and (tok.col == 0 or tok.text in _DECL_STARTS or tok.kind == "docstring")
-                and self.at_block_start(tok)
-            ):
+                tok.text == "@"
+                or tok.kind == "docstring"
+                or tok.line != last.line and (tok.col == 0 or tok.text in _DECL_STARTS)
+            ) and self.at_block_start(tok):
                 break
             if tok.kind == "symbol":
                 if tok.text in ("(", "[", "{"):
@@ -737,8 +748,6 @@ class _ModuleParser(_Cursor):
                     in_body = True
                     last = tok
                     continue
-                elif tok.text == "@" and self.at_block_start(tok):  # an `@[` list mid-line
-                    break
             self.take()
             (body_tokens if in_body else sig_tokens).append(tok)
             last = tok

@@ -355,6 +355,75 @@ def test_incremental_writes_only_changed_files(tmp_path):
     assert result.written == ["blueprint.json", "graph.json", "modules/C.tex", "nodes/c_top.tex"]
 
 
+def clean_build(tmp_path):
+    fresh = tmp_path / "fresh"
+    extract(load_project_at(tmp_path), out_dir=fresh, force=True)
+    return read_tree(fresh)
+
+
+def test_edit_writes_unread_only_the_reparsed_modules_files(tmp_path):
+    make_project(tmp_path, dict(CHAIN))
+    out = tmp_path / "build" / "blueprint"
+    extract(load_project_at(tmp_path))
+    before = read_tree(out)
+    edit_module(tmp_path, "A", '@[blueprint "a:base" (notReady := true)]\ndef base := 1\n')
+    result = extract(load_project_at(tmp_path))
+    after = read_tree(out)
+    differ = {rel for rel in after if before.get(rel) != after[rel]} - {MANIFEST_NAME}
+    # B and C are stale by hash, but came from the parse cache: their files are read back
+    assert result.written == sorted({"modules/A.tex", "nodes/a_base.tex"} | differ)
+    assert "modules/B.tex" not in result.written and "modules/C.tex" not in result.written
+    assert result.stale == {Name.parse("A"), Name.parse("B"), Name.parse("C")}
+    assert after == clean_build(tmp_path)
+
+
+@pytest.mark.parametrize("module", sorted(CHAIN))
+def test_comment_only_edit_writes_the_modules_fragment(tmp_path, module):
+    # a comment changes no artifact's bytes, but the edited module's files are written unread
+    make_project(tmp_path, dict(CHAIN))
+    extract(load_project_at(tmp_path))
+    edit_module(tmp_path, module, CHAIN[module] + "-- a note\n")
+    result = extract(load_project_at(tmp_path))
+    assert f"modules/{module}.tex" in result.written
+    assert Name.parse(module) in result.stale
+    assert read_tree(tmp_path / "build" / "blueprint") == clean_build(tmp_path)
+
+
+def test_edit_without_parse_cache_gives_the_clean_build(tmp_path):
+    make_project(tmp_path, dict(CHAIN))
+    extract(load_project_at(tmp_path))
+    shutil.rmtree(tmp_path / ".archforge")
+    edit_module(tmp_path, "B", 'import A\n\n@[blueprint "b:mid"]\ndef mid : Nat := by\n  sorry\n')
+    result = extract(load_project_at(tmp_path))
+    assert result.stale == {Name.parse("B"), Name.parse("C")}
+    assert read_tree(tmp_path / "build" / "blueprint") == clean_build(tmp_path)
+
+
+@pytest.mark.parametrize("edit_source", [False, True], ids=["read-back", "unread"])
+@pytest.mark.parametrize(
+    "tear", [lambda data: data + b"junk\n" * 40, lambda data: data[: len(data) // 2]],
+    ids=["longer", "shorter"],
+)
+def test_torn_artifact_is_restored_in_place(tmp_path, tear, edit_source):
+    make_project(tmp_path, dict(CHAIN))
+    out = tmp_path / "build" / "blueprint"
+    extract(load_project_at(tmp_path))
+    target = out / "nodes" / "b_mid.tex"
+    rendered = target.read_bytes()
+    target.write_bytes(tear(rendered))
+    if edit_source:  # B is reparsed, so its files are written without reading them back
+        edit_module(tmp_path, "B", CHAIN["B"] + "-- a note\n")
+    result = extract(load_project_at(tmp_path))
+    assert target.read_bytes() == rendered
+    assert "nodes/b_mid.tex" in result.written
+    if edit_source:
+        assert result.stale == {Name.parse("B"), Name.parse("C")}
+    else:
+        assert result.stale == {Name.parse("B")}
+        assert result.written == ["nodes/b_mid.tex"]
+    assert read_tree(out) == clean_build(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # orphan sweep and locking
 

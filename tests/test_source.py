@@ -660,6 +660,45 @@ def test_mid_line_attribute_list_ends_only_before_a_declaration():
     assert unit.warnings == ()
 
 
+@pytest.mark.parametrize("modifier", ["", "private "], ids=["plain", "private"])
+def test_mid_line_docstring_before_a_tagged_declaration_is_kept(modifier):
+    text = f'def f := 1 /-- Doc. -/ @[blueprint "a"] {modifier}theorem t : True := trivial\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    f, t = decls(unit)
+    assert (f.body_text, f.body_idents) == ("1", ())
+    assert (t.name, t.attribute.label, t.docstring) == (Name.parse("t"), "a", "Doc.")
+    assert t.span.start == text.index("/--")
+    assert unit.warnings == ()
+
+
+def test_mid_line_docstring_ends_only_before_an_attribute_list_and_declaration():
+    text = (
+        "def f := by /-- Step. -/ @[simp] x\n"
+        "variable (x : Nat) /-- Doc. -/ @[blueprint \"b\"] lemma l : True := trivial\n"
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    f, l = decls(unit)
+    assert (f.body_text, f.tactic_docstrings) == ("by /-- Step. -/ @[simp] x", ("Step.",))
+    assert (l.name, l.attribute.label, l.docstring) == (Name.parse("l"), "b", "Doc.")
+    assert unit.warnings == ()
+
+
+@pytest.mark.parametrize(
+    ("opening", "message", "names"),
+    [
+        ("namespace Foo\nmutual\n", "'end Foo' does not match a mutual block", ["Foo.a", "Foo.b"]),
+        ("section\n", "'end Foo' does not match an unnamed section", ["a", "b"]),
+    ],
+    ids=["mutual", "section"],
+)
+def test_end_mismatch_names_an_unnamed_scope_in_words(opening, message, names):
+    # the named `end` closes the innermost scope, whatever its name
+    unit = parse_module_text(f"{opening}def a := 1\nend Foo\ndef b := 2\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == names
+    assert unit.warnings[0].message == message
+    assert all("''" not in w.message for w in unit.warnings)
+
+
 def test_section_starts_a_block():
     unit = parse_module_text("def f := 1\nsection S\ndef g := 2\nend S\n", Name.parse("M"))
     assert decls(unit)[0].body_text == "1"
