@@ -296,7 +296,7 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     for label, tex in rendered.items():
         rel = node_paths[label]
         files[rel] = tex + "\n"
-        owners[rel] = label_view(store, label).anchor[0]
+        owners[rel] = label_view(store, label).module
 
     for name in store.topo_order:
         rel = module_fragment_path(name)

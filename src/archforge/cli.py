@@ -139,7 +139,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
         store = load_project(config).store
         rows = lint_rows(store)
-        anchors = {label: str(label_view(store, label).anchor[0]) for label in store.by_label}
+        anchors = {label: str(label_view(store, label).module) for label in store.by_label}
         module_names = {str(m) for m in store.modules}
     findings = run_lints(rows, strict=args.strict)
     findings.extend(blueprint_cross_findings(config.blueprint_tex_files, anchors, module_names))
@@ -189,9 +189,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     project = load_project(config)
     legacy = parse_legacy_blueprint(args.blueprint)
     options = ConversionOptions(
-        only_lean_nodes=not args.all_nodes,
-        drop_uses_when_lean_ok=not args.keep_uses,
-        docstring_width=config.docstring_width,
+        drop_uses_when_lean_ok=not args.keep_uses, docstring_width=config.docstring_width
     )
     root_path = None
     if config.root_modules:
@@ -249,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--blueprint", nargs="+", required=True, help="legacy blueprint .tex files"
     )
-    p.add_argument("--all-nodes", action="store_true", help="also convert nodes without \\lean")
     p.add_argument("--keep-uses", action="store_true", help="keep uses lists for leanOk parts")
     p.add_argument("--dry-run", action="store_true", help="print the plan, write nothing")
     p.set_defaults(func=cmd_convert)

@@ -54,7 +54,6 @@ class SourceInsert(NamedTuple):
     insert_at: int  # character offset in the file as stored
     text: str
     priority: int = 1  # attribute commands sort before declaration attributes
-    seq: int = 0
 
 
 class LatexReplace(NamedTuple):
@@ -62,7 +61,6 @@ class LatexReplace(NamedTuple):
     start: int  # character offsets in the file as stored
     end: int
     replacement: str
-    seq: int = 0
 
 
 class ConversionPlan:
@@ -74,7 +72,6 @@ class ConversionPlan:
 
 
 class ConversionOptions(NamedTuple):
-    only_lean_nodes: bool = True
     drop_uses_when_lean_ok: bool = True
     docstring_width: int = 100
 
@@ -83,7 +80,6 @@ class ApplySummary(NamedTuple):
     source_inserts: int
     latex_replacements: int
     skipped: int
-    files: tuple[str, ...]
 
     def __str__(self) -> str:
         return (
@@ -261,12 +257,6 @@ def _list_option(key: str, labels: tuple[str, ...]) -> list[str]:
     return [f"({key} := [{inner}])"]
 
 
-def _check_embeddable(node: LegacyNode, text: str, what: str) -> str | None:
-    if "-/" in text:
-        return f"{what} contains '-/' and cannot be embedded in a docstring"
-    return None
-
-
 def _node_options(
     node: LegacyNode,
     decl: Declaration | None,
@@ -274,13 +264,19 @@ def _node_options(
 ) -> tuple[list[list[str]], str | None]:
     """Option line-groups for the primary attribute, or a skip reason."""
 
+    texts = (
+        ("statement text", node.statement_text),
+        ("proof text", node.proof.text if node.proof is not None else ""),
+        ("title", node.title or ""),
+    )
+    for what, text in texts:
+        if "-/" in text:
+            return [], f"{what} contains '-/' and cannot be embedded in a docstring"
+
     groups: list[list[str]] = []
     width = options.docstring_width
 
     if node.statement_text:
-        reason = _check_embeddable(node, node.statement_text, "statement text")
-        if reason:
-            return [], reason
         groups.append(_doc_option("statement", node.statement_text, width))
 
     default_has_proof = decl is not None and decl.kind in PROOF_KINDS
@@ -289,9 +285,6 @@ def _node_options(
         groups.append([f"(hasProof := {'true' if has_proof else 'false'})"])
 
     if node.proof is not None and node.proof.text:
-        reason = _check_embeddable(node, node.proof.text, "proof text")
-        if reason:
-            return [], reason
         groups.append(_doc_option("proof", node.proof.text, width))
 
     keep_stmt_uses = node.statement_uses and not (
@@ -308,9 +301,6 @@ def _node_options(
             groups.append(_list_option("proofUses", node.proof.uses))
 
     if node.title:
-        reason = _check_embeddable(node, node.title, "title")
-        if reason:
-            return [], reason
         groups.append(_doc_option("title", node.title, width))
     if node.not_ready:
         groups.append(["(notReady := true)"])
@@ -385,10 +375,7 @@ def plan_conversion(
 
     for node in legacy:
         if not node.lean_names:
-            if options.only_lean_nodes:
-                plan.skipped.append((node, "no \\lean names; skipped by default"))
-            else:
-                plan.skipped.append((node, "no \\lean names to attach the node to"))
+            plan.skipped.append((node, "no \\lean names; skipped by default"))
             continue
 
         project_decls: list[Declaration] = []
@@ -443,11 +430,8 @@ def plan_conversion(
             if lbl not in first_dependent or key < first_dependent[lbl][0]:
                 first_dependent[lbl] = (key, primary)
 
-    def seq() -> int:
-        return len(plan.source_edits) + len(plan.latex_edits) + 1
-
     def insert(path: str, at: int, text: str, priority: int = 1) -> None:
-        plan.source_edits.append(SourceInsert(path, at, text, priority, seq()))
+        plan.source_edits.append(SourceInsert(path, at, text, priority))
 
     def tag(decl: Declaration, label: str, written: str | None, groups: list[list[str]]) -> None:
         """Give `decl` the attribute for `label`, which the text names as `written`."""
@@ -502,7 +486,6 @@ def plan_conversion(
                 start=node.span.start,
                 end=node.span.end,
                 replacement=f"\\inputleannode{{{label}}}",
-                seq=seq(),
             )
         )
 
@@ -526,11 +509,12 @@ def plan_conversion(
 # Application
 
 
-def _apply_file_edits(text: str, edits: list[tuple[int, int, str, int, int]]) -> str:
-    edits = sorted(edits, key=lambda e: (e[0], e[3], e[4]))
+def _apply_file_edits(text: str, edits: list[tuple[int, int, str, int]]) -> str:
+    # a stable sort: at one offset and priority, planning order stands
+    edits = sorted(edits, key=lambda e: (e[0], e[3]))
     out: list[str] = []
     cursor = 0
-    for offset, length, replacement, _prio, _seq in edits:
+    for offset, length, replacement, _prio in edits:
         if offset < cursor:
             raise ConversionError("overlapping edits in conversion plan")
         out += (text[cursor:offset], replacement)
@@ -542,13 +526,11 @@ def _apply_file_edits(text: str, edits: list[tuple[int, int, str, int, int]]) ->
 def apply_plan(plan: ConversionPlan, dry_run: bool = False) -> ApplySummary:
     """Apply a plan atomically per file, verifying nothing changed since planning."""
 
-    by_file: dict[str, list[tuple[int, int, str, int, int]]] = {}
-    for ins in plan.source_edits:
-        by_file.setdefault(ins.path, []).append((ins.insert_at, 0, ins.text, ins.priority, ins.seq))
-    for rep in plan.latex_edits:
-        by_file.setdefault(rep.path, []).append(
-            (rep.start, rep.end - rep.start, rep.replacement, 1, rep.seq)
-        )
+    by_file: dict[str, list[tuple[int, int, str, int]]] = {}
+    for e in plan.source_edits:
+        by_file.setdefault(e.path, []).append((e.insert_at, 0, e.text, e.priority))
+    for e in plan.latex_edits:
+        by_file.setdefault(e.path, []).append((e.start, e.end - e.start, e.replacement, 1))
 
     contents: dict[str, bytes] = {}
     for path in sorted(by_file):
@@ -571,5 +553,4 @@ def apply_plan(plan: ConversionPlan, dry_run: bool = False) -> ApplySummary:
         source_inserts=len(plan.source_edits),
         latex_replacements=len(plan.latex_edits),
         skipped=len(plan.skipped),
-        files=tuple(sorted(by_file)),
     )

@@ -58,7 +58,7 @@ class LabelView(NamedTuple):
     proof_ok: bool | None
     proof_uses: tuple[str, ...]
     proof_text: str
-    anchor: tuple[Name, int]  # (placement_module, placement_index) of the first node
+    module: Name  # where the first node is placed
 
 
 class _ClosureGraph:
@@ -399,7 +399,6 @@ def label_view(store: NodeStore, label: str) -> LabelView:
             proof_ok &= part_status(store, node, "proof").lean_ok
             proof_uses.extend(effective_uses(store, node, "proof"))
 
-    head = nodes[0]
     view = LabelView(
         label=label,
         names=tuple(str(n.name) for n in nodes),
@@ -414,7 +413,7 @@ def label_view(store: NodeStore, label: str) -> LabelView:
         proof_ok=proof_ok if proved else None,
         proof_uses=_dedup(proof_uses),
         proof_text=_merge_texts(n.proof.text for n in proved),
-        anchor=(head.placement_module, head.placement_index),
+        module=nodes[0].placement_module,
     )
     cache.views[label] = view
     return view

@@ -123,11 +123,10 @@ def render_module_fragment(store: NodeStore, module: Name, rendered: dict[str, s
         if name is None:
             continue
         label = store.by_name[name].latex_label
-        anchor_module, anchor_idx = label_view(store, label).anchor
-        if (anchor_module, anchor_idx) == (module, idx):
+        if store.by_label[label][0] == name:
             blocks.append(rendered[label])
         else:
-            blocks.append(f"% node {label} appears in module {anchor_module}")
+            blocks.append(f"% node {label} appears in module {label_view(store, label).module}")
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
@@ -199,7 +198,7 @@ def blueprint_json_data(store: NodeStore, node_paths: dict[str, str]) -> dict:
                 "notReady": view.not_ready,
                 "discussion": view.discussion,
                 "file": node_paths[label],
-                "module": str(view.anchor[0]),
+                "module": str(view.module),
             }
         )
     return {

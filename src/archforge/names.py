@@ -45,9 +45,6 @@ class Name(tuple):
     def last(self) -> str:
         return self[-1]
 
-    def child(self, *segments: str) -> "Name":
-        return Name(self + segments)
-
     def join(self, other: "Name") -> "Name":
         return Name(self + other)
 

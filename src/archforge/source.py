@@ -434,6 +434,9 @@ class _ModuleParser(_Cursor):
                 self.parse_namespace()
             elif word == "section":
                 self.scopes.append(("section", self.name_on_line(self.take())))
+            elif word == "noncomputable" and (after := self.peek(1)) and after.text == "section":
+                self.take()  # opens a section, as a plain `section` does
+                self.scopes.append(("section", self.name_on_line(self.take())))
             elif word == "mutual":
                 self.take()
                 self.scopes.append(("mutual", ()))

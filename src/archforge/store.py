@@ -80,9 +80,6 @@ class NodeStore:
     def topo_index(self, module: Name) -> int:
         return self.topo_positions.get(module, len(self.topo_order))
 
-    def labels(self) -> list[str]:
-        return sorted(self.by_label)
-
 
 def _topo_sort(modules: dict[Name, ModuleUnit]) -> tuple[Name, ...]:
     indeg = {name: 0 for name in modules}

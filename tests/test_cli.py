@@ -598,15 +598,6 @@ def test_convert_reports_skips(legacy_project, capsys):
     assert "skipped nodes: 1" in out
 
 
-def test_convert_all_nodes_flag(legacy_project, capsys):
-    (legacy_project / "bp.tex").write_text(
-        "\\begin{theorem}\\label{prose}\nP.\n\\end{theorem}\n", encoding="utf-8"
-    )
-    assert main(["convert", "--blueprint", "bp.tex", "--all-nodes"]) == 0
-    out = capsys.readouterr().out
-    assert "attach" in out
-
-
 def test_convert_keep_uses(legacy_project):
     (legacy_project / "bp.tex").write_text(
         "\\begin{definition}\\label{def:zero}\\lean{zero}\\leanok\\uses{thm:main}\nZ.\n\\end{definition}\n"

@@ -624,16 +624,6 @@ def test_plan_skips_unlean_node_by_default(tmp_path):
     assert "skipped by default" in reason
 
 
-def test_plan_all_nodes_still_skips_unlean_with_other_reason(tmp_path):
-    src, tex, store, legacy = project(
-        tmp_path,
-        tex_text="\\begin{theorem}\\label{prose:only}\nX\n\\end{theorem}\n",
-    )
-    plan = plan_conversion(legacy, store, ConversionOptions(only_lean_nodes=False))
-    _, reason = plan.skipped[0]
-    assert "attach" in reason
-
-
 def test_plan_skips_unknown_names(tmp_path):
     src, tex, store, legacy = project(
         tmp_path,
@@ -810,10 +800,34 @@ def test_apply_end_to_end(tmp_path):
     assert unit.warnings == ()
     store2 = build_store([unit])
     warm_statuses(store2)
-    assert set(store2.labels()) == {"def:zero", "thm:main"}
+    assert set(store2.by_label) == {"def:zero", "thm:main"}
     node = store2.by_name[Name.parse("t_main")]
     assert node.statement.text == "Main claim text."
     assert node.proof.text == "Proof prose."
+
+
+def test_apply_keeps_legacy_order_of_edits_at_one_offset(tmp_path):
+    # both attribute commands go before t_main, the first dependent of each, with
+    # the same priority: planning order, which is legacy-document order, breaks the tie
+    src, tex, _, legacy = project(
+        tmp_path,
+        tex_text=(
+            "\\begin{lemma}\\label{ml:z}\\lean{Mathlib.Z.z}\\mathlibok\nZ.\n\\end{lemma}\n"
+            "\\begin{lemma}\\label{ml:a}\\lean{Mathlib.A.a}\\mathlibok\nA.\n\\end{lemma}\n"
+            "\\begin{theorem}\\label{thm:main}\\lean{t_main}\\uses{ml:a, ml:z}\nM.\n\\end{theorem}\n"
+        ),
+    )
+    unit = parse_module_text(src.read_text(encoding="utf-8"), Name.parse("Core"), path=str(src))
+    store = build_store([unit], frozenset({Name.parse("Mathlib.Z.z"), Name.parse("Mathlib.A.a")}))
+    warm_statuses(store)
+    plan = plan_conversion(legacy, store)
+    tied = [e for e in plan.source_edits if e.priority == 0]
+    assert len(tied) == 2 and len({e.insert_at for e in tied}) == 1
+    apply_plan(plan)
+    text = src.read_text(encoding="utf-8")
+    z = text.index('attribute [blueprint "ml:z"')
+    a = text.index('attribute [blueprint "ml:a"')
+    assert z < a < text.index('@[blueprint "thm:main"') < text.index("theorem t_main")
 
 
 def test_apply_preserves_declaration_bodies(tmp_path):

@@ -60,7 +60,7 @@ def test_golden_edges(golden_store):
 def test_edges_rederivable_from_effective_uses(golden_store):
     g = build_graph(golden_store)
     expect = set()
-    for label in golden_store.labels():
+    for label in golden_store.by_label:
         from archforge.store import merged_nodes
 
         for node in merged_nodes(golden_store, label):

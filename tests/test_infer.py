@@ -432,7 +432,7 @@ def test_label_view_merges_constituents():
     assert (view.proof_ok, view.proof_uses, view.proof_text) == (
         False, (), "By sorry.\nTrivially."
     )
-    assert view.anchor == (N("Zeta"), 1)
+    assert view.module == N("Zeta")
     solo = label_view(store, "solo")
     assert (solo.proof_ok, solo.proof_uses, solo.proof_text) == (None, (), "")
     with pytest.raises(NotFoundError):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 from pathlib import Path
 
 import archforge
 from archforge import source
+from archforge.cli import build_parser
 from archforge.config import DEFAULT_UPSTREAM_PREFIXES, load_config
 
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -53,3 +55,15 @@ def test_readme_attribute_example_is_the_parser_options():
     # `(key := value)` lines and the bare `notReady` flag
     options = re.findall(r"^\s+\(?(\w+)(?: :=|\])", block, re.M)
     assert sorted(options) == sorted(source.ATTRIBUTE_KEYS)
+
+
+def test_readme_cli_table_lists_the_parser_flags():
+    readme = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `archforge (\w+) ([^`]*)` \|", readme, re.M)
+    documented = {command: set(re.findall(r"--[\w-]+", usage)) for command, usage in rows}
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        command: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for command, sub in commands.choices.items()
+    }
+    assert documented == defined

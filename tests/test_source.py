@@ -704,6 +704,25 @@ def test_section_starts_a_block():
     assert decls(unit)[0].body_text == "1"
 
 
+def test_noncomputable_section_keeps_the_enclosing_namespace():
+    text = (
+        "namespace Foo\nnoncomputable section\n"
+        '@[blueprint "a"] theorem t : True := trivial\nend\n'
+        '@[blueprint "b"] theorem u : True := trivial\nend Foo\n'
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["Foo.t", "Foo.u"]
+    assert unit.warnings == ()
+
+
+def test_noncomputable_section_starts_a_block_and_is_named_by_its_end():
+    text = "def f := 1\nnoncomputable section S\ndef g := 2\nend T\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    f, g = decls(unit)
+    assert (f.body_text, g.body_text) == ("1", "2")
+    assert [w.message for w in unit.warnings] == ["'end T' does not match section 'S'"]
+
+
 MODIFIERS = ("private", "protected", "noncomputable", "partial", "unsafe")
 
 

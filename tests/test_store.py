@@ -6,6 +6,7 @@ import pytest
 
 from archforge.errors import NotFoundError, StoreError
 from archforge.config import load_upstream_index
+from archforge.latex import blueprint_json_data, fragment_paths
 from archforge.names import LabelRef, Name, SourceSpan
 from archforge.source import parse_module_text
 from archforge.store import build_store, is_upstream, merged_nodes
@@ -21,8 +22,8 @@ def test_name_order_str_and_validation():
     assert (n.segments, n.head, n.last) == (("MyNat", "add_comm"), "MyNat", "add_comm")
     assert (n.parent(), n.drop_head()) == (Name.parse("MyNat"), Name.parse("add_comm"))
     assert Name.parse("x").parent() is None and Name.parse("x").drop_head() is None
-    assert n.child("x", "y") == n.join(Name.parse("x.y")) == Name.parse("MyNat.add_comm.x.y")
-    assert type(n.child("x")) is Name and len({n, Name(("MyNat", "add_comm"))}) == 1
+    assert n.join(Name.parse("x.y")) == Name.parse("MyNat.add_comm.x.y")
+    assert len({n, Name(("MyNat", "add_comm"))}) == 1
     for bad in ((), ("a", ""), ("",)):
         with pytest.raises(ValueError, match="invalid name segments"):
             Name(bad)
@@ -62,7 +63,7 @@ def test_record_fields_cannot_be_assigned(golden_store):
 
 
 def test_golden_node_set(golden_store):
-    labels = set(golden_store.labels())
+    labels = set(golden_store.by_label)
     assert labels == {
         "MyNat",
         "def:nat-add",
@@ -167,12 +168,13 @@ def test_excludes_shared_between_parts():
 
 def test_empty_store():
     store = build_store([])
-    assert store.by_name == {} and list(store.labels()) == []
+    assert store.by_name == {} and store.by_label == {}
 
 
 def test_labels_sorted(golden_store):
-    labels = golden_store.labels()
-    assert list(labels) == sorted(labels)
+    # blueprint.json lists the nodes in label order
+    data = blueprint_json_data(golden_store, fragment_paths(golden_store))
+    assert [node["label"] for node in data["nodes"]] == sorted(golden_store.by_label)
 
 
 def test_by_label_inverts_by_name(golden_store):
@@ -358,5 +360,5 @@ def test_unknown_imports_ignored():
 
 def test_store_determinism(golden_store):
     again = store_from({"MyNat": golden_text()})
-    assert golden_store.labels() == again.labels()
+    assert list(golden_store.by_label) == list(again.by_label)
     assert list(golden_store.by_name) == list(again.by_name)
