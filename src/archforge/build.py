@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import __version__ as TOOL_VERSION
-from .config import ProjectConfig, load_upstream_index, read_source, source_hash
+from .config import ProjectConfig, files_digest, load_upstream_index, read_source, source_hash
 from .errors import BlueprintError, LockError, StoreError
 from .names import Name
 
@@ -29,6 +29,11 @@ GLOBAL_FILES = ("macros.tex", "blueprint.json", "graph.dot", "graph.json")
 READ_ARTIFACTS = ("graph.dot", "graph.json", "blueprint.json")  # what `graph` and `check` read
 MANAGED_DIRS = ("nodes", "modules")  # swept of files the plan does not hold
 STATUS_DIGEST_KEY = MANIFEST_NAME + "\0status"  # the manifest's counts, in the artifact digest
+# the package's modules, whose text `envFingerprint` digests: they are read as files, not
+# imported, so a changed program rebuilds once without a no-op loading more of it
+CODE_FILES = tuple(
+    Path(__file__).with_name(n) for n in sorted(os.listdir(os.path.dirname(__file__))) if n.endswith(".py")
+)
 
 
 class Project(NamedTuple):
@@ -151,10 +156,14 @@ def _upstream_names(config: ProjectConfig) -> frozenset[Name]:
 
 
 def _env_fingerprint(config: ProjectConfig, upstream: frozenset[Name]) -> str:
-    """Non-source inputs that invalidate artifacts when they change."""
+    """Inputs other than the sources that invalidate artifacts when they change.
+
+    archforge's own code is one of them.
+    """
 
     h = hashlib.blake2b(digest_size=8)
     h.update(TOOL_VERSION.encode())
+    h.update(files_digest(CODE_FILES))
     h.update(repr(sorted(config.upstream_prefixes)).encode())
     h.update(repr(config.emit_leanok_with_mathlibok).encode())
     h.update(repr(sorted(str(n) for n in upstream)).encode())
@@ -277,7 +286,7 @@ class RenderPlan(NamedTuple):
 def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     """Render every artifact in memory, deterministically."""
 
-    from .graph import build_graph, emit_dot, emit_json
+    from .graph import emit_graphs
     from .infer import label_view
     from .latex import (
         blueprint_json_data,
@@ -292,21 +301,20 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     files: dict[str, str] = {}
     owners: dict[str, Name | None] = {}
 
-    rendered = {label: render_node(store, label, options) for label in sorted(store.by_label)}
-    for label, tex in rendered.items():
-        rel = node_paths[label]
-        files[rel] = tex + "\n"
-        owners[rel] = label_view(store, label).module
+    views = [label_view(store, label) for label in sorted(store.by_label)]
+    rendered = {view.label: render_node(store, view.label, options) for view in views}
+    for view in views:
+        rel = node_paths[view.label]
+        files[rel] = rendered[view.label] + "\n"
+        owners[rel] = view.module
 
     for name in store.topo_order:
         rel = module_fragment_path(name)
         files[rel] = render_module_fragment(store, name, rendered)
         owners[rel] = name
 
-    graph = build_graph(store)
     files["macros.tex"] = render_macros(store, node_paths)
-    files["graph.dot"] = emit_dot(graph)
-    files["graph.json"] = emit_json(graph)
+    files["graph.dot"], files["graph.json"] = emit_graphs(views)
     files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths))
     for rel in GLOBAL_FILES:
         owners[rel] = None

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import __version__ as TOOL_VERSION
+from .config import files_digest
 from .names import LabelRef, Name, SourceSpan
 from .records import (
     AttributeSpec,
@@ -55,8 +56,7 @@ def cache_path(root: Path) -> Path:
 def _stamp() -> bytes:
     h = hashlib.blake2b(digest_size=16)
     h.update(f"{TOOL_VERSION}\0{sys.version_info[0]}.{sys.version_info[1]}\0".encode())
-    for path in _STAMPED:
-        h.update(path.read_bytes())
+    h.update(files_digest(_STAMPED))
     return h.hexdigest().encode() + b"\n"
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -51,10 +52,12 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if fresh is not None:  # the build holds exactly the bytes a full load would emit
         payload = fresh.artifacts[f"graph.{args.format}"].decode("utf-8")
     else:
-        from .graph import build_graph, emit_dot, emit_json
+        from .graph import emit_graphs
+        from .infer import label_view
 
-        graph = build_graph(load_project(config).store)
-        payload = emit_json(graph) if args.format == "json" else emit_dot(graph)
+        store = load_project(config).store
+        dot, json_text = emit_graphs([label_view(store, label) for label in sorted(store.by_label)])
+        payload = json_text if args.format == "json" else dot
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
     else:
@@ -255,12 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A command makes a few reference cycles and frees them at exit; cyclic
+    # collection would only rescan its many small tuples.  The caller's
+    # setting comes back, since tests call `main` many times in one process.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BlueprintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, ParseError
 from .names import Name
@@ -165,6 +165,17 @@ def read_source(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", path=str(path)) from exc
+
+
+def files_digest(paths: Iterable[Path]) -> bytes:
+    """One digest over the bytes of the files at `paths`, in order."""
+
+    h = hashlib.blake2b(digest_size=16)
+    for path in paths:
+        data = path.read_bytes()
+        h.update(b"%d\0" % len(data))
+        h.update(data)
+    return h.digest()
 
 
 def source_hash(data: bytes) -> str:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
+    from .infer import LabelView
     from .store import NodeStore
 
 # `label_view` is imported where it is used, so `check` on a fresh build loads
@@ -58,22 +60,17 @@ _DANGLING = VertexInfo(
 )
 
 
+def _vertex(view: LabelView) -> VertexInfo:
+    return VertexInfo(view.envs[0], view.statement_ok, view.proof_ok, view.upstream, view.not_ready)
+
+
 def build_graph(store: NodeStore) -> DepGraph:
     """One vertex per label; an edge u->v when v uses u in some part."""
 
     from .infer import label_view
 
     views = [label_view(store, label) for label in sorted(store.by_label)]
-    vertices: dict[str, VertexInfo] = {
-        view.label: VertexInfo(
-            env=view.envs[0],
-            statement_ok=view.statement_ok,
-            proof_ok=view.proof_ok,
-            upstream=view.upstream,
-            not_ready=view.not_ready,
-        )
-        for view in views
-    }
+    vertices = {view.label: _vertex(view) for view in views}
     # `label_view` dedups each part's uses, so no (dep, label, part) repeats
     edges: list[Edge] = []
     for view in views:
@@ -94,51 +91,109 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(graph: DepGraph) -> str:
-    """Deterministic Graphviz rendering of the dependency graph."""
+def _quoted(labels: Iterable[str]) -> dict[str, tuple[str, str]]:
+    """Each label as a DOT string and as a JSON string, escaped once.
 
-    quoted = {label: _quote(label) for label in graph.vertices}  # each label quoted once
-    lines = ["digraph blueprint {"]
-    for label in sorted(graph.vertices):
-        info = graph.vertices[label]
-        shape = "box" if info.env == "definition" else "ellipse"
-        color = _vertex_color(info)
-        lines.append(
-            f"  {quoted[label]} [shape={shape}, style=filled, fillcolor={_quote(color)}];"
-        )
-    style = {"statement": "solid", "proof": "dashed"}
-    lines.extend(
-        f"  {quoted[src]} -> {quoted[dst]} [style={style[kind]}];" for src, dst, kind in graph.edges
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    JSON strings are escaped by the C function the JSON encoder uses.
+    """
+
+    return {label: (_quote(label), encode_basestring(label)) for label in labels}
+
+
+_STYLE = {"statement": "solid", "proof": "dashed"}
+
+
+def _tail(quoted: tuple[str, str], kind: str) -> tuple[str, str]:
+    """What follows the dependency on an edge line to the `quoted` label, in DOT and in JSON."""
+
+    dot, json = quoted
+    return f" -> {dot} [style={_STYLE[kind]}];", f', "kind": "{kind}", "to": {json}}}'
 
 
 _LITERAL = {True: "true", False: "false", None: "null"}
 
 
-def emit_json(graph: DepGraph) -> str:
-    """`graph_json_data(graph)` laid out as `build._dump_json` writes it.
+def _write(
+    vertices: dict[str, VertexInfo],
+    quoted: dict[str, tuple[str, str]],
+    buckets: dict[str, list[tuple[str, str]]],
+) -> tuple[str, str]:
+    """The DOT text and the JSON text of a graph, lines written straight from its parts.
 
-    Each line is written straight from a vertex or an `Edge` tuple, with
-    every label escaped once by the C function the JSON encoder uses, so no
-    record is built as a dict and no encoder runs per edge.
+    `buckets` maps each dependency to the `_tail`s of its edges in edge
+    order, so sorting the dependencies puts every edge line in place.  The
+    JSON is `graph_json_data` laid out as `build._dump_json` writes it.
     """
 
-    quoted = {label: encode_basestring(label) for label in graph.vertices}
-    vertices = [
-        f'    {{"dangling": {_LITERAL[info.dangling]}, "env": {encode_basestring(info.env)}, '
-        f'"label": {quoted[label]}, "notReady": {_LITERAL[info.not_ready]}, '
-        f'"proofOk": {_LITERAL[info.proof_ok]}, "statementOk": {_LITERAL[info.statement_ok]}, '
-        f'"upstream": {_LITERAL[info.upstream]}}}'
-        for label, info in sorted(graph.vertices.items())
-    ]
-    kinds = {kind: encode_basestring(kind) for kind in ("statement", "proof")}
-    edges = [
-        f'    {{"from": {quoted[src]}, "kind": {kinds[kind]}, "to": {quoted[dst]}}}'
-        for src, dst, kind in graph.edges
-    ]
-    return f'{{\n  "edges": {_json_lines(edges)},\n  "vertices": {_json_lines(vertices)}\n}}\n'
+    dot = ["digraph blueprint {"]
+    vertex_json = []
+    for label in sorted(vertices):
+        info = vertices[label]
+        q_dot, q_json = quoted[label]
+        shape = "box" if info.env == "definition" else "ellipse"
+        dot.append(f'  {q_dot} [shape={shape}, style=filled, fillcolor="{_vertex_color(info)}"];')
+        vertex_json.append(
+            f'    {{"dangling": {_LITERAL[info.dangling]}, "env": {encode_basestring(info.env)}, '
+            f'"label": {q_json}, "notReady": {_LITERAL[info.not_ready]}, '
+            f'"proofOk": {_LITERAL[info.proof_ok]}, "statementOk": {_LITERAL[info.statement_ok]}, '
+            f'"upstream": {_LITERAL[info.upstream]}}}'
+        )
+    edge_json = []
+    for dep in sorted(buckets):
+        q_dot, q_json = quoted[dep]
+        dot_tails, json_tails = zip(*buckets[dep])
+        # one join per dependency: no string is built per edge but its line
+        head = f"  {q_dot}"
+        dot.append(head + f"\n{head}".join(dot_tails))
+        head = f'    {{"from": {q_json}'
+        edge_json.append(head + f",\n{head}".join(json_tails))
+    dot.append("}\n")
+    edges, vertices = _json_lines(edge_json), _json_lines(vertex_json)
+    return "\n".join(dot), f'{{\n  "edges": {edges},\n  "vertices": {vertices}\n}}\n'
+
+
+def _write_graph(graph: DepGraph) -> tuple[str, str]:
+    quoted = _quoted(graph.vertices)
+    buckets: dict[str, list[tuple[str, str]]] = {}
+    for src, dst, kind in graph.edges:
+        buckets.setdefault(src, []).append(_tail(quoted[dst], kind))
+    return _write(graph.vertices, quoted, buckets)
+
+
+def emit_dot(graph: DepGraph) -> str:
+    """Deterministic Graphviz rendering of the dependency graph."""
+
+    return _write_graph(graph)[0]
+
+
+def emit_json(graph: DepGraph) -> str:
+    """`graph_json_data(graph)` laid out as `build._dump_json` writes it, without building it."""
+
+    return _write_graph(graph)[1]
+
+
+def emit_graphs(views: list[LabelView]) -> tuple[str, str]:
+    """`emit_dot` and `emit_json` of the `build_graph` of `views`, given in label order.
+
+    No edge becomes an object: each view adds its own tail to one bucket per
+    dependency, its proof part's before its statement part's, which is edge
+    order because `Edge` sorts `"proof"` before `"statement"`.  A dependency
+    without a view is a dangling vertex.
+    """
+
+    vertices = {view.label: _vertex(view) for view in views}
+    quoted = _quoted(vertices)
+    buckets: defaultdict[str, list[tuple[str, str]]] = defaultdict(list)
+    for view in views:
+        for kind, uses in (("proof", view.proof_uses), ("statement", view.statement_uses)):
+            if uses:
+                tail = _tail(quoted[view.label], kind)
+                for dep in uses:
+                    buckets[dep].append(tail)
+    dangling = buckets.keys() - vertices.keys()
+    quoted.update(_quoted(dangling))
+    vertices.update(dict.fromkeys(dangling, _DANGLING))
+    return _write(vertices, quoted, buckets)
 
 
 def _json_lines(items: list[str]) -> str:

@@ -86,10 +86,14 @@ class _ClosureGraph:
 
 
 class _InferCache:
-    def __init__(self) -> None:
+    def __init__(self, store: NodeStore) -> None:
         self.refs: dict[Name, RefSets] = {}
+        # every name a reference may resolve to, mapped to itself
+        names = [*store.declarations, *store.by_name, *store.upstream_index]
+        self.constants: dict[tuple, Name] = dict(zip(names, names))
         # (namespace context, opens) -> token -> what resolve_references resolves it to
         self.resolved: dict[tuple, dict[str, Name | None]] = {}
+        self.label_of = {name: node.latex_label for name, node in store.by_name.items()}
         self.status: dict[tuple[Name, str], PartStatus] = {}
         self.effective: dict[tuple[Name, str], tuple[str, ...]] = {}
         self.views: dict[str, LabelView] = {}
@@ -99,7 +103,7 @@ class _InferCache:
 
 def _cache(store: NodeStore) -> _InferCache:
     if store._infer_cache is None:
-        store._infer_cache = _InferCache()
+        store._infer_cache = _InferCache(store)
     return store._infer_cache  # type: ignore[return-value]
 
 
@@ -126,6 +130,31 @@ def resolve_name(
     return None
 
 
+def _lookup(
+    raw: tuple[str, ...], context: tuple[str, ...], opens: tuple[Name, ...], constants: dict
+) -> Name | None:
+    """`resolve_name` with `known` as membership in `constants`, which maps each name to itself.
+
+    The candidates are probed as plain tuples, which hash and compare as
+    the `Name`s they spell, so no `Name` is built for a candidate that misses.
+    """
+
+    while raw:
+        for i in range(len(context), 0, -1):
+            hit = constants.get(context[:i] + raw)
+            if hit is not None:
+                return hit
+        for opened in opens:
+            hit = constants.get(opened + raw)
+            if hit is not None:
+                return hit
+        hit = constants.get(raw)
+        if hit is not None:
+            return hit
+        raw = raw[1:]
+    return None
+
+
 def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     """Resolve every lexical reference in a declaration to known constants.
 
@@ -138,28 +167,26 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     if cached is not None:
         return cached
 
-    def known(name: Name) -> bool:
-        return name in store.declarations or name in store.by_name or name in store.upstream_index
-
-    # `known` is the same for every declaration, so a token resolves the same
-    # way wherever the context and opens are the same
+    constants = cache.constants
+    known = constants.__contains__
+    # the constants are the same for every declaration, so a token resolves
+    # the same way wherever the context and opens are the same
     context, opens = decl.namespace_context, decl.opens
     memo = cache.resolved.setdefault((context, opens), {})
 
-    def resolve_many(idents: tuple[str, ...]) -> list[Name]:
-        out: list[Name] = []
+    def resolve_many(idents: tuple[str, ...]) -> dict[Name, None]:
+        out: dict[Name, None] = {}  # an insertion-ordered set
         for tok in idents:
-            if tok not in memo:
-                memo[tok] = resolve_name(Name.parse(tok), context, opens, known)
-            hit = memo[tok]
+            try:
+                hit = memo[tok]
+            except KeyError:
+                hit = memo[tok] = _lookup(tuple(tok.split(".")), context, opens, constants)
             if hit is not None:
-                out.append(hit)
+                out[hit] = None
         return out
 
-    def dedup(names: Iterable[Name]) -> tuple[Name, ...]:
-        return _dedup(n for n in names if n != decl.name)
-
-    statement_refs = dedup(resolve_many(decl.signature_idents))
+    statement = resolve_many(decl.signature_idents)
+    statement.pop(decl.name, None)
 
     body = resolve_many(decl.body_idents)
     for marker in decl.sorry_markers:
@@ -170,17 +197,18 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
                     raise ResolutionError(
                         f"sorry_using in '{decl.name}' names unknown label '{entry.label}'"
                     )
-                body.extend(targets)
+                body.update(dict.fromkeys(targets))
             else:
                 hit = resolve_name(entry, context, opens, known)
                 if hit is None:
                     raise ResolutionError(
                         f"sorry_using in '{decl.name}' names unknown constant '{entry}'"
                     )
-                body.append(hit)
-        body.append(SORRY_AX)
+                body[hit] = None
+        body[SORRY_AX] = None
+    body.pop(decl.name, None)
 
-    refs = RefSets(statement_refs=statement_refs, body_refs=dedup(body))
+    refs = RefSets(statement_refs=tuple(statement), body_refs=tuple(body))
     cache.refs[decl.name] = refs
     return refs
 
@@ -311,8 +339,11 @@ def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:
         start = refs.all_refs()  # a definition's value is part of what it states
 
     collected = reference_closure(start, store)
-    inferred = tuple(n for n in collected if n != SORRY_AX and n != node.name)
-    status = PartStatus(inferred_uses=inferred, lean_ok=SORRY_AX not in collected)
+    lean_ok = collected[:1] != (SORRY_AX,)  # `sorryAx` comes first when reached
+    inferred = collected if lean_ok else collected[1:]
+    if node.name in inferred:
+        inferred = tuple(n for n in inferred if n != node.name)
+    status = PartStatus(inferred_uses=inferred, lean_ok=lean_ok)
     cache.status[key] = status
     return status
 
@@ -352,14 +383,15 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
             )
         return hit
 
-    labels: list[str] = [store.by_name[n].latex_label for n in status.inferred_uses]
+    # an insertion-ordered set of labels
+    labels = dict.fromkeys(map(cache.label_of.__getitem__, status.inferred_uses))
     for entry in part_obj.uses:
-        labels.append(store.by_name[resolve_explicit(entry, "uses")].latex_label)
+        labels[cache.label_of[resolve_explicit(entry, "uses")]] = None
     for lbl in part_obj.uses_labels:
         if lbl not in store.by_label:
             warning = f"node '{node.name}' ({part}) uses label '{lbl}' that no declaration carries"
             cache.warnings[warning] = None
-        labels.append(lbl)
+        labels[lbl] = None
 
     excluded: set[str] = {node.latex_label, "sorryAx"}
     for entry in part_obj.excludes:
@@ -371,7 +403,9 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
         excluded.add(store.by_name[hit].latex_label)
     excluded.update(part_obj.excludes_labels)
 
-    result = _dedup(lbl for lbl in labels if lbl not in excluded)
+    for lbl in excluded:
+        labels.pop(lbl, None)
+    result = tuple(labels)
     cache.effective[key] = result
     return result
 

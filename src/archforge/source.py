@@ -39,13 +39,20 @@ DECL_KEYWORDS = frozenset(
 # May precede a declaration keyword; the declaration keeps its plain name.
 DECL_MODIFIERS = frozenset({"private", "protected", "noncomputable", "partial", "unsafe"})
 
+# Commands that declare no constant: skipped without a warning.  A `... in`
+# ends one, so that the declaration after it stays whole.
+SKIPPED_COMMANDS = frozenset({"variable", "universe", "include", "set_option", "notation", "macro"})
+
+# May precede `notation`; before any other word they start no command.
+NOTATION_PREFIXES = ("local", "scoped")
+
 # Commands that may only begin at the start of a line at top level.
 COMMAND_KEYWORDS = frozenset(
     {
         "import", "namespace", "section", "mutual", "end", "open", "attribute",
-        "blueprint_comment", "variable",
+        "blueprint_comment",
     }
-) | DECL_KEYWORDS | DECL_MODIFIERS
+) | SKIPPED_COMMANDS | DECL_KEYWORDS | DECL_MODIFIERS
 
 # Term/tactic-level words that must never be reported as identifiers.
 _TERM_KEYWORDS = frozenset(
@@ -448,8 +455,8 @@ class _ModuleParser(_Cursor):
                 self.parse_attribute_command()
             elif word == "blueprint_comment":
                 self.parse_blueprint_comment()
-            elif word == "variable":
-                self.skip_command(tok)  # declares no constant
+            elif word in SKIPPED_COMMANDS or self.at_notation():
+                self.skip_command(tok, ends_at_in=True)
             elif self.at_declaration():
                 self.parse_declaration([], None, tok)
             else:
@@ -477,19 +484,29 @@ class _ModuleParser(_Cursor):
         self.warn(f"unrecognized top-level command starting at {tok.text!r}", tok.line)
         self.skip_command(tok)
 
-    def skip_command(self, tok: Token) -> None:
-        """Take tokens up to the next block start on a later line."""
+    def skip_command(self, tok: Token, ends_at_in: bool = False) -> None:
+        """Take tokens up to the next block start on a later line, or with `ends_at_in` an `in`."""
 
         line = tok.line
         while (tok := self.peek()) is not None:
             if (tok.line != line or tok.text == "@" or tok.kind == "docstring") and self.at_block_start(tok):
                 break
             self.take()
+            if ends_at_in and tok.kind == "ident" and tok.text == "in":
+                break
+
+    def at_notation(self) -> bool:
+        """Whether `local notation` or `scoped notation` comes next."""
+
+        after = self.peek(1)
+        prefix = self.peek().text in NOTATION_PREFIXES
+        return prefix and after is not None and after.text == "notation"
 
     def at_block_start(self, tok: Token) -> bool:
         """Whether `tok`, the next token, ends the command before it.
 
-        At column 0 every command keyword, docstring and `@[` does.  At any
+        At column 0 every command keyword, `local` or `scoped` before
+        `notation`, docstring and `@[` does.  At any
         indentation, so does the first token on a line that begins a
         declaration: `@[`, modifiers and a declaration keyword, or a
         docstring before either.  Anywhere on a line, so does an `@[` list
@@ -497,7 +514,9 @@ class _ModuleParser(_Cursor):
         that such a list and then a declaration follow.
         """
 
-        if tok.col == 0 and (tok.kind == "docstring" or tok.text in COMMAND_KEYWORDS):
+        if tok.col == 0 and (
+            tok.kind == "docstring" or tok.text in COMMAND_KEYWORDS or self.at_notation()
+        ):
             return True
         if tok.col and self.tokens[self.pos - 1].end > tok.start - tok.col:
             # not the first token on its line

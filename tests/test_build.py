@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from archforge import build
 from archforge.build import (
     GLOBAL_FILES,
     MANIFEST_NAME,
@@ -338,6 +339,23 @@ def test_config_change_rebuilds_all(tmp_path):
     )
     result = extract(load_project_at(tmp_path))
     assert result.stale == {Name.parse("MyNat")}
+
+
+def test_changed_program_rebuilds_all(tmp_path, monkeypatch):
+    # a fix under the same version number must not replay the old build
+    make_project(tmp_path, dict(CHAIN))
+    extract(load_project_at(tmp_path))
+    assert up_to_date(load_config(tmp_path / "architect.json")) is not None
+    original = Path(build.__file__).with_name("source.py")
+    assert original in build.CODE_FILES
+    edited = tmp_path / original.name
+    edited.write_bytes(original.read_bytes() + b"\n# edited\n")
+    monkeypatch.setattr(
+        build, "CODE_FILES", tuple(edited if p == original else p for p in build.CODE_FILES)
+    )
+    assert up_to_date(load_config(tmp_path / "architect.json")) is None
+    result = extract(load_project_at(tmp_path))
+    assert result.stale == {Name.parse(m) for m in CHAIN}
 
 
 def test_incremental_writes_only_changed_files(tmp_path):

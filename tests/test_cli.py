@@ -700,3 +700,37 @@ def test_error_path_prints_and_exits_one(tmp_path, monkeypatch, capsys):
     assert main(["status"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "import cycle" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code", [(["status"], 0), (["status"], 1), (["frobnicate"], None)])
+def test_main_leaves_the_gc_setting_as_it_found_it(golden_project, monkeypatch, argv, code, enabled):
+    # a command runs without cyclic collection; success, a BlueprintError and
+    # argparse's SystemExit all give the caller's setting back
+    import gc
+
+    from archforge import cli
+
+    if code == 1:  # an import cycle
+        (golden_project / "src" / "B.lean").write_text("import B\n", encoding="utf-8")
+    during = []
+
+    def cmd_status(args):
+        during.append(gc.isenabled())
+        return cli_status(args)
+
+    cli_status = cli.cmd_status
+    monkeypatch.setattr(cli, "cmd_status", cmd_status)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after == enabled
+    assert during == ([] if code is None else [False])

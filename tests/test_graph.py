@@ -14,6 +14,8 @@ from archforge.graph import (
     blueprint_lint_rows,
     build_graph,
     emit_dot,
+    emit_graphs,
+    emit_json,
     graph_json_data,
     lint_rows,
     run_lints,
@@ -408,3 +410,79 @@ def test_lint_oracle_stores_cover_the_lint_codes():
             found[strict].update((f.code, f.label) for f in lints)
     assert {code for code, _ in found[False]} == set(LINT_SEVERITY)
     assert found[True] - found[False] == {("unused-node", "ml:u")}
+
+
+# ---------------------------------------------------------------------------
+# emit_graphs: the graph files straight from the label views
+
+
+def views_of(store) -> list:
+    return [label_view(store, label) for label in sorted(store.by_label)]
+
+
+def assert_emit_graphs(store, views=None) -> None:
+    """`emit_graphs` equals the emitters run on `build_graph`, over `views` or the store's own."""
+
+    graph = build_graph(store)
+    assert emit_graphs(views_of(store) if views is None else views) == (
+        emit_dot(graph),
+        emit_json(graph),
+    )
+
+
+GRAPH_STORES = {
+    **ORACLE_STORES,
+    **{
+        f"gen{seed}": lambda seed=seed: _gen.build_gen_store(_gen.gen_project(seed, max_decls=15))
+        for seed in range(15)
+    },
+    "both-parts": lambda: store_from(
+        {"M": '@[blueprint "a"]\ndef a := 1\n\n@[blueprint "b"]\ntheorem b : a = 1 := by\n  apply a\n'}
+    ),
+    "no-edges": lambda: store_from(
+        {"M": '@[blueprint]\ndef a := 1\n\n@[blueprint]\ndef b := a\n\n@[blueprint "lone"]\ndef x := 1\n'}
+    ),
+    "empty": lambda: store_from({"M": "def x := 1\n"}),
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPH_STORES))
+def test_emit_graphs_is_the_emitters_on_build_graph(name):
+    store = GRAPH_STORES[name]()
+    assert_emit_graphs(store)
+    edges = build_graph(store).edges
+    if name == "both-parts":
+        assert {e.kind for e in edges if e.src == "a"} == {"statement", "proof"}
+    elif name == "no-edges":
+        assert edges and all("lone" not in (e.src, e.dst) for e in edges)
+    elif name == "empty":
+        assert not store.by_label
+
+
+def test_emit_graphs_on_odd_labels(monkeypatch):
+    """The odd-label graph of the JSON layout test, as views that `build_graph` reads back."""
+
+    from archforge import infer
+    from archforge.infer import LabelView
+    from test_json_layout import odd_graph
+
+    odd = odd_graph()
+    labels = sorted(label for label, info in odd.vertices.items() if not info.dangling)
+    views = {}
+    for label in labels:
+        info = odd.vertices[label]
+        uses = {
+            kind: tuple(src for src, dst, k in odd.edges if dst == label and k == kind)
+            for kind in ("statement", "proof")
+        }
+        views[label] = LabelView(
+            label=label, names=(label,), envs=(info.env,), title=None, discussion=None,
+            not_ready=info.not_ready, upstream=info.upstream, statement_ok=info.statement_ok,
+            statement_uses=uses["statement"], statement_text="", proof_ok=info.proof_ok,
+            proof_uses=uses["proof"] if info.proof_ok is not None else (), proof_text="",
+            module=Name.parse("M"),
+        )
+    monkeypatch.setattr(infer, "label_view", lambda store, label: views[label])
+    store = type("Store", (), {"by_label": dict.fromkeys(labels)})()
+    assert build_graph(store).edges  # edges between odd labels, dangling ends included
+    assert_emit_graphs(store, [views[label] for label in labels])

@@ -22,7 +22,7 @@ from archforge.names import Name
 from archforge.source import parse_module_text
 from archforge.store import SORRY_AX, build_store
 
-from conftest import store_from
+from conftest import golden_text, store_from
 
 import _gen
 
@@ -70,6 +70,27 @@ def test_resolve_drop_head_retry():
 
 def test_resolve_unknown_is_none():
     assert resolve_name(N("ghost"), ("A",), (N("P"),), lambda n: False) is None
+
+
+def test_tuple_lookup_agrees_with_resolve_name():
+    # every token of every golden and generated declaration, also written under a
+    # projection head and resolved under namespaces and opens that do and do not exist
+    scopes = [((), ()), (("MyNat",), ()), (("X", "Y"), (N("MyNat"), N("Z")))]
+    stores = [store_from({"MyNat": golden_text()})]
+    stores += [
+        _gen.build_gen_store(_gen.gen_project(seed, max_decls=30, roundtrip=seed % 2 == 1))
+        for seed in range(12)
+    ]
+    for i, store in enumerate(stores):
+        constants = infer._cache(store).constants
+        known = {*store.declarations, *store.by_name, *store.upstream_index}.__contains__
+        for decl in store.declarations.values():
+            for tok in {*decl.signature_idents, *decl.body_idents, "sorryAx", "Gen.ghost"}:
+                for raw in (tok, f"b.{tok}"):
+                    for context, opens in [(decl.namespace_context, decl.opens), *scopes]:
+                        want = resolve_name(N(raw), context, opens, known)
+                        got = infer._lookup(tuple(raw.split(".")), context, opens, constants)
+                        assert (got, type(got)) == (want, type(want)), (i, raw, context, opens)
 
 
 # ---------------------------------------------------------------------------

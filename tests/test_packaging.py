@@ -41,8 +41,15 @@ def test_readme_dialect_keywords_are_the_parser_keywords():
     dialect = re.search(r"The parser understands .*?: (.*?), declarations \((.*?)\),", readme)
     modifiers = re.search(r"The modifiers (.*?) may stand", readme)
     assert dialect is not None and modifiers is not None
-    # `example` is listed with the commands, since it declares no constant
-    assert "example" in re.findall(r"`([^`]*)`", dialect.group(1))
+    # each command by its keyword, the last word: `noncomputable section` is a
+    # section, and `local notation` a notation; `example` is listed with the
+    # commands, since it declares no constant
+    commands = re.findall(r"`([^`]*)`", dialect.group(1))
+    assert {c.split()[-1] for c in commands} == (
+        source.COMMAND_KEYWORDS - source.DECL_KEYWORDS - source.DECL_MODIFIERS | {"example"}
+    )
+    prefixes = {c.split()[0] for c in commands if " " in c}
+    assert prefixes == {"noncomputable", *source.NOTATION_PREFIXES}
     keywords = set(re.findall(r"`([^`]*)`", dialect.group(2))) | {"example"}
     assert keywords == source.DECL_KEYWORDS
     assert set(re.findall(r"`([^`]*)`", modifiers.group(1))) == source.DECL_MODIFIERS

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from archforge.errors import ParseError
+from archforge.infer import label_view
 from archforge.names import LabelRef, Name
 from archforge.source import (
     RESERVED_WORDS,
@@ -20,7 +21,7 @@ from archforge.source import (
     tokenize,
 )
 
-from conftest import golden_text
+from conftest import golden_text, store_from
 
 import _gen
 
@@ -781,6 +782,55 @@ def test_variable_ends_the_previous_declaration():
     assert (f.body_text, f.body_idents) == ("1", ())
     assert t.name == Name.parse("t")
     assert unit.warnings == ()
+
+
+DECLARE_NOTHING = (
+    "set_option maxHeartbeats 400000 in",
+    "universe u v",
+    "include hx in",
+    'notation "⟪" x "⟫" => inner x',
+    'local notation "⟪" x "⟫" => inner x',
+    'scoped notation "⟪" x "⟫" => inner x',
+    "macro \"tac\" : tactic => `(tactic| simp [inner])",
+)
+
+
+@pytest.mark.parametrize("line", DECLARE_NOTHING)
+def test_command_that_declares_nothing_ends_the_previous_declaration(line):
+    unit = parse_module_text(
+        f"def g := 1\n{line}\ntheorem t : True := trivial\n", Name.parse("M")
+    )
+    g, t = decls(unit)
+    assert (g.body_text, g.body_idents) == ("1", ())
+    assert (t.name, t.body_text) == (Name.parse("t"), "trivial")
+    assert unit.warnings == ()
+
+
+@pytest.mark.parametrize("line", DECLARE_NOTHING)
+def test_command_that_declares_nothing_is_skipped_silently_at_the_top(line):
+    unit = parse_module_text(f"{line}\n@[blueprint \"t\"] theorem t : True := trivial\n", Name.parse("M"))
+    (t,) = decls(unit)
+    assert (t.name, t.attribute.label, t.signature_idents) == (Name.parse("t"), "t", ("True",))
+    assert unit.warnings == ()
+
+
+@pytest.mark.parametrize("prefix", ["set_option maxHeartbeats 400000 in", "include hx in"])
+def test_command_ending_in_in_leaves_the_declaration_on_its_line(prefix):
+    text = f'def g := 1\n{prefix} @[blueprint "t"] theorem t : g = 1 := rfl\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    g, t = decls(unit)
+    assert (g.body_text, t.attribute.label, t.signature_idents) == ("1", "t", ("g",))
+    assert unit.warnings == ()
+
+
+def test_local_notation_adds_no_uses_to_the_declaration_before_it():
+    text = (
+        '@[blueprint "inner"] def inner (x : Nat) := x\n'
+        '@[blueprint "g"] def g := 1\n'
+        'local notation "⟪" x "⟫" => inner x\n'
+    )
+    store = store_from({"M": text})
+    assert label_view(store, "g").statement_uses == ()
 
 
 def test_example_ends_the_previous_declaration():
