@@ -6,7 +6,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from . import __version__ as TOOL_VERSION
 from .config import ProjectConfig, files_digest, load_upstream_index, read_source, source_hash
@@ -51,6 +51,15 @@ class Project(NamedTuple):
         return out
 
 
+class SourceFile(NamedTuple):
+    """A discovered module; `text` and `hash` are None until its source is read."""
+
+    name: Name
+    path: Path
+    text: str | None = None
+    hash: str | None = None  # `source_hash` of the text
+
+
 def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
     """All .lean files under the source roots, named by their relative path.
 
@@ -84,13 +93,22 @@ def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
     return [found[key] for key in sorted(found)]
 
 
-def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
-    """Parse the modules, build the store, and warm all statuses.
+def load_project(
+    config: ProjectConfig,
+    *,
+    use_cache: bool = True,
+    sources: list[SourceFile] | None = None,
+    warm: bool = True,
+) -> Project:
+    """Parse the modules, build the store, and with `warm` warm all statuses.
 
-    A module whose name, path and source hash match its entry in the parse
-    cache reuses the cached unit with the text just read; every other
-    module goes through `parse_module`.  `use_cache=False` parses them all.
-    Nothing here writes the cache: `extract` does, when `cache_stale` says so.
+    `sources` are the modules as a freshness check found and read them;
+    without them (None or empty), the modules are discovered here.  A module whose name,
+    path and source hash match its entry in the parse cache reuses the
+    cached unit with its text; every other module goes through
+    `parse_module`.  `use_cache=False` parses them all.  Nothing here
+    writes the cache: `extract` does, when `cache_stale` says so.  Without
+    `warm`, `extract` infers what it needs.
     """
 
     from .cache import read_units
@@ -101,11 +119,15 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
     units: list[ModuleUnit] = []
     pickled: dict[Name, bytes] = {}
     reparsed = False
-    for name, path in discover_modules(config):
+    if not sources:
+        sources = [SourceFile(name, path) for name, path in discover_modules(config)]
+    for name, path, text, text_hash in sources:
         unit, data = cached.pop(name, (None, b""))
         if unit is not None:
-            text = read_source(path)
-            if unit.path == str(path) and unit.source_hash == source_hash(text.encode("utf-8")):
+            if text is None:
+                text = read_source(path)
+                text_hash = source_hash(text.encode("utf-8"))
+            if unit.path == str(path) and unit.source_hash == text_hash:
                 unit = unit._replace(source_text=text)
                 pickled[name] = data
             else:
@@ -117,7 +139,8 @@ def load_project(config: ProjectConfig, *, use_cache: bool = True) -> Project:
             reparsed = True
         units.append(unit)
     store = build_store(units, _upstream_names(config), config.upstream_prefixes)
-    warm_statuses(store)
+    if warm:
+        warm_statuses(store)
     stale = reparsed or bool(cached)  # what is left in `cached` names modules that are gone
     return Project(config=config, store=store, cache_stale=stale, pickled=pickled)
 
@@ -126,22 +149,34 @@ STATUS_KEYS = {"nodes", "labels", "statementsLeanOk", "proofsTotal", "proofsLean
                "upstreamNodes", "notReadyNodes"}  # of `status_counts`; a manifest holds all eight
 
 
-def status_counts(store: NodeStore) -> dict:
-    from .infer import part_status
+def status_counts(
+    store: NodeStore, lean_oks: Mapping[Name, tuple[bool, bool | None]] | None = None
+) -> dict:
+    """The progress counts; `lean_oks` gives each node's statement and proof leanOk
+    (None without a proof), as `LabelRecord.lean_oks` holds them, else they are inferred."""
+
     from .store import is_upstream
 
-    nodes = list(store.by_name.values())
-    with_proof = [n for n in nodes if n.proof is not None]
-    proofs_ok = sum(1 for n in with_proof if part_status(store, n, "proof").lean_ok)
+    if lean_oks is None:
+        from .infer import part_status
+
+        lean_oks = {
+            name: (
+                part_status(store, node, "statement").lean_ok,
+                None if node.proof is None else part_status(store, node, "proof").lean_ok,
+            )
+            for name, node in store.by_name.items()
+        }
+    proofs = [proof for _, proof in lean_oks.values() if proof is not None]
     return {
-        "nodes": len(nodes),
+        "nodes": len(store.by_name),
         "labels": len(store.by_label),
-        "statementsLeanOk": sum(1 for n in nodes if part_status(store, n, "statement").lean_ok),
-        "proofsTotal": len(with_proof),
-        "proofsLeanOk": proofs_ok,
-        "sorriedProofs": len(with_proof) - proofs_ok,
-        "upstreamNodes": sum(1 for n in nodes if is_upstream(store, n.name)),
-        "notReadyNodes": sum(1 for n in nodes if n.not_ready),
+        "statementsLeanOk": sum(statement for statement, _ in lean_oks.values()),
+        "proofsTotal": len(proofs),
+        "proofsLeanOk": sum(proofs),
+        "sorriedProofs": len(proofs) - sum(proofs),
+        "upstreamNodes": sum(1 for name in store.by_name if is_upstream(store, name)),
+        "notReadyNodes": sum(1 for node in store.by_name.values() if node.not_ready),
     }
 
 
@@ -283,10 +318,19 @@ class RenderPlan(NamedTuple):
     owners: dict[str, Name | None]  # relative path -> owning module (None = global)
 
 
-def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
-    """Render every artifact in memory, deterministically."""
+def render_project(
+    store: NodeStore,
+    options: RenderOptions,
+    labels: list[str] | None = None,
+    modules: list[Name] | None = None,
+    global_files: bool = True,
+) -> RenderPlan:
+    """Render artifacts in memory, deterministically.
 
-    from .graph import emit_graphs
+    By default every one; else the node files of `labels`, the fragments of
+    `modules` and, with `global_files`, the global files.
+    """
+
     from .infer import label_view
     from .latex import (
         blueprint_json_data,
@@ -301,23 +345,32 @@ def render_project(store: NodeStore, options: RenderOptions) -> RenderPlan:
     files: dict[str, str] = {}
     owners: dict[str, Name | None] = {}
 
-    views = [label_view(store, label) for label in sorted(store.by_label)]
-    rendered = {view.label: render_node(store, view.label, options) for view in views}
-    for view in views:
-        rel = node_paths[view.label]
-        files[rel] = rendered[view.label] + "\n"
-        owners[rel] = view.module
+    every = sorted(store.by_label)
+    labels = every if labels is None else labels
+    modules = list(store.topo_order) if modules is None else modules
+    # a module's fragment holds the nodes of the labels whose first node it places
+    held = set(modules)
+    anchored = [label for label in every if store.by_name[store.by_label[label][0]].placement_module in held]
+    rendered = {label: render_node(store, label, options) for label in sorted({*labels, *anchored})}
+    for label in labels:
+        rel = node_paths[label]
+        files[rel] = rendered[label] + "\n"
+        owners[rel] = label_view(store, label).module
 
-    for name in store.topo_order:
+    for name in modules:
         rel = module_fragment_path(name)
         files[rel] = render_module_fragment(store, name, rendered)
         owners[rel] = name
 
-    files["macros.tex"] = render_macros(store, node_paths)
-    files["graph.dot"], files["graph.json"] = emit_graphs(views)
-    files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths))
-    for rel in GLOBAL_FILES:
-        owners[rel] = None
+    if global_files:
+        from .graph import emit_graphs
+
+        files["macros.tex"] = render_macros(store, node_paths)
+        views = [label_view(store, label) for label in every]
+        files["graph.dot"], files["graph.json"] = emit_graphs(views)
+        files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths))
+        for rel in GLOBAL_FILES:
+            owners[rel] = None
     return RenderPlan(files=files, owners=owners)
 
 
@@ -421,37 +474,58 @@ class _BuildLock:
 
 
 def extract(project: Project, out_dir: Path | None = None, force: bool = False) -> ExtractResult:
-    """Render all artifacts and synchronize the output directory.
+    """Render the artifacts and synchronize the output directory.
 
-    Content is always rendered in memory.  Files are written without being
-    read back only with `force`, without a manifest that `load_manifest`
-    accepts, or when their module's transitive hash changed and its source
-    was parsed in this run (not reused from the parse cache); every other
-    file is written only when its bytes differ, so the tree matches a clean
-    build exactly (including merged labels that cross module boundaries).
-    Each write overwrites the file in place.  A module is reported stale
-    when its hash changed or one of its files was written.  The manifest is
-    replaced last: a crash before that leaves the previous manifest, whose
-    artifact digest no longer matches the tree, so the next extract takes
-    this path again and repairs it.
+    Without `force`, the reuse state that the last extract into this tree
+    left may let it infer and render only the dirty labels (see
+    `reuse.plan_edit`); every file it does not render must then be on disk
+    as recorded, else the whole project is inferred and rendered.  Files
+    are written without being read back only with `force`, without a
+    manifest that `load_manifest` accepts, or when their module's
+    transitive hash changed and its source was parsed in this run (not
+    reused from the parse cache); every other rendered file is written only
+    when its bytes differ, so the tree matches a clean build exactly
+    (including merged labels that cross module boundaries).  Each write
+    overwrites the file in place.  A module is reported stale when its hash
+    changed or one of its files was written.  The manifest is replaced
+    after the artifacts, the parse cache and the reuse state after it: a
+    crash before that leaves the previous manifest, whose artifact digest
+    no longer matches the tree, so the next extract takes this path again
+    and repairs it.
     """
 
+    from .infer import closure_components, forget_inference, label_record, warm_statuses
     from .latex import RenderOptions
+    from .reuse import ReuseState, artifact_check, plan_edit, read_reused, reuse_key, write_state
 
     store = project.store
     config = project.config
     out = out_dir if out_dir is not None else config.resolved_out_dir()
+    fingerprint = _env_fingerprint(config, store.upstream_index)
+    key = reuse_key(store, fingerprint)
+    manifest = None if force else load_manifest(out)  # no manifest: every module is stale
+    # inference errors come before anything is created
+    edit = None if manifest is None else plan_edit(project, out, manifest, key)
+    if edit is None:
+        warm_statuses(store)
     out.mkdir(parents=True, exist_ok=True)
 
     with _BuildLock(out):
         options = RenderOptions(
             emit_leanok_with_mathlibok=config.emit_leanok_with_mathlibok
         )
-        plan = render_project(store, options)
+        reused: dict[str, bytes] = {}
+        if edit is not None:
+            plan = render_project(store, options, edit.labels, edit.modules, edit.global_files)
+            reused = read_reused(out, edit, plan)
+            if reused is None:  # a reused file was edited or torn: build as without a state
+                forget_inference(store)
+                warm_statuses(store)
+                edit, reused = None, {}
+        if edit is None:
+            plan = render_project(store, options)
 
-        fingerprint = _env_fingerprint(config, store.upstream_index)
         transitive = transitive_hashes(store, fingerprint)
-        manifest = None if force else load_manifest(out)  # no manifest: every module is stale
         stale = compute_staleness(manifest, store, transitive)
         # the modules whose files are written without reading them back: an import's edit
         # seldom changes the bytes of a module that the parse cache supplied
@@ -460,10 +534,17 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         written: list[str] = []
         made: set[str] = set()  # parent directories already created
         digest = _Digest()  # artifact paths and bytes, in path order
+        checks: dict[str, int] = {}  # per artifact, for the next reuse state
         root = os.fspath(out)
-        for rel in sorted(plan.files):
+        for rel in sorted([*plan.files, *reused]):
+            data = reused.get(rel)
+            if data is not None:  # on disk as recorded
+                digest.add(rel, data)
+                checks[rel] = edit.state.artifacts[rel]
+                continue
             content = plan.files[rel].encode("utf-8")
             digest.add(rel, content)
+            checks[rel] = artifact_check(content)
             path = f"{root}/{rel}"
             if not force and plan.owners[rel] not in unread:
                 try:
@@ -480,16 +561,26 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             written.append(rel)
         stale.update(plan.owners[rel] for rel in written if plan.owners[rel] is not None)
 
-        counts = status_counts(store)
+        if edit is not None:
+            records = edit.records
+        else:
+            records = {label: label_record(store, label) for label in sorted(store.by_label)}
+        lean_oks = {
+            name: ok
+            for label, record in records.items()
+            for name, ok in zip(store.by_label[label], record.lean_oks)
+        }
+        counts = status_counts(store, lean_oks)
         digest.add(STATUS_DIGEST_KEY, _ENCODE(counts).encode("utf-8"))
-        deleted = [rel for rel in _managed_files(out) if rel not in plan.files]
+        deleted = [rel for rel in _managed_files(out) if rel not in checks]
         for rel in deleted:
             (out / rel).unlink()
 
         sources = _sources_digest(
             (name, unit.path, unit.source_hash) for name, unit in store.modules.items()
         )
-        warnings = project.warnings
+        warnings = [str(w) for name in store.topo_order for w in store.modules[name].warnings]
+        warnings.extend(w for label in sorted(records) for w in records[label].warnings)
         manifest_data = {
             "toolVersion": TOOL_VERSION,
             "envFingerprint": fingerprint,
@@ -506,6 +597,16 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             from .cache import write_units
 
             write_units(config.root, store.modules.values(), project.pickled)
+        units = [store.modules[name] for name in store.topo_order]
+        state = ReuseState(
+            key,
+            manifest_data["artifactDigest"],
+            tuple((unit.path, unit.source_hash) for unit in units),
+            records,
+            closure_components(store),
+            checks,
+        )
+        write_state(config.root, out, state)
 
     fresh = set(store.topo_order) - stale
     return ExtractResult(
@@ -519,35 +620,45 @@ class FreshBuild(NamedTuple):  # an output tree that passed every freshness chec
     artifacts: dict[str, bytes]  # the digested bytes of `READ_ARTIFACTS`, by file name
 
 
-def fresh_build(config: ProjectConfig, out_dir: Path | None = None) -> FreshBuild | None:
+def fresh_build(
+    config: ProjectConfig, out_dir: Path | None = None, sources: list[SourceFile] | None = None
+) -> FreshBuild | None:
     """The build in the output directory if `extract` would have nothing to write, or None.
 
     Checks the manifest against the tool version, the configuration, the upstream index, the
     modules' names, paths and source hashes, and the paths and bytes of every artifact and the
     status counts.  Takes no lock: a tree that an extract is rewriting has no manifest that
     digests it.  Any mismatch, unreadable file or leftover `manifest.json.tmp` gives None.
+    When the check reads every source, `sources` receives them, for `load_project`.
     """
 
     out = out_dir if out_dir is not None else config.resolved_out_dir()
     try:
-        return _fresh_build(config, out)
+        return _fresh_build(config, out, sources)
     except (OSError, ValueError, BlueprintError):
         return None
 
 
-def up_to_date(config: ProjectConfig, out_dir: Path | None = None) -> ExtractResult | None:
-    """What `extract` would return if it had nothing to write, or None, as when the lock is held."""
+def up_to_date(
+    config: ProjectConfig, out_dir: Path | None = None, sources: list[SourceFile] | None = None
+) -> ExtractResult | None:
+    """What `extract` would return if it had nothing to write, or None, as when the lock is held.
+
+    `sources` receives the sources the check read, as with `fresh_build`.
+    """
 
     out = out_dir if out_dir is not None else config.resolved_out_dir()
     try:
         with _BuildLock(out):
-            fresh = fresh_build(config, out)
+            fresh = fresh_build(config, out, sources)
     except (OSError, BlueprintError):
         return None
     return None if fresh is None else fresh.result
 
 
-def _fresh_build(config: ProjectConfig, out: Path) -> FreshBuild | None:
+def _fresh_build(
+    config: ProjectConfig, out: Path, sources: list[SourceFile] | None
+) -> FreshBuild | None:
     manifest = load_manifest(out)
     if (
         manifest is None
@@ -556,10 +667,13 @@ def _fresh_build(config: ProjectConfig, out: Path) -> FreshBuild | None:
     ):
         return None
     modules = discover_modules(config)
-    sources = _sources_digest(
-        (name, path, source_hash(read_source(path).encode("utf-8"))) for name, path in modules
-    )
-    if sources != manifest.get("sourcesDigest"):
+    read = []
+    for name, path in modules:
+        text = read_source(path)
+        read.append(SourceFile(name, path, text, source_hash(text.encode("utf-8"))))
+    if sources is not None:
+        sources[:] = read
+    if _sources_digest((f.name, f.path, f.hash) for f in read) != manifest.get("sourcesDigest"):
         return None
     warnings = manifest.get("warnings")
     if (

@@ -70,7 +70,7 @@ def read_units(root: Path) -> dict[Name, tuple[ModuleUnit, bytes]]:
         with open(cache_path(root), "rb") as f:
             if f.readline() != _stamp():
                 return {}
-            entries = _load(f.read())
+            entries = load_restricted(f.read(), _ALLOWED)
         if any(type(u) is not ModuleUnit for u, _ in entries):
             return {}
         return {u.name: (u, pickled) for u, pickled in entries}
@@ -78,13 +78,17 @@ def read_units(root: Path) -> dict[Name, tuple[ModuleUnit, bytes]]:
         return {}
 
 
-def _load(data: bytes) -> list[tuple[object, bytes]]:
+def load_restricted(
+    data: bytes, allowed: Mapping[tuple[str, str], type]
+) -> list[tuple[object, bytes]]:
+    """Each pickle in `data` with its bytes; a global not `allowed` by (module, name) is refused."""
+
     import pickle  # commands that find no cache file skip this import
 
     class UnitUnpickler(pickle.Unpickler):
         def find_class(self, module: str, name: str) -> type:
             try:
-                return _ALLOWED[module, name]
+                return allowed[module, name]
             except KeyError:
                 raise pickle.UnpicklingError(f"global '{module}.{name}' is refused") from None
 

@@ -29,9 +29,10 @@ if TYPE_CHECKING:
 def cmd_extract(args: argparse.Namespace) -> int:
     config = load_config()
     out = Path(args.out) if args.out else None
-    result = None if args.force else up_to_date(config, out)
+    sources: list = []  # what a failed freshness check read
+    result = None if args.force else up_to_date(config, out, sources)
     if result is None:
-        project = load_project(config, use_cache=not args.force)
+        project = load_project(config, use_cache=not args.force, sources=sources, warm=False)
         result = extract(project, out_dir=out, force=args.force)
     for line in result.summary_lines():
         print(line)
@@ -48,14 +49,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     config = load_config()
-    fresh = fresh_build(config)
+    sources: list = []  # what a failed freshness check read
+    fresh = fresh_build(config, sources=sources)
     if fresh is not None:  # the build holds exactly the bytes a full load would emit
         payload = fresh.artifacts[f"graph.{args.format}"].decode("utf-8")
     else:
         from .graph import emit_graphs
         from .infer import label_view
 
-        store = load_project(config).store
+        store = load_project(config, sources=sources).store
         dot, json_text = emit_graphs([label_view(store, label) for label in sorted(store.by_label)])
         payload = json_text if args.format == "json" else dot
     if args.out:
@@ -131,7 +133,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .graph import blueprint_lint_rows, lint_rows, run_lints
 
     config = load_config()
-    fresh = fresh_build(config)
+    sources: list = []
+    fresh = fresh_build(config, sources=sources)
     if fresh is not None:  # the digested blueprint.json holds every fact the lints read
         data = json.loads(fresh.artifacts["blueprint.json"])
         rows = blueprint_lint_rows(data)
@@ -140,7 +143,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         from .infer import label_view
 
-        store = load_project(config).store
+        store = load_project(config, sources=sources).store
         rows = lint_rows(store)
         anchors = {label: str(label_view(store, label).module) for label in store.by_label}
         module_names = {str(m) for m in store.modules}
@@ -162,8 +165,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     config = load_config()
-    fresh = fresh_build(config)
-    counts = fresh.manifest["status"] if fresh else status_counts(load_project(config).store)
+    sources: list = []
+    fresh = fresh_build(config, sources=sources)
+    if fresh is not None:
+        counts = fresh.manifest["status"]
+    else:
+        counts = status_counts(load_project(config, sources=sources).store)
     if args.json:
         sys.stdout.write(_dump_json(counts))
         return 0

@@ -61,6 +61,15 @@ class LabelView(NamedTuple):
     module: Name  # where the first node is placed
 
 
+class LabelRecord(NamedTuple):
+    """What a later edit may reuse of one label instead of inferring it again."""
+
+    view: LabelView
+    lean_oks: tuple[tuple[bool, bool | None], ...]  # per node: statement, proof (None without one)
+    warnings: tuple[str, ...]  # the inference warnings its nodes gave, in order
+    modules: int  # bit i: the module at topo position i holds what the view was read from
+
+
 class _ClosureGraph:
     """The condensed untagged reference graph that `reference_closure` reads.
 
@@ -70,6 +79,8 @@ class _ClosureGraph:
     `comp[i]` is a declaration's strongly connected component, -1 until a
     search from some closure's start names enters it, and `reach[c]` is the
     bitset of sink ids that component `c` reaches (bit i for sink id i).
+    `modules[c]` is the bitset of the modules (bit i for topo position i)
+    that define the declarations component `c` reaches, its own included.
     """
 
     def __init__(self, store: NodeStore) -> None:
@@ -83,6 +94,7 @@ class _ClosureGraph:
         self.names = list(ids)
         self.comp = [-1] * len(ids)
         self.reach: list[int] = []
+        self.modules: list[int] = []
 
 
 class _InferCache:
@@ -98,6 +110,7 @@ class _InferCache:
         self.effective: dict[tuple[Name, str], tuple[str, ...]] = {}
         self.views: dict[str, LabelView] = {}
         self.warnings: dict[str, None] = {}  # insertion-ordered set
+        self.label_warnings: dict[str, list[str]] = {}  # the same, by the label that gave each
         self.graph: _ClosureGraph | None = None
 
 
@@ -105,6 +118,12 @@ def _cache(store: NodeStore) -> _InferCache:
     if store._infer_cache is None:
         store._infer_cache = _InferCache(store)
     return store._infer_cache  # type: ignore[return-value]
+
+
+def forget_inference(store: NodeStore) -> None:
+    """Drop every result inferred for, or adopted into, `store`."""
+
+    store._infer_cache = None
 
 
 def resolve_name(
@@ -226,15 +245,18 @@ def _search(root: int, graph: _ClosureGraph, store: NodeStore) -> None:
     """
 
     ids, names, sinks, comp, reach = graph.ids, graph.names, graph.sinks, graph.comp, graph.reach
+    modules, decl_module, positions = graph.modules, store.decl_module, store.topo_positions
     index: dict[int, int] = {}  # preorder number of each entered declaration
     low: dict[int, int] = {}
     bits: dict[int, int] = {}  # sinks reached so far, per declaration on `stack`
+    mods: dict[int, int] = {}  # defining modules reached so far, likewise
     stack: list[int] = []
     work: list[tuple[int, Iterator[int]]] = []
 
     def enter(v: int) -> None:
         index[v] = low[v] = len(index)
         bits[v] = 0
+        mods[v] = 1 << positions[decl_module[names[v]]]
         stack.append(v)
         refs = resolve_references(store.declarations[names[v]], store).all_refs()
         work.append((v, iter([ids[n] for n in refs if n in ids])))
@@ -247,6 +269,7 @@ def _search(root: int, graph: _ClosureGraph, store: NodeStore) -> None:
                 bits[v] |= 1 << w
             elif comp[w] >= 0:
                 bits[v] |= reach[comp[w]]
+                mods[v] |= modules[comp[w]]
             elif w in index:  # entered and not done: on the stack
                 low[v] = min(low[v], index[w])
             else:
@@ -255,19 +278,22 @@ def _search(root: int, graph: _ClosureGraph, store: NodeStore) -> None:
         else:
             work.pop()
             if low[v] == index[v]:
-                c, acc = len(reach), 0
+                c, acc, macc = len(reach), 0, 0
                 while True:
                     w = stack.pop()
                     comp[w] = c
                     acc |= bits.pop(w)
+                    macc |= mods.pop(w)
                     if w == v:
                         break
                 reach.append(acc)
+                modules.append(macc)
             if work:
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
                 if comp[v] >= 0:
                     bits[u] |= reach[comp[v]]
+                    mods[u] |= modules[comp[v]]
 
 
 # maps the characters of `bin()` to selector bytes for `itertools.compress`
@@ -310,6 +336,18 @@ def reference_closure(start: Iterable[Name], store: NodeStore) -> tuple[Name, ..
     return tuple(compress(graph.names, selectors))
 
 
+def _closure_start(store: NodeStore, node: Node, part: str) -> tuple[Name, ...]:
+    """The resolved references that a project node part's closure starts from."""
+
+    decl = store.declarations[node.name]
+    refs = resolve_references(decl, store)
+    if part == "proof":
+        return refs.body_refs
+    if decl.kind in PROOF_KINDS:
+        return refs.statement_refs
+    return refs.all_refs()  # a definition's value is part of what it states
+
+
 def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:
     """Status of one node part: inferred uses and leanOk."""
 
@@ -329,16 +367,7 @@ def part_status(store: NodeStore, node: Node, part: str) -> PartStatus:
         cache.status[key] = status
         return status
 
-    decl = store.declarations[node.name]
-    refs = resolve_references(decl, store)
-    if part == "proof":
-        start = refs.body_refs
-    elif decl.kind in PROOF_KINDS:
-        start = refs.statement_refs
-    else:
-        start = refs.all_refs()  # a definition's value is part of what it states
-
-    collected = reference_closure(start, store)
+    collected = reference_closure(_closure_start(store, node, part), store)
     lean_ok = collected[:1] != (SORRY_AX,)  # `sorryAx` comes first when reached
     inferred = collected if lean_ok else collected[1:]
     if node.name in inferred:
@@ -387,18 +416,22 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
     labels = dict.fromkeys(map(cache.label_of.__getitem__, status.inferred_uses))
     for entry in part_obj.uses:
         labels[cache.label_of[resolve_explicit(entry, "uses")]] = None
+
+    def warn(warning: str) -> None:
+        if warning not in cache.warnings:
+            cache.warnings[warning] = None
+            cache.label_warnings.setdefault(node.latex_label, []).append(warning)
+
     for lbl in part_obj.uses_labels:
         if lbl not in store.by_label:
-            warning = f"node '{node.name}' ({part}) uses label '{lbl}' that no declaration carries"
-            cache.warnings[warning] = None
+            warn(f"node '{node.name}' ({part}) uses label '{lbl}' that no declaration carries")
         labels[lbl] = None
 
     excluded: set[str] = {node.latex_label, "sorryAx"}
     for entry in part_obj.excludes:
         hit = resolve_name(entry, context, opens, known)
         if hit is None:
-            warning = f"excludes entry '{entry}' on node '{node.name}' does not name a blueprint node"
-            cache.warnings[warning] = None
+            warn(f"excludes entry '{entry}' on node '{node.name}' does not name a blueprint node")
             continue
         excluded.add(store.by_name[hit].latex_label)
     excluded.update(part_obj.excludes_labels)
@@ -472,3 +505,74 @@ def warm_statuses(store: NodeStore) -> None:
 
 def inference_warnings(store: NodeStore) -> tuple[str, ...]:
     return tuple(_cache(store).warnings)
+
+
+def label_record(store: NodeStore, label: str) -> LabelRecord:
+    """The label's view with what an edit needs to reuse it.
+
+    Its modules are those defining or placing its nodes and those whose
+    declarations its parts' closures walked.  Every other input of the view
+    is a name, a label or a setting that the build's reuse key covers, so
+    the view stays the same while none of these modules changes.
+    """
+
+    view = label_view(store, label)
+    nodes = merged_nodes(store, label)
+    graph = _cache(store).graph
+    positions = store.topo_positions
+    modules = 0
+    oks = []
+    for node in nodes:
+        modules |= 1 << positions[node.placement_module]
+        statement_ok = part_status(store, node, "statement").lean_ok
+        proof_ok = None if node.proof is None else part_status(store, node, "proof").lean_ok
+        oks.append((statement_ok, proof_ok))
+        if node.origin == "upstream":
+            continue
+        modules |= 1 << positions[node.module]
+        for part in ("statement", "proof") if node.proof is not None else ("statement",):
+            for name in _closure_start(store, node, part):
+                i = graph.ids.get(name, 0)
+                if i >= graph.sinks:
+                    modules |= graph.modules[graph.comp[i]]
+    warnings = tuple(_cache(store).label_warnings.get(label, ()))
+    return LabelRecord(view, tuple(oks), warnings, modules)
+
+
+Components = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def closure_components(store: NodeStore) -> Components:
+    """The closure graph's searched components, numbered densely.
+
+    Per declaration id its component (-1 if no closure entered it), then per
+    component its reach and its modules.  The ids depend only on the tagged
+    names in placement order and on the declared names in order.
+    """
+
+    graph = _cache(store).graph
+    if graph is None:
+        return (), (), ()
+    renumber: dict[int, int] = {}
+    comp = tuple(c if c < 0 else renumber.setdefault(c, len(renumber)) for c in graph.comp)
+    return comp, tuple(graph.reach[c] for c in renumber), tuple(graph.modules[c] for c in renumber)
+
+
+def adopt(
+    store: NodeStore, views: Iterable[LabelView], components: Components, changed: int
+) -> None:
+    """Start `store`'s inference over from an earlier build's views and closure components.
+
+    `label_view` returns the views as they are.  A component is kept when
+    none of the modules it reaches is in the bitset `changed`, so a closure
+    that reaches it stops there; the others are searched again if reached.
+    The earlier build must have had the same tagged and declared names.
+    """
+
+    cache = store._infer_cache = _InferCache(store)
+    cache.views.update((view.label, view) for view in views)
+    graph = cache.graph = _ClosureGraph(store)
+    comp, reach, modules = components
+    if len(comp) == len(graph.comp):
+        graph.reach, graph.modules = list(reach), list(modules)
+        graph.comp = [c if c >= 0 and not modules[c] & changed else -1 for c in comp]

@@ -399,6 +399,8 @@ class _ModuleParser(_Cursor):
         # ("namespace" | "section" | "mutual", name); a mutual block has no name
         self.scopes: list[tuple[str, tuple[str, ...]]] = []
         self.opens: list[tuple[int, Name]] = []  # (scope depth, opened name)
+        self.opens_in: tuple[Name, ...] = ()  # from `open ... in`, for the next command only
+        self.prefixed = False  # the last command ended in `in`, so it prefixes the next one
         self.imports: list[Name] = []
         self.items: list[Declaration | RawComment | UpstreamAttribution] = []
         self.warnings: list[ParseWarning] = []
@@ -416,7 +418,7 @@ class _ModuleParser(_Cursor):
         return tuple(out)
 
     def visible_opens(self) -> tuple[Name, ...]:
-        return tuple(name for _, name in self.opens)
+        return (*(name for _, name in self.opens), *self.opens_in)
 
     def span_between(self, first: Token, last: Token) -> SourceSpan:
         return SourceSpan(first.start, last.end, first.line)
@@ -425,6 +427,9 @@ class _ModuleParser(_Cursor):
 
     def parse(self) -> ModuleUnit:
         while (tok := self.peek()) is not None:
+            if not self.prefixed:  # done with the command that an `open ... in` prefixed
+                self.opens_in = ()
+            self.prefixed = False
             if tok.kind == "docstring":
                 self.parse_docstring_block()
                 continue
@@ -493,6 +498,7 @@ class _ModuleParser(_Cursor):
                 break
             self.take()
             if ends_at_in and tok.kind == "ident" and tok.text == "in":
+                self.prefixed = True
                 break
 
     def at_notation(self) -> bool:
@@ -599,17 +605,23 @@ class _ModuleParser(_Cursor):
         self.opens = [(d, n) for d, n in self.opens if d <= depth]
 
     def parse_open(self) -> None:
+        """`open A B` opens to the end of the scope, `open A B in` for the next command only."""
+
         kw = self.take()
         names: list[Name] = []
         while (tok := self.peek()) is not None and tok.kind == "ident" and tok.line == kw.line:
             self.take()
+            if tok.text == "in":
+                self.prefixed = True
+                break
             names.append(Name.parse(tok.text))
         if not names:
             self.warn("'open' without names", kw.line)
-            return
-        depth = len(self.scopes)
-        for n in names:
-            self.opens.append((depth, n))
+        elif self.prefixed:
+            self.opens_in += tuple(names)
+        else:
+            depth = len(self.scopes)
+            self.opens.extend((depth, n) for n in names)
 
     def parse_blueprint_comment(self) -> None:
         kw = self.take()
@@ -636,8 +648,12 @@ class _ModuleParser(_Cursor):
             self.warn("'attribute [...]' without target name", kw.line)
             return
         self.take()
+        if (after := self.peek()) is not None and after.kind == "ident" and after.text == "in":
+            self.take()  # the attributes hold for the next command only
+            self.prefixed = True
         if not blueprint:
-            self.warn("attribute command carries no blueprint attribute; ignored", kw.line)
+            if not self.prefixed:  # as `set_option ... in`, a prefix declares nothing
+                self.warn("attribute command carries no blueprint attribute; ignored", kw.line)
             return
         if len(blueprint) > 1:
             self.warn("duplicate blueprint attribute; keeping the first", kw.line)

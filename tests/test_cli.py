@@ -280,7 +280,7 @@ def test_noop_extract_parses_nothing(tmp_path, monkeypatch, capsys, modules, arg
     assert main(["extract"]) == 0
     capsys.readouterr()
     with monkeypatch.context() as m:
-        m.setattr(cli, "up_to_date", lambda config, out_dir=None: None)
+        m.setattr(cli, "up_to_date", lambda config, out_dir=None, sources=None: None)
         full_code = main(["extract", *args])
     full = capsys.readouterr()
 

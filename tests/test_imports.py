@@ -2,8 +2,9 @@
 
 Every command runs in a fresh interpreter, as a user runs it, and then
 reports the `archforge.*`, `pickle` and `dataclasses` entries of
-`sys.modules` on the last line of its standard error.  No command loads
-`dataclasses`, which would bring `inspect`, `ast` and `dis` with it.
+`sys.modules` on the last line of its standard error, and before it the
+names of the reuse-state files it opened or tried to open.  No command
+loads `dataclasses`, which would bring `inspect`, `ast` and `dis` with it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,16 @@ import archforge
 from conftest import golden_text, make_project
 
 LAUNCH = (
-    "import sys\n"
+    "import os, sys\n"
+    "opened = set()\n"
+    "def audit(event, args):\n"
+    "    if event == 'open' and isinstance(args[0], str) and os.path.basename(args[0]).startswith('reuse-'):\n"
+    "        opened.add(os.path.basename(args[0]))\n"
+    "sys.addaudithook(audit)\n"
     "from archforge.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "loaded = [m for m in sys.modules if m.startswith('archforge') or m in ('pickle', 'dataclasses')]\n"
+    "print(*sorted(opened), file=sys.stderr)\n"
     "print(*sorted(loaded), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
@@ -52,6 +59,12 @@ def run(root: Path, *argv: str) -> tuple[subprocess.CompletedProcess, set[str]]:
     return proc, loaded
 
 
+def opened_states(proc: subprocess.CompletedProcess) -> set[str]:
+    """The reuse-state files that the command opened or tried to open."""
+
+    return set(proc.stderr.splitlines()[-2].split())
+
+
 @pytest.fixture
 def built(tmp_path) -> Path:
     """The golden project with a blueprint file, extracted once: the parse cache is warm."""
@@ -61,6 +74,9 @@ def built(tmp_path) -> Path:
     proc, loaded = run(tmp_path, "extract")
     assert proc.returncode == 0
     assert {"archforge.source", "archforge.infer", "archforge.graph", "archforge.latex", "pickle"} <= loaded
+    # no manifest yet, so the state is not read, only written (through a temporary file)
+    (opened,) = opened_states(proc)
+    assert opened.endswith(".pickle.tmp")
     return tmp_path
 
 
@@ -69,6 +85,7 @@ def test_noop_extract_loads_only_the_manifest_check(built):
     assert proc.returncode == 0
     assert proc.stdout.endswith("wrote 0 files, deleted 0\n")
     assert loaded == NOOP_MODULES
+    assert not opened_states(proc)
 
 
 @pytest.mark.parametrize("argv", [("status", "--json"), ("graph", "--format", "json")], ids=" ".join)
@@ -77,6 +94,7 @@ def test_read_command_on_a_fresh_build_loads_only_the_manifest_check(built, argv
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert loaded == NOOP_MODULES
+    assert not opened_states(proc)
 
 
 def test_check_on_a_fresh_build_loads_the_lints_and_the_tex_scanner(built):
@@ -84,6 +102,7 @@ def test_check_on_a_fresh_build_loads_the_lints_and_the_tex_scanner(built):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "warning unused-node MyNat.add_comm: nothing depends on this node\n"
     assert loaded == NOOP_MODULES | {"archforge.graph", "archforge.texscan"}
+    assert not opened_states(proc)
 
 
 def test_check_on_a_fresh_build_without_tex_files_loads_only_the_lints(tmp_path):
@@ -131,8 +150,22 @@ def test_leaf_edit_parses_the_edited_module(built):
     assert proc.returncode == 0
     assert "module MyNat: stale (rebuilt)" in proc.stdout
     assert "archforge.source" in loaded
+    # the edit reads the state that the first extract left, and replaces it
+    states = {name for name in opened_states(proc) if name.endswith(".pickle")}
+    assert len(states) == 1 and (built / ".archforge" / states.pop()).is_file()
     proc, loaded = run(built, "extract")
     assert loaded == NOOP_MODULES
+
+
+@pytest.mark.parametrize(
+    "argv", [("status", "--json"), ("graph", "--format", "json"), ("check",)], ids=" ".join
+)
+def test_full_read_command_skips_the_reuse_state(built, argv):
+    shutil.rmtree(built / "build" / "blueprint")  # no build to answer from: load the project
+    proc, loaded = run(built, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "archforge.reuse" not in loaded
+    assert not opened_states(proc)
 
 
 def test_convert_loads_the_converter(tmp_path):

@@ -2,9 +2,9 @@
 
 Each `tests/_gen.py` project is rendered inside `namespace Gen`, then
 transformed: runs of declarations wrapped in sections, `set_option ... in`
-before declarations, `universe`, `variable` and `notation` lines between
-them, CRLF line ends.  A transform that the dialect does not claim yet is
-an expected failure.  The transformed project must give the same
+or `attribute [local simp] x in` before declarations, `universe`,
+`variable` and `notation` lines between them, CRLF line ends.  The
+transformed project must give the same
 declarations (names, kinds, attributes, signature and body identifiers,
 `sorry` markers), the same label views (statuses, uses, texts) and the same
 warning messages.  Spans and warning lines may differ.
@@ -88,7 +88,6 @@ TRANSFORMS = {
     f.__name__: f
     for f in (wrap_in_sections, set_option_before, lines_between, crlf, attribute_in_before)
 }
-UNCLAIMED = {"attribute_in_before"}  # transforms that the dialect does not claim yet
 
 
 def _render(gp: _gen.GenProject, transform=None, rng: random.Random | None = None) -> dict[str, str]:
@@ -124,15 +123,7 @@ def facts(gp: _gen.GenProject, texts: dict[str, str]) -> tuple:
     return declared, views, warnings
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason="not in the dialect yet"))
-        if name in UNCLAIMED
-        else name
-        for name in TRANSFORMS
-    ],
-)
+@pytest.mark.parametrize("name", list(TRANSFORMS))
 def test_transform_keeps_declarations_and_statuses(name):
     transform = TRANSFORMS[name]
     for seed in range(16):

@@ -418,6 +418,46 @@ def test_open_applies_to_following_decls():
     assert Name.parse("Foo") in d.opens and Name.parse("Bar") in d.opens
 
 
+def test_open_in_opens_the_namespace_for_the_next_declaration_only():
+    text = (
+        "open A\ndef g := 1\nopen Foo in\ntheorem t : True := trivial\n"
+        "theorem s : g := trivial\n"
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    g, t, s = decls(unit)
+    assert g.body_idents == ()
+    assert t.opens == (Name.parse("A"), Name.parse("Foo"))
+    assert s.opens == (Name.parse("A"),)
+    assert unit.warnings == ()
+
+
+@pytest.mark.parametrize("decl", ["theorem t : True := trivial", '@[blueprint "t"] theorem t : True := trivial'])
+def test_open_in_keeps_the_declaration_on_its_line(decl):
+    unit = parse_module_text(f"open Foo in {decl}\ndef u := 1\n", Name.parse("M"))
+    t, u = decls(unit)
+    assert (t.name, t.signature_idents, t.body_text) == (Name.parse("t"), ("True",), "trivial")
+    assert (t.opens, u.opens) == ((Name.parse("Foo"),), ())
+    assert unit.warnings == ()
+
+
+def test_open_in_after_a_command_ending_in_in_reaches_the_declaration():
+    text = "open Foo in\nset_option maxHeartbeats 400000 in\ntheorem t : True := trivial\ndef u := 1\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    t, u = decls(unit)
+    assert (t.opens, u.opens) == ((Name.parse("Foo"),), ())
+    assert unit.warnings == ()
+
+
+@pytest.mark.parametrize("sep", [" ", "\n"], ids=["same-line", "next-line"])
+def test_attribute_in_keeps_the_next_declaration(sep):
+    text = f'def g := 1\nattribute [local simp] g in{sep}@[blueprint "t"] theorem t : g = 1 := rfl\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    g, t = decls(unit)
+    assert (g.body_text, g.body_idents) == ("1", ())
+    assert (t.name, t.attribute.label, t.signature_idents) == (Name.parse("t"), "t", ("g",))
+    assert unit.warnings == ()
+
+
 def test_empty_module():
     unit = parse_module_text("", Name.parse("M"))
     assert unit.items == () and unit.imports == ()
