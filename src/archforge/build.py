@@ -205,6 +205,7 @@ def _env_fingerprint(config: ProjectConfig, upstream: frozenset[Name]) -> str:
     return h.hexdigest()
 
 
+# no caller; kept while `perfbench/tracing.py` `TARGETS` names it, to go with that entry
 def transitive_hashes(store: NodeStore, fingerprint: str) -> dict[Name, str]:
     """Per-module hash folding in the module source, imports, and environment."""
 
@@ -225,7 +226,7 @@ def transitive_hashes(store: NodeStore, fingerprint: str) -> dict[Name, str]:
 def load_manifest(out_dir: Path) -> dict | None:
     """The manifest in `out_dir`; None when it is missing, unreadable or in another layout.
 
-    A manifest whose `entries` is not a `{module: transitiveHash}` map, or
+    A manifest whose `entries` is not a `{module: sourceHash}` map, or
     whose `status` is not the `status_counts` of a store, was written by an
     older layout, so the tree it describes is rebuilt once.
     """
@@ -298,15 +299,21 @@ def _managed_files(out: Path) -> list[str]:
     return found
 
 
-def compute_staleness(
-    manifest: dict | None, store: NodeStore, transitive: dict[Name, str]
-) -> set[Name]:
-    """Modules whose transitive hash is not the one the manifest records."""
+def compute_staleness(manifest: dict | None, store: NodeStore, fingerprint: str) -> set[Name]:
+    """The changed modules: those whose source hash is not the one the manifest records.
 
-    if manifest is None or manifest.get("toolVersion") != TOOL_VERSION:
+    Without a manifest, or when its tool version or `envFingerprint` is not
+    `fingerprint`, every module changed.
+    """
+
+    if (
+        manifest is None
+        or manifest.get("toolVersion") != TOOL_VERSION
+        or manifest.get("envFingerprint") != fingerprint
+    ):
         return set(store.topo_order)
     entries = manifest["entries"]
-    return {name for name in store.topo_order if entries.get(str(name)) != transitive[name]}
+    return {name for name, unit in store.modules.items() if entries.get(str(name)) != unit.source_hash}
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +483,18 @@ class _BuildLock:
 def extract(project: Project, out_dir: Path | None = None, force: bool = False) -> ExtractResult:
     """Render the artifacts and synchronize the output directory.
 
-    Without `force`, the reuse state that the last extract into this tree
-    left may let it infer and render only the dirty labels (see
-    `reuse.plan_edit`); every file it does not render must then be on disk
-    as recorded, else the whole project is inferred and rendered.  Files
-    are written without being read back only with `force`, without a
-    manifest that `load_manifest` accepts, or when their module's
-    transitive hash changed and its source was parsed in this run (not
-    reused from the parse cache); every other rendered file is written only
+    The changed modules are those whose source hash differs from the one the
+    tree's manifest records (`compute_staleness`); with `force` or without
+    a usable manifest, every module.  The reuse state that the last extract
+    into this tree left may let it infer and render only the labels that
+    name a changed module (see `reuse.plan_edit`); without one, every label
+    is inferred and every file rendered.  Every file it does not render must
+    be on disk as recorded, else every file is rendered from the views in
+    hand.  Files are written without being read back only with `force` or
+    when their module changed; every other rendered file is written only
     when its bytes differ, so the tree matches a clean build exactly
     (including merged labels that cross module boundaries).  Each write
-    overwrites the file in place.  A module is reported stale when its hash
+    overwrites the file in place.  A module is reported stale when it
     changed or one of its files was written.  The manifest is replaced
     after the artifacts, the parse cache and the reuse state after it: a
     crash before that leaves the previous manifest, whose artifact digest
@@ -494,7 +502,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
     and repairs it.
     """
 
-    from .infer import closure_components, forget_inference, label_record, warm_statuses
+    from .infer import closure_components
     from .latex import RenderOptions
     from .reuse import ReuseState, artifact_check, plan_edit, read_reused, reuse_key, write_state
 
@@ -503,33 +511,20 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
     out = out_dir if out_dir is not None else config.resolved_out_dir()
     fingerprint = _env_fingerprint(config, store.upstream_index)
     key = reuse_key(store, fingerprint)
-    manifest = None if force else load_manifest(out)  # no manifest: every module is stale
+    manifest = None if force else load_manifest(out)
+    changed = compute_staleness(manifest, store, fingerprint)
     # inference errors come before anything is created
-    edit = None if manifest is None else plan_edit(project, out, manifest, key)
-    if edit is None:
-        warm_statuses(store)
+    edit = plan_edit(project, out, manifest, key, changed)
     out.mkdir(parents=True, exist_ok=True)
 
     with _BuildLock(out):
         options = RenderOptions(
             emit_leanok_with_mathlibok=config.emit_leanok_with_mathlibok
         )
-        reused: dict[str, bytes] = {}
-        if edit is not None:
-            plan = render_project(store, options, edit.labels, edit.modules, edit.global_files)
-            reused = read_reused(out, edit, plan)
-            if reused is None:  # a reused file was edited or torn: build as without a state
-                forget_inference(store)
-                warm_statuses(store)
-                edit, reused = None, {}
-        if edit is None:
-            plan = render_project(store, options)
-
-        transitive = transitive_hashes(store, fingerprint)
-        stale = compute_staleness(manifest, store, transitive)
-        # the modules whose files are written without reading them back: an import's edit
-        # seldom changes the bytes of a module that the parse cache supplied
-        unread = stale if manifest is None else stale - project.pickled.keys()
+        plan = render_project(store, options, edit.labels, edit.modules, edit.global_files)
+        reused = read_reused(out, edit, plan)
+        if reused is None:  # a reused file was edited or torn: every view is in hand
+            plan, reused = render_project(store, options), {}
 
         written: list[str] = []
         made: set[str] = set()  # parent directories already created
@@ -546,7 +541,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             digest.add(rel, content)
             checks[rel] = artifact_check(content)
             path = f"{root}/{rel}"
-            if not force and plan.owners[rel] not in unread:
+            if not force and plan.owners[rel] not in changed:
                 try:
                     with open(path, "rb") as f:
                         if f.read() == content:
@@ -559,12 +554,9 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
                 made.add(parent)
             _overwrite(path, content)
             written.append(rel)
-        stale.update(plan.owners[rel] for rel in written if plan.owners[rel] is not None)
+        stale = changed | {plan.owners[rel] for rel in written if plan.owners[rel] is not None}
 
-        if edit is not None:
-            records = edit.records
-        else:
-            records = {label: label_record(store, label) for label in sorted(store.by_label)}
+        records = edit.records
         lean_oks = {
             name: ok
             for label, record in records.items()
@@ -587,7 +579,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             "sourcesDigest": sources,
             "artifactDigest": digest.hexdigest(),
             "warnings": warnings,
-            "entries": {str(name): transitive[name] for name in store.topo_order},
+            "entries": {str(name): store.modules[name].source_hash for name in store.topo_order},
             "status": counts,
         }
         tmp = out / MANIFEST_TMP
@@ -597,15 +589,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             from .cache import write_units
 
             write_units(config.root, store.modules.values(), project.pickled)
-        units = [store.modules[name] for name in store.topo_order]
-        state = ReuseState(
-            key,
-            manifest_data["artifactDigest"],
-            tuple((unit.path, unit.source_hash) for unit in units),
-            records,
-            closure_components(store),
-            checks,
-        )
+        state = ReuseState(key, manifest_data["artifactDigest"], records, closure_components(store), checks)
         write_state(config.root, out, state)
 
     fresh = set(store.topo_order) - stale

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -168,14 +169,17 @@ def read_source(path: str | Path) -> str:
 
 
 def files_digest(paths: Iterable[Path]) -> bytes:
-    """One digest over the bytes of the files at `paths`, in order."""
+    """One digest over the bytes of the files at `paths`, in order, each read once per process."""
 
     h = hashlib.blake2b(digest_size=16)
     for path in paths:
-        data = path.read_bytes()
-        h.update(b"%d\0" % len(data))
-        h.update(data)
+        h.update(_file_digest(path))
     return h.digest()
+
+
+@functools.cache
+def _file_digest(path: Path) -> bytes:
+    return hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
 
 
 def source_hash(data: bytes) -> str:

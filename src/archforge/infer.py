@@ -120,12 +120,6 @@ def _cache(store: NodeStore) -> _InferCache:
     return store._infer_cache  # type: ignore[return-value]
 
 
-def forget_inference(store: NodeStore) -> None:
-    """Drop every result inferred for, or adopted into, `store`."""
-
-    store._infer_cache = None
-
-
 def resolve_name(
     raw: Name,
     context: tuple[str, ...],

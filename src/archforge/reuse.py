@@ -1,12 +1,14 @@
 """The reuse state: what the last `extract` into an output tree leaves for the next edit.
 
 `<root>/.archforge/reuse-<tag>.pickle`, where `tag` digests the output
-tree's absolute path, holds one `ReuseState`.  It is written after the
-manifest and names that manifest's artifact digest, so a state that does
-not describe the tree as it stands is never used.  An edit with a usable
-state infers and renders again only the labels whose records name a module
-that changed; see `plan_edit`.  Loading admits no global but the state's
-own records and `Name`, and any failure reads as "no state".
+tree's absolute path, holds that path on its first line, then one
+`ReuseState`.  It is written after the manifest and names that manifest's
+artifact digest, so a state that does not describe the tree as it stands is
+never used.  An edit with a usable state infers and renders again only the
+labels whose records name a module that changed; see `plan_edit`.  Loading
+admits no global but the state's own records and `Name`, and any failure
+reads as "no state".  Writing a state removes every other one whose tree
+has no manifest.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
+from .build import MANIFEST_NAME
 from .cache import CACHE_DIR, load_restricted
 from .infer import Components, LabelRecord, LabelView, adopt, label_record
 from .names import Name
@@ -31,7 +34,6 @@ STATE_PREFIX = "reuse-"
 class ReuseState(NamedTuple):
     key: str  # `reuse_key` of the store it was built from
     artifact_digest: str  # the `artifactDigest` of the manifest written with it
-    sources: tuple[tuple[str, str], ...]  # (path, source hash) of each module, in topo order
     labels: dict[str, LabelRecord]
     components: Components  # `infer.closure_components` of the build
     artifacts: dict[str, int]  # relative path -> `artifact_check` of its bytes
@@ -48,6 +50,10 @@ def artifact_check(data: bytes) -> int:
     return len(data) << 32 | zlib.crc32(data)
 
 
+def _tree_line(out: Path) -> bytes:
+    return os.fsencode(os.path.abspath(out)) + b"\n"
+
+
 def state_path(root: Path, out: Path) -> Path:
     tag = hashlib.blake2b(os.fsencode(os.path.abspath(out)), digest_size=8).hexdigest()
     return root / CACHE_DIR / f"{STATE_PREFIX}{tag}.pickle"
@@ -58,11 +64,12 @@ def read_state(root: Path, out: Path) -> ReuseState | None:
 
     try:
         with open(state_path(root, out), "rb") as f:
+            if f.readline() != _tree_line(out):
+                return None
             ((state, _),) = load_restricted(f.read(), _ALLOWED)
         comp, reach, modules = state.components
         if (
             type(state) is ReuseState
-            and type(state.sources) is tuple
             and type(state.labels) is dict
             and type(state.artifacts) is dict
             and all(type(part) is tuple for part in state.components)
@@ -74,15 +81,16 @@ def read_state(root: Path, out: Path) -> ReuseState | None:
             )
         ):
             return state
-    except Exception:  # missing, torn or foreign: take the full path
+    except Exception:  # missing, torn or foreign: nothing is reused
         pass
     return None
 
 
 def write_state(root: Path, out: Path, state: ReuseState) -> None:
-    """Replace the reuse state of `out`; a failed write leaves none or the old one.
+    """Replace the reuse state of `out`, then remove the states of trees without a manifest.
 
-    The old one names the artifact digest of an older manifest, so it goes unused.
+    A failed write leaves none or the old one, which names the artifact
+    digest of an older manifest, so it goes unused.
     """
 
     import pickle
@@ -92,8 +100,16 @@ def write_state(root: Path, out: Path, state: ReuseState) -> None:
     try:
         path.parent.mkdir(exist_ok=True)
         with open(tmp, "wb") as f:
+            f.write(_tree_line(out))
             f.write(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
         os.replace(tmp, path)
+        for other in path.parent.glob(f"{STATE_PREFIX}*.pickle"):
+            if other == path:
+                continue
+            with open(other, "rb") as f:
+                tree = os.fsdecode(f.readline().rstrip(b"\n"))
+            if not os.path.isfile(os.path.join(tree, MANIFEST_NAME)):
+                other.unlink()
     except OSError:
         pass
 
@@ -117,47 +133,43 @@ def reuse_key(store: NodeStore, fingerprint: str) -> str:
 class Edit(NamedTuple):
     """An extract that takes the last build's views and files for every label it cannot change."""
 
-    state: ReuseState
+    state: ReuseState | None  # None: every label is dirty and every file is rendered
     labels: list[str]  # whose node files are rendered again, sorted
     modules: list[Name]  # whose fragments are rendered again
-    global_files: bool  # some label's view changed
+    global_files: bool  # some label's view changed, or there is no state
     records: dict[str, LabelRecord]  # of every label, the dirty ones new
 
 
-def plan_edit(project: Project, out: Path, manifest: dict, key: str) -> Edit | None:
-    """The edit that the reuse state of `out` allows, with the dirty labels inferred; else None.
+def plan_edit(
+    project: Project, out: Path, manifest: dict | None, key: str, changed: set[Name]
+) -> Edit:
+    """The extract that the reuse state of `out` allows, with the dirty labels inferred.
 
-    The state must have `key` and be the one written with `manifest`.  A
-    module changed when it was parsed in this run or its path or source
-    hash differs from the state's.  A label is dirty when its record names
-    a changed module.  Every other label's view is adopted, and so is
-    every closure component that reaches no changed module.  What is
-    rendered again: the node files of the labels whose view changed or
-    whose first node a changed module places, the fragments of the changed
-    modules and of the modules placing a node of a label whose view
-    changed, and the global files if a view changed.
+    The state is usable when it has `key` and is the one written with
+    `manifest` (None with `--force` or without a usable manifest).  A label
+    is dirty when its record names a module in `changed`.  Every other
+    label's view is adopted, and so is every closure component that reaches
+    no changed module.  What is rendered again: the node files of the labels
+    whose view changed or whose first node a changed module places, the
+    fragments of the changed modules and of the modules placing a node of a
+    label whose view changed, and the global files if a view changed.
+    Without a usable state every label is dirty and inferred in sorted
+    order, and every file is rendered: the full build.
     """
 
     store = project.store
-    state = read_state(project.config.root, out)
-    if (
-        state is None
-        or state.key != key
-        or state.artifact_digest != manifest.get("artifactDigest")
-        or len(state.sources) != len(store.topo_order)
-    ):
-        return None
-    changed = 0
-    for i, name in enumerate(store.topo_order):
-        unit = store.modules[name]
-        if name not in project.pickled or state.sources[i] != (unit.path, unit.source_hash):
-            changed |= 1 << i
-    records = dict(state.labels)
-    dirty = [label for label in sorted(records) if records[label].modules & changed]
-    kept = [record.view for record in records.values() if not record.modules & changed]
-    adopt(store, kept, state.components, changed)
+    state = None if manifest is None else read_state(project.config.root, out)
+    if state is None or state.key != key or state.artifact_digest != manifest.get("artifactDigest"):
+        every = sorted(store.by_label)
+        records = {label: label_record(store, label) for label in every}
+        return Edit(None, every, list(store.topo_order), True, records)
     positions = store.topo_positions
-    labels, rendered, views_changed = [], changed, False
+    changed_bits = sum(1 << positions[name] for name in changed)
+    records = dict(state.labels)
+    dirty = [label for label in sorted(records) if records[label].modules & changed_bits]
+    kept = [record.view for record in records.values() if not record.modules & changed_bits]
+    adopt(store, kept, state.components, changed_bits)
+    labels, rendered, views_changed = [], changed_bits, False
     for label in dirty:
         record = records[label] = label_record(store, label)
         placed = [positions[store.by_name[name].placement_module] for name in store.by_label[label]]
@@ -166,7 +178,7 @@ def plan_edit(project: Project, out: Path, manifest: dict, key: str) -> Edit | N
             views_changed = True
             for i in placed:
                 rendered |= 1 << i
-        elif changed >> placed[0] & 1:  # its module's files are written unread, as in a full build
+        elif changed_bits >> placed[0] & 1:  # its module's files are written unread
             labels.append(label)
     modules = [name for i, name in enumerate(store.topo_order) if rendered >> i & 1]
     return Edit(state, labels, modules, views_changed, records)
@@ -176,6 +188,8 @@ def read_reused(out: Path, edit: Edit, plan: RenderPlan) -> dict[str, bytes] | N
     """The bytes of each artifact that `plan` does not render; None if one is not as recorded."""
 
     reused: dict[str, bytes] = {}
+    if edit.state is None:
+        return reused
     root = os.fspath(out)
     for rel, recorded in edit.state.artifacts.items():
         if rel in plan.files:

@@ -77,8 +77,9 @@ ATTRIBUTE_KEYS = {
     "notReady": "not_ready", "discussion": "discussion", "latexEnv": "latex_env",
 }
 
-# What may begin a declaration: `@` of `@[`, a modifier or a keyword.
-_DECL_STARTS = DECL_KEYWORDS | DECL_MODIFIERS | {"@"}
+# What may begin a declaration (`@` of `@[`, a modifier or a keyword) or an
+# upstream attribution (`attribute`) at an indented line start.
+_LINE_STARTS = DECL_KEYWORDS | DECL_MODIFIERS | {"@", "attribute"}
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -514,8 +515,9 @@ class _ModuleParser(_Cursor):
         At column 0 every command keyword, `local` or `scoped` before
         `notation`, docstring and `@[` does.  At any
         indentation, so does the first token on a line that begins a
-        declaration: `@[`, modifiers and a declaration keyword, or a
-        docstring before either.  Anywhere on a line, so does an `@[` list
+        declaration (`@[`, modifiers and a declaration keyword, or a
+        docstring before either) or an `attribute [...]` command whose list
+        carries `blueprint`.  Anywhere on a line, so does an `@[` list
         that a declaration (or a docstring and one) follows, and a docstring
         that such a list and then a declaration follow.
         """
@@ -533,6 +535,9 @@ class _ModuleParser(_Cursor):
             after = self.peek(ahead)
             docstring_after = not doc and after is not None and after.kind == "docstring"
             return self.at_declaration(ahead + 1 if docstring_after else ahead)
+        if tok.text == "attribute":
+            end = self.list_end(1)
+            return end is not None and any(self.peek(i).text == "blueprint" for i in range(2, end))
         ahead = 1 if tok.kind == "docstring" else 0
         return self.at_attr_list(ahead) or self.at_declaration(ahead)
 
@@ -545,10 +550,14 @@ class _ModuleParser(_Cursor):
         None if no list starts there or it is unclosed.
         """
 
-        if not self.at_attr_list(ahead):
+        return self.list_end(ahead + 1) if self.at("@", ahead) else None
+
+    def list_end(self, ahead: int) -> int | None:
+        """Likewise for the `[...]` list that starts `ahead` tokens ahead."""
+
+        if not self.at("[", ahead):
             return None
         depth = 0
-        ahead += 1
         while (tok := self.peek(ahead)) is not None:
             if tok.kind == "symbol":
                 if tok.text in ("[", "("):
@@ -773,7 +782,7 @@ class _ModuleParser(_Cursor):
             if (
                 tok.text == "@"
                 or tok.kind == "docstring"
-                or tok.line != last.line and (tok.col == 0 or tok.text in _DECL_STARTS)
+                or tok.line != last.line and (tok.col == 0 or tok.text in _LINE_STARTS)
             ) and self.at_block_start(tok):
                 break
             if tok.kind == "symbol":

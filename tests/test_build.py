@@ -20,7 +20,6 @@ from archforge.build import (
     load_manifest,
     load_project,
     status_counts,
-    transitive_hashes,
     up_to_date,
 )
 from archforge.config import load_config
@@ -82,15 +81,14 @@ def test_discover_modules_rejects_two_files_with_one_dotted_name(tmp_path):
 
 def test_dotted_file_name_is_one_segment_per_dot(tmp_path):
     # `Z.Y.lean` is module `Z.Y`, the name `import Z.Y` gives, so `B` is
-    # ordered after it and its hash folds in `Z.Y`'s
+    # ordered after it, and an edit of the file changes module `Z.Y`
     make_project(tmp_path, {"B": "import Z.Y\n\ndef b := y\n"})
     (tmp_path / "src" / "Z.Y.lean").write_text("def y := 1\n", encoding="utf-8")
     project = load_project_at(tmp_path)
     assert [tuple(n) for n in project.store.topo_order] == [("Z", "Y"), ("B",)]
-    before = transitive_hashes(project.store, "env")[Name.parse("B")]
+    extract(project)
     (tmp_path / "src" / "Z.Y.lean").write_text("def y := 2\n", encoding="utf-8")
-    after = transitive_hashes(load_project_at(tmp_path).store, "env")[Name.parse("B")]
-    assert before != after
+    assert extract(load_project_at(tmp_path)).stale == {Name.parse("Z.Y")}
 
 
 @pytest.mark.parametrize("rel", ["a..b.lean", "A./M.lean"])
@@ -208,9 +206,9 @@ def test_manifest_schema(tmp_path):
     assert manifest["status"] == status_counts(project.store)
     fingerprint = _env_fingerprint(project.config, project.store.upstream_index)
     assert manifest["envFingerprint"] == fingerprint
-    # one transitive hash per module, nothing else
-    transitive = transitive_hashes(project.store, fingerprint)
-    assert manifest["entries"] == {str(name): h for name, h in transitive.items()}
+    # each module's own source hash, nothing else
+    modules = project.store.modules
+    assert manifest["entries"] == {str(name): unit.source_hash for name, unit in modules.items()}
     assert sorted(manifest["entries"]) == ["A", "B", "C", "MyNat"]
 
 
@@ -224,7 +222,7 @@ def test_extract_outputs_deterministic_with_force(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# staleness propagation
+# staleness: a module is stale when its source changed or one of its files was written
 
 
 def edit_module(tmp_path, name, text):
@@ -234,9 +232,13 @@ def edit_module(tmp_path, name, text):
 def test_edit_leaf_rebuilds_importers(tmp_path):
     make_project(tmp_path, dict(CHAIN))
     extract(load_project_at(tmp_path))
-    edit_module(tmp_path, "A", '@[blueprint "a:base"]\ndef base := 2\n')
+    edit_module(tmp_path, "A", '@[blueprint "a:root"]\ndef base := 2\n')
     result = extract(load_project_at(tmp_path))
-    assert result.stale == {Name.parse("A"), Name.parse("B"), Name.parse("C")}
+    # B's node uses the new label, so its files change; C's files do not
+    assert "nodes/b_mid.tex" in result.written
+    assert not any("c_top" in rel or rel == "modules/C.tex" for rel in result.written)
+    assert result.stale == {Name.parse("A"), Name.parse("B")}
+    assert result.fresh == {Name.parse("C")}
 
 
 def test_edit_middle_rebuilds_downstream_only(tmp_path):
@@ -246,8 +248,9 @@ def test_edit_middle_rebuilds_downstream_only(tmp_path):
         tmp_path, "B", 'import A\n\n@[blueprint "b:mid"]\ndef mid := base  -- touch\n'
     )
     result = extract(load_project_at(tmp_path))
-    assert result.stale == {Name.parse("B"), Name.parse("C")}
-    assert result.fresh == {Name.parse("A")}
+    # the importer C is fresh: none of its files' bytes changed
+    assert result.stale == {Name.parse("B")}
+    assert result.fresh == {Name.parse("A"), Name.parse("C")}
 
 
 def test_untouched_project_stays_fresh(tmp_path):
@@ -331,14 +334,14 @@ def test_load_manifest_missing_dir(tmp_path):
 
 
 def test_config_change_rebuilds_all(tmp_path):
-    make_project(tmp_path, {"MyNat": golden_text()})
+    make_project(tmp_path, {"MyNat": golden_text(), **CHAIN})
     extract(load_project_at(tmp_path))
-    # flipping a rendering flag changes the environment fingerprint
+    # flipping a rendering flag changes the environment fingerprint, though not CHAIN's files
     make_project(
-        tmp_path, {"MyNat": golden_text()}, config={"emitLeanokWithMathlibok": True}
+        tmp_path, {"MyNat": golden_text(), **CHAIN}, config={"emitLeanokWithMathlibok": True}
     )
     result = extract(load_project_at(tmp_path))
-    assert result.stale == {Name.parse("MyNat")}
+    assert result.stale == {Name.parse(m) for m in ("MyNat", *CHAIN)}
 
 
 def test_changed_program_rebuilds_all(tmp_path, monkeypatch):
@@ -356,6 +359,29 @@ def test_changed_program_rebuilds_all(tmp_path, monkeypatch):
     assert up_to_date(load_config(tmp_path / "architect.json")) is None
     result = extract(load_project_at(tmp_path))
     assert result.stale == {Name.parse(m) for m in CHAIN}
+
+
+def test_edit_reads_each_code_file_once(tmp_path, monkeypatch, capsys):
+    # the freshness check, the parse cache's stamp and `extract` all digest archforge's code
+    from archforge import config
+    from archforge.cli import main
+
+    make_project(tmp_path, dict(CHAIN))
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract"]) == 0
+    edit_module(tmp_path, "A", CHAIN["A"] + "-- a note\n")
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        reads.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    config._file_digest.cache_clear()
+    assert main(["extract"]) == 0
+    assert "module A: stale (rebuilt)" in capsys.readouterr().out
+    assert sorted(p for p in reads if p in build.CODE_FILES) == sorted(build.CODE_FILES)
 
 
 def test_incremental_writes_only_changed_files(tmp_path):
@@ -388,10 +414,10 @@ def test_edit_writes_unread_only_the_reparsed_modules_files(tmp_path):
     result = extract(load_project_at(tmp_path))
     after = read_tree(out)
     differ = {rel for rel in after if before.get(rel) != after[rel]} - {MANIFEST_NAME}
-    # B and C are stale by hash, but came from the parse cache: their files are read back
+    # B and C did not change: their files are read back, and none differs
     assert result.written == sorted({"modules/A.tex", "nodes/a_base.tex"} | differ)
     assert "modules/B.tex" not in result.written and "modules/C.tex" not in result.written
-    assert result.stale == {Name.parse("A"), Name.parse("B"), Name.parse("C")}
+    assert result.stale == {Name.parse("A")}
     assert after == clean_build(tmp_path)
 
 
@@ -409,12 +435,19 @@ def test_comment_only_edit_writes_the_modules_fragment(tmp_path, module):
 
 def test_edit_without_parse_cache_gives_the_clean_build(tmp_path):
     make_project(tmp_path, dict(CHAIN))
+    out = tmp_path / "build" / "blueprint"
     extract(load_project_at(tmp_path))
+    before = read_tree(out)
     shutil.rmtree(tmp_path / ".archforge")
     edit_module(tmp_path, "B", 'import A\n\n@[blueprint "b:mid"]\ndef mid : Nat := by\n  sorry\n')
     result = extract(load_project_at(tmp_path))
-    assert result.stale == {Name.parse("B"), Name.parse("C")}
-    assert read_tree(tmp_path / "build" / "blueprint") == clean_build(tmp_path)
+    after = read_tree(out)
+    differ = {rel for rel in after if before.get(rel) != after[rel]} - {MANIFEST_NAME}
+    # A and C are parsed again but did not change: their files are read back, not written unread
+    assert result.written == sorted({"modules/B.tex", "nodes/b_mid.tex"} | differ)
+    assert not any(rel.startswith(("modules/A", "modules/C")) for rel in result.written)
+    assert result.stale == {Name.parse("B")}
+    assert after == clean_build(tmp_path)
 
 
 @pytest.mark.parametrize("edit_source", [False, True], ids=["read-back", "unread"])
@@ -434,10 +467,8 @@ def test_torn_artifact_is_restored_in_place(tmp_path, tear, edit_source):
     result = extract(load_project_at(tmp_path))
     assert target.read_bytes() == rendered
     assert "nodes/b_mid.tex" in result.written
-    if edit_source:
-        assert result.stale == {Name.parse("B"), Name.parse("C")}
-    else:
-        assert result.stale == {Name.parse("B")}
+    assert result.stale == {Name.parse("B")}
+    if not edit_source:
         assert result.written == ["nodes/b_mid.tex"]
     assert read_tree(out) == clean_build(tmp_path)
 

@@ -3,11 +3,12 @@
 Each `tests/_gen.py` project is rendered inside `namespace Gen`, then
 transformed: runs of declarations wrapped in sections, `set_option ... in`
 or `attribute [local simp] x in` before declarations, `universe`,
-`variable` and `notation` lines between them, CRLF line ends.  The
-transformed project must give the same
-declarations (names, kinds, attributes, signature and body identifiers,
-`sorry` markers), the same label views (statuses, uses, texts) and the same
-warning messages.  Spans and warning lines may differ.
+`variable` and `notation` lines between them, every block (declarations
+and `attribute [blueprint ...]` commands alike) indented by two spaces,
+`-- a note` lines inside blocks, CRLF line ends.  The transformed project
+must give the same declarations (names, kinds, attributes, signature and
+body identifiers, `sorry` markers), the same label views (statuses, uses,
+texts) and the same warning messages.  Spans and warning lines may differ.
 """
 
 from __future__ import annotations
@@ -80,13 +81,33 @@ def attribute_in_before(blocks: list[str], gp: _gen.GenProject, rng: random.Rand
     return [f"attribute [local simp] {rng.choice(names)} in\n{b}" for b in blocks]
 
 
+def indent(blocks: list[str], gp: _gen.GenProject, rng: random.Random) -> list[str]:
+    return ["\n".join("  " + line for line in b.split("\n")) for b in blocks]
+
+
+def comments_between_lines(blocks: list[str], gp: _gen.GenProject, rng: random.Random) -> list[str]:
+    out: list[str] = []
+    for b in blocks:
+        lines: list[str] = []
+        for line in b.split("\n"):
+            lines.append(line)
+            done = "\n".join(lines)
+            if done.count("/-") == done.count("-/") and rng.random() < 0.5:  # not inside a comment
+                lines.append(rng.choice(("-- a note", "  -- a note")))
+        out.append("\n".join(lines))
+    return out
+
+
 def crlf(blocks: list[str], gp: _gen.GenProject, rng: random.Random) -> list[str]:
     return blocks  # `_render` turns every line end into CRLF
 
 
 TRANSFORMS = {
     f.__name__: f
-    for f in (wrap_in_sections, set_option_before, lines_between, crlf, attribute_in_before)
+    for f in (
+        wrap_in_sections, set_option_before, lines_between, crlf, attribute_in_before, indent,
+        comments_between_lines,
+    )
 }
 
 

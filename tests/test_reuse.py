@@ -164,7 +164,7 @@ def spies(monkeypatch):
 
     def spy_plan(*args, **kwargs):
         edit = plan_edit(*args, **kwargs)
-        seen["edits"].append(edit is not None)
+        seen["edits"].append(edit.state is not None)
         return edit
 
     def spy_render(*args, **kwargs):
@@ -307,7 +307,7 @@ def test_unusable_state_takes_the_full_path(tmp_path, monkeypatch, capsys, spies
     assert not (root / "ran").exists()
     assert main(["extract", "--force", "--out", str(tmp_path / "fresh")]) == 0
     assert read_tree(root / "build" / "blueprint") == read_tree(tmp_path / "fresh")
-    # the full path wrote a good state again
+    # the build without a usable state wrote a good state again
     (root / "src" / "C.lean").write_text(CHAIN["C"], encoding="utf-8")
     spies["edits"].clear()
     assert main(["extract"]) == 0
@@ -323,10 +323,26 @@ def test_proof_edit_renders_only_the_labels_it_reaches(tmp_path, monkeypatch, ca
     (root / "src" / "B.lean").write_text(sorried, encoding="utf-8")
     spies["renders"] = 0
     assert main(["extract"]) == 0
-    assert spies["edits"] == [True] and spies["renders"] == 2
+    # the first build took `plan_edit`'s stateless path
+    assert spies["edits"] == [False, True] and spies["renders"] == 2
     top = root / "build" / "blueprint" / "nodes" / "c_top.tex"
     assert "\\begin{proof}\n  \\uses{a:base}\n" in top.read_text(encoding="utf-8")  # not leanOk
     (root / "src" / "C.lean").write_text(CHAIN["C"] + "-- a note\n", encoding="utf-8")
     spies["renders"] = 0
     assert main(["extract"]) == 0
-    assert spies["edits"] == [True, True] and spies["renders"] == 1
+    assert spies["edits"] == [False, True, True] and spies["renders"] == 1
+
+
+def test_writing_a_state_removes_those_of_deleted_trees(tmp_path, monkeypatch, capsys):
+    root = make_project(tmp_path / "p", dict(CHAIN))
+    monkeypatch.chdir(root)
+    trees = [tmp_path / f"out{i}" for i in range(3)]
+    for tree in trees:
+        assert main(["extract", "--force", "--out", str(tree)]) == 0
+    assert len(list((root / ".archforge").glob("reuse-*"))) == 3
+    shutil.rmtree(trees[0])
+    shutil.rmtree(trees[1])
+    assert main(["extract"]) == 0
+    live = [trees[2], root / "build" / "blueprint"]
+    assert sorted((root / ".archforge").glob("reuse-*")) == sorted(reuse.state_path(root, t) for t in live)
+    assert all(reuse.read_state(root, t) is not None for t in live)

@@ -928,6 +928,21 @@ def test_indented_non_declarations_stay_in_the_command():
     assert unit.warnings == ()
 
 
+@pytest.mark.parametrize("indent", ["", "  "])
+def test_indented_tagging_attribute_command_ends_the_declaration(indent):
+    # an upstream attribution swallowed into the body would lose its tag without a warning
+    text = (
+        f"namespace N\n{indent}def f : Nat := 1\n\n"
+        f'{indent}attribute [blueprint "up:0"] Mathlib.foo\nend N\n'
+    )
+    unit = parse_module_text(text, Name.parse("M"))
+    (f,) = decls(unit)
+    assert (f.name, f.body_idents) == (Name.parse("N.f"), ())
+    (up,) = [i for i in unit.items if isinstance(i, UpstreamAttribution)]
+    assert (up.target, up.attribute.label) == (Name.parse("Mathlib.foo"), "up:0")
+    assert unit.warnings == ()
+
+
 def test_tagged_example_raises():
     with pytest.raises(ParseError, match="'example' tagged with blueprint needs a name") as info:
         parse_module_text('def f := 1\n@[blueprint "x"]\nexample : 1 = 1 := rfl\n', Name.parse("M"))
