@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
@@ -28,7 +29,6 @@ LOCK_NAME = ".lock"
 GLOBAL_FILES = ("macros.tex", "blueprint.json", "graph.dot", "graph.json")
 READ_ARTIFACTS = ("graph.dot", "graph.json", "blueprint.json")  # what `graph` and `check` read
 MANAGED_DIRS = ("nodes", "modules")  # swept of files the plan does not hold
-STATUS_DIGEST_KEY = MANIFEST_NAME + "\0status"  # the manifest's counts, in the artifact digest
 # the package's modules, whose text `envFingerprint` digests: they are read as files, not
 # imported, so a changed program rebuilds once without a no-op loading more of it
 CODE_FILES = tuple(
@@ -247,27 +247,31 @@ def load_manifest(out_dir: Path) -> dict | None:
     return data
 
 
-class _Digest:
-    """One digest over (key, bytes) pairs.  A key may join fields with NUL, which no field holds."""
+def artifact_check(data: bytes) -> int:
+    """The length and CRC-32 of an artifact's bytes: they tell a hand-edited or torn file."""
 
-    def __init__(self) -> None:
-        self._hash = hashlib.blake2b(digest_size=16)
+    return len(data) << 32 | zlib.crc32(data)
 
-    def add(self, key: str, data: bytes) -> None:
-        self._hash.update(f"{key}\0{len(data)}\0".encode("utf-8"))
-        self._hash.update(data)
 
-    def hexdigest(self) -> str:
-        return self._hash.hexdigest()
+def artifact_digest(checks: Mapping[str, int], status: dict) -> str:
+    """The manifest's `artifactDigest`: each artifact's path and check, in path order, then `status`.
+
+    Every path is keyed, so a missing, extra or altered file changes it.  No field holds NUL.
+    """
+
+    h = hashlib.blake2b(digest_size=16)
+    h.update("".join(f"{rel}\0{checks[rel]}\0" for rel in sorted(checks)).encode("utf-8"))
+    h.update(_ENCODE(status).encode("utf-8"))
+    return h.hexdigest()
 
 
 def _sources_digest(modules: Iterable[tuple[Name, Path | str, str]]) -> str:
     """Digest of every module's name, path string and source hash, in discovery order."""
 
-    digest = _Digest()
+    h = hashlib.blake2b(digest_size=16)
     for name, path, text_hash in modules:
-        digest.add(f"{name}\0{path}", text_hash.encode("utf-8"))
-    return digest.hexdigest()
+        h.update(f"{name}\0{path}\0{len(text_hash)}\0{text_hash}".encode("utf-8"))
+    return h.hexdigest()
 
 
 def _managed_files(out: Path) -> list[str]:
@@ -504,7 +508,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 
     from .infer import closure_components
     from .latex import RenderOptions
-    from .reuse import ReuseState, artifact_check, plan_edit, read_reused, reuse_key, write_state
+    from .reuse import ReuseState, plan_edit, read_reused, reuse_key, write_state
 
     store = project.store
     config = project.config
@@ -522,23 +526,17 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             emit_leanok_with_mathlibok=config.emit_leanok_with_mathlibok
         )
         plan = render_project(store, options, edit.labels, edit.modules, edit.global_files)
-        reused = read_reused(out, edit, plan)
-        if reused is None:  # a reused file was edited or torn: every view is in hand
-            plan, reused = render_project(store, options), {}
+        # per artifact, for the manifest and the next reuse state; a rendered file's is computed below
+        checks = {} if edit.state is None else dict(edit.state.artifacts)
+        if edit.state is not None and not read_reused(out, edit.state, plan):
+            # a reused file was edited or torn: every view is in hand
+            plan, checks = render_project(store, options), {}
 
         written: list[str] = []
         made: set[str] = set()  # parent directories already created
-        digest = _Digest()  # artifact paths and bytes, in path order
-        checks: dict[str, int] = {}  # per artifact, for the next reuse state
         root = os.fspath(out)
-        for rel in sorted([*plan.files, *reused]):
-            data = reused.get(rel)
-            if data is not None:  # on disk as recorded
-                digest.add(rel, data)
-                checks[rel] = edit.state.artifacts[rel]
-                continue
+        for rel in sorted(plan.files):
             content = plan.files[rel].encode("utf-8")
-            digest.add(rel, content)
             checks[rel] = artifact_check(content)
             path = f"{root}/{rel}"
             if not force and plan.owners[rel] not in changed:
@@ -563,7 +561,6 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             for name, ok in zip(store.by_label[label], record.lean_oks)
         }
         counts = status_counts(store, lean_oks)
-        digest.add(STATUS_DIGEST_KEY, _ENCODE(counts).encode("utf-8"))
         deleted = [rel for rel in _managed_files(out) if rel not in checks]
         for rel in deleted:
             (out / rel).unlink()
@@ -577,7 +574,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             "toolVersion": TOOL_VERSION,
             "envFingerprint": fingerprint,
             "sourcesDigest": sources,
-            "artifactDigest": digest.hexdigest(),
+            "artifactDigest": artifact_digest(checks, counts),
             "warnings": warnings,
             "entries": {str(name): store.modules[name].source_hash for name in store.topo_order},
             "status": counts,
@@ -589,7 +586,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             from .cache import write_units
 
             write_units(config.root, store.modules.values(), project.pickled)
-        state = ReuseState(key, manifest_data["artifactDigest"], records, closure_components(store), checks)
+        state = ReuseState(key, records, closure_components(store), checks)
         write_state(config.root, out, state)
 
     fresh = set(store.topo_order) - stale
@@ -601,7 +598,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 class FreshBuild(NamedTuple):  # an output tree that passed every freshness check
     result: ExtractResult  # what `extract` would return
     manifest: dict
-    artifacts: dict[str, bytes]  # the digested bytes of `READ_ARTIFACTS`, by file name
+    artifacts: dict[str, bytes]  # the checked bytes of `READ_ARTIFACTS`, by file name
 
 
 def fresh_build(
@@ -610,8 +607,8 @@ def fresh_build(
     """The build in the output directory if `extract` would have nothing to write, or None.
 
     Checks the manifest against the tool version, the configuration, the upstream index, the
-    modules' names, paths and source hashes, and the paths and bytes of every artifact and the
-    status counts.  Takes no lock: a tree that an extract is rewriting has no manifest that
+    modules' names, paths and source hashes, and every artifact's path, length and CRC-32 and
+    the status counts.  Takes no lock: a tree that an extract is rewriting has no manifest that
     digests it.  Any mismatch, unreadable file or leftover `manifest.json.tmp` gives None.
     When the check reads every source, `sources` receives them, for `load_project`.
     """
@@ -666,19 +663,16 @@ def _fresh_build(
         or os.path.lexists(out / MANIFEST_TMP)
     ):
         return None
-    # every path is keyed, so a missing, extra or altered file changes the digest
-    artifacts = sorted([*GLOBAL_FILES, *_managed_files(out)])
-    digest = _Digest()
+    checks: dict[str, int] = {}
     kept: dict[str, bytes] = {}
     root = os.fspath(out)
-    for rel in artifacts:
+    for rel in [*GLOBAL_FILES, *_managed_files(out)]:
         with open(f"{root}/{rel}", "rb") as f:
             data = f.read()
-        digest.add(rel, data)
+        checks[rel] = artifact_check(data)
         if rel in READ_ARTIFACTS:
             kept[rel] = data
-    digest.add(STATUS_DIGEST_KEY, _ENCODE(manifest["status"]).encode("utf-8"))
-    if digest.hexdigest() != manifest.get("artifactDigest"):
+    if artifact_digest(checks, manifest["status"]) != manifest.get("artifactDigest"):
         return None
     result = ExtractResult(
         stale=set(), fresh={name for name, _ in modules}, written=[], deleted=[], warnings=warnings

@@ -2,24 +2,23 @@
 
 `<root>/.archforge/reuse-<tag>.pickle`, where `tag` digests the output
 tree's absolute path, holds that path on its first line, then one
-`ReuseState`.  It is written after the manifest and names that manifest's
-artifact digest, so a state that does not describe the tree as it stands is
-never used.  An edit with a usable state infers and renders again only the
-labels whose records name a module that changed; see `plan_edit`.  Loading
-admits no global but the state's own records and `Name`, and any failure
-reads as "no state".  Writing a state removes every other one whose tree
-has no manifest.
+`ReuseState`.  It is written after the manifest, and its artifact checks
+must digest to the manifest's `artifactDigest`, so a state that does not
+describe the tree as it stands is never used.  An edit with a usable state
+infers and renders again only the labels whose records name a module that
+changed; see `plan_edit`.  Loading admits no global but the state's own
+records and `Name`, and any failure reads as "no state".  Writing a state
+removes every other one whose tree has no manifest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .build import MANIFEST_NAME
+from .build import MANIFEST_NAME, artifact_check, artifact_digest
 from .cache import CACHE_DIR, load_restricted
 from .infer import Components, LabelRecord, LabelView, adopt, label_record
 from .names import Name
@@ -33,7 +32,6 @@ STATE_PREFIX = "reuse-"
 
 class ReuseState(NamedTuple):
     key: str  # `reuse_key` of the store it was built from
-    artifact_digest: str  # the `artifactDigest` of the manifest written with it
     labels: dict[str, LabelRecord]
     components: Components  # `infer.closure_components` of the build
     artifacts: dict[str, int]  # relative path -> `artifact_check` of its bytes
@@ -42,12 +40,6 @@ class ReuseState(NamedTuple):
 _ALLOWED = {
     (cls.__module__, cls.__qualname__): cls for cls in (ReuseState, LabelRecord, LabelView, Name)
 }
-
-
-def artifact_check(data: bytes) -> int:
-    """The length and CRC-32 of an artifact's bytes: they tell a hand-edited or torn file."""
-
-    return len(data) << 32 | zlib.crc32(data)
 
 
 def _tree_line(out: Path) -> bytes:
@@ -89,8 +81,8 @@ def read_state(root: Path, out: Path) -> ReuseState | None:
 def write_state(root: Path, out: Path, state: ReuseState) -> None:
     """Replace the reuse state of `out`, then remove the states of trees without a manifest.
 
-    A failed write leaves none or the old one, which names the artifact
-    digest of an older manifest, so it goes unused.
+    A failed write leaves none or the old one, which `plan_edit` uses only
+    while its checks digest to the tree's manifest.
     """
 
     import pickle
@@ -145,8 +137,9 @@ def plan_edit(
 ) -> Edit:
     """The extract that the reuse state of `out` allows, with the dirty labels inferred.
 
-    The state is usable when it has `key` and is the one written with
-    `manifest` (None with `--force` or without a usable manifest).  A label
+    The state is usable when it has `key` and its artifact checks, with the
+    status counts of `manifest` (None with `--force` or without a usable
+    manifest), digest to that manifest's `artifactDigest`.  A label
     is dirty when its record names a module in `changed`.  Every other
     label's view is adopted, and so is every closure component that reaches
     no changed module.  What is rendered again: the node files of the labels
@@ -159,7 +152,8 @@ def plan_edit(
 
     store = project.store
     state = None if manifest is None else read_state(project.config.root, out)
-    if state is None or state.key != key or state.artifact_digest != manifest.get("artifactDigest"):
+    digest = None if state is None else artifact_digest(state.artifacts, manifest["status"])
+    if state is None or state.key != key or digest != manifest.get("artifactDigest"):
         every = sorted(store.by_label)
         records = {label: label_record(store, label) for label in every}
         return Edit(None, every, list(store.topo_order), True, records)
@@ -184,22 +178,17 @@ def plan_edit(
     return Edit(state, labels, modules, views_changed, records)
 
 
-def read_reused(out: Path, edit: Edit, plan: RenderPlan) -> dict[str, bytes] | None:
-    """The bytes of each artifact that `plan` does not render; None if one is not as recorded."""
+def read_reused(out: Path, state: ReuseState, plan: RenderPlan) -> bool:
+    """Whether every artifact that `plan` does not render is on disk as `state` records it."""
 
-    reused: dict[str, bytes] = {}
-    if edit.state is None:
-        return reused
     root = os.fspath(out)
-    for rel, recorded in edit.state.artifacts.items():
+    for rel, recorded in state.artifacts.items():
         if rel in plan.files:
             continue
         try:
             with open(f"{root}/{rel}", "rb") as f:
-                data = f.read()
+                if artifact_check(f.read()) != recorded:
+                    return False
         except OSError:
-            return None
-        if artifact_check(data) != recorded:
-            return None
-        reused[rel] = data
-    return reused
+            return False
+    return True

@@ -86,7 +86,7 @@ _LINE_STARTS = DECL_KEYWORDS | DECL_MODIFIERS | {"@", "attribute"}
 
 
 class Token(NamedTuple):
-    kind: str  # "ident" | "string" | "number" | "docstring" | "symbol"
+    kind: str  # "ident" | "string" | "char" | "number" | "docstring" | "symbol"
     text: str
     value: str
     start: int
@@ -141,6 +141,7 @@ _TOKEN = re.compile(
       | (?P<string>"%s")
       | (?P<ident>[A-Za-z_][\w'!?]*(?:\.[A-Za-z_][\w'!?]*)*)
       | (?P<number>\d+)
+      | (?P<char>'(?:[^'\\\n]|\\[nt"\\'])')
       | (?P<symbol>:=|.)"""
     % _STRING_BODY,
     re.VERBOSE | re.DOTALL | re.ASCII,
@@ -167,6 +168,7 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
     """Split source text into tokens, dropping comments.
 
     Docstrings survive as tokens because blueprint extraction consumes them.
+    A `'` that does not continue an identifier opens a char literal.
     Unterminated docstrings, comments and strings raise ParseError.
     """
 
@@ -195,7 +197,7 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
             if not doc:
                 continue
             kind, value = "docstring", _clean_docstring(text[start + 3 : close])
-        elif kind == "string":
+        elif kind in ("string", "char"):
             value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[start + 1 : pos - 1])
         elif text[start] == '"':
             bad = _UNCLOSED_STRING.match(text, start + 1).end()
@@ -516,8 +518,9 @@ class _ModuleParser(_Cursor):
         `notation`, docstring and `@[` does.  At any
         indentation, so does the first token on a line that begins a
         declaration (`@[`, modifiers and a declaration keyword, or a
-        docstring before either) or an `attribute [...]` command whose list
-        carries `blueprint`.  Anywhere on a line, so does an `@[` list
+        docstring before either) or an `attribute [...]` command, unless it
+        ends in an `in` that no declaration follows (as inside a proof) and
+        its list lacks `blueprint`.  Anywhere on a line, so does an `@[` list
         that a declaration (or a docstring and one) follows, and a docstring
         that such a list and then a declaration follow.
         """
@@ -535,10 +538,18 @@ class _ModuleParser(_Cursor):
             after = self.peek(ahead)
             docstring_after = not doc and after is not None and after.kind == "docstring"
             return self.at_declaration(ahead + 1 if docstring_after else ahead)
+        ahead = 1 if tok.kind == "docstring" else 0
         if tok.text == "attribute":
             end = self.list_end(1)
-            return end is not None and any(self.peek(i).text == "blueprint" for i in range(2, end))
-        ahead = 1 if tok.kind == "docstring" else 0
+            if end is None:
+                return False
+            tagged = any(self.peek(i).text == "blueprint" for i in range(2, end))
+            while (after := self.peek(end)) and after.kind == "ident" and after.text not in RESERVED_WORDS:
+                end += 1  # the target names
+            if tagged or not after or after.text != "in":
+                return True
+            # the `in` prefixes what follows: a declaration, or a tactic inside a proof
+            ahead = end + 2 if (after := self.peek(end + 1)) and after.kind == "docstring" else end + 1
         return self.at_attr_list(ahead) or self.at_declaration(ahead)
 
     def at_attr_list(self, ahead: int = 0) -> bool:
@@ -835,7 +846,8 @@ class _ModuleParser(_Cursor):
                     )
             i += 1
 
-        full_name = Name(self.context() + tuple(name_tok.text.split(".")))
+        parts = tuple(name_tok.text.split("."))  # `_root_.x` names `x` in any namespace
+        full_name = Name(parts[1:] if parts[0] == "_root_" and parts[1:] else self.context() + parts)
         self.items.append(
             Declaration(
                 name=full_name,

@@ -452,8 +452,13 @@ def test_edit_without_parse_cache_gives_the_clean_build(tmp_path):
 
 @pytest.mark.parametrize("edit_source", [False, True], ids=["read-back", "unread"])
 @pytest.mark.parametrize(
-    "tear", [lambda data: data + b"junk\n" * 40, lambda data: data[: len(data) // 2]],
-    ids=["longer", "shorter"],
+    "tear",
+    [
+        lambda data: data + b"junk\n" * 40,
+        lambda data: data[: len(data) // 2],
+        lambda data: data.replace(b"\\label", b"\\LABEL", 1),  # one byte changed
+    ],
+    ids=["longer", "shorter", "same-length"],
 )
 def test_torn_artifact_is_restored_in_place(tmp_path, tear, edit_source):
     make_project(tmp_path, dict(CHAIN))
@@ -462,6 +467,7 @@ def test_torn_artifact_is_restored_in_place(tmp_path, tear, edit_source):
     target = out / "nodes" / "b_mid.tex"
     rendered = target.read_bytes()
     target.write_bytes(tear(rendered))
+    assert target.read_bytes() != rendered
     if edit_source:  # B is reparsed, so its files are written without reading them back
         edit_module(tmp_path, "B", CHAIN["B"] + "-- a note\n")
     result = extract(load_project_at(tmp_path))

@@ -436,6 +436,22 @@ def test_hand_edited_blueprint_json_is_relinted(extracted, capsys, loads):
     assert full_outputs(extracted, capsys) == fast
 
 
+def test_same_length_hand_edited_node_is_caught_and_restored(extracted, capsys, loads):
+    fast = read_outputs(capsys)
+    node = extracted / "build" / "blueprint" / "nodes" / "MyNat_add_comm.tex"
+    built = node.read_bytes()
+    node.write_bytes(built.replace(b"\\label", b"\\LABEL", 1))  # one byte changed
+    assert len(node.read_bytes()) == len(built) and node.read_bytes() != built
+    assert read_outputs(capsys) == fast
+    assert len(loads) == len(READ_COMMANDS)  # `status` and `check` included: none trusted the tree
+    assert main(["extract"]) == 0
+    assert capsys.readouterr().out.endswith("wrote 1 files, deleted 0\n")
+    assert node.read_bytes() == built
+    loads.clear()
+    assert read_outputs(capsys) == fast
+    assert loads == []
+
+
 def test_hand_edited_status_counts_are_recomputed(extracted, capsys, loads):
     path = extracted / "build" / "blueprint" / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))

@@ -134,6 +134,24 @@ TOKEN_TABLE = {
         '"a\\n\\t\\"\\\\\\\'"',
         [("string", '"a\\n\\t\\"\\\\\\\'"', 'a\n\t"\\\'', 0, 13, 1, 0)],
     ),
+    # a `'` that does not continue an identifier opens a char literal
+    "char_literals": (
+        "'a' '\\'' '\"' '\\n'",
+        [
+            ("char", "'a'", "a", 0, 3, 1, 0),
+            ("char", "'\\''", "'", 4, 8, 1, 4),
+            ("char", "'\"'", '"', 9, 12, 1, 9),
+            ("char", "'\\n'", "\n", 13, 17, 1, 13),
+        ],
+    ),
+    "primes_in_identifiers": (
+        "h' f'' x'y",
+        [
+            ("ident", "h'", "h'", 0, 2, 1, 0),
+            ("ident", "f''", "f''", 3, 6, 1, 3),
+            ("ident", "x'y", "x'y", 7, 10, 1, 7),
+        ],
+    ),
     "docstring_then_ident": (
         "/-- A\n  /- b -/ -/ c",
         [
@@ -166,6 +184,13 @@ def test_tokenize_error_messages_and_lines(text, message, line):
     with pytest.raises(ParseError) as info:
         tokenize(text)
     assert (info.value.message, info.value.line) == (message, line)
+
+
+def test_char_literals_add_no_reference_and_end_no_command():
+    text = "def c : Char := '\"'\ndef d : Char := 'a'\n@[blueprint \"t\"]\ntheorem t : c = d := rfl\n"
+    c, d, t = decls(parse_module_text(text, Name.parse("M")))
+    assert (c.body_text, c.body_idents, d.body_idents) == ("'\"'", (), ())
+    assert (t.name, t.signature_idents) == (Name.parse("t"), ("c", "d"))
 
 
 # ---------------------------------------------------------------------------
@@ -941,6 +966,35 @@ def test_indented_tagging_attribute_command_ends_the_declaration(indent):
     (up,) = [i for i in unit.items if isinstance(i, UpstreamAttribution)]
     assert (up.target, up.attribute.label) == (Name.parse("Mathlib.foo"), "up:0")
     assert unit.warnings == ()
+
+
+@pytest.mark.parametrize("indent", ["", "  "])
+def test_indented_untagged_attribute_command_ends_the_declaration(indent):
+    # as at column 0: `g` is no reference of `f`, and the command warns that it is ignored
+    text = f"namespace N\n{indent}def f : Nat := 1\n\n{indent}attribute [simp] g\nend N\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    (f,) = decls(unit)
+    assert (f.name, f.body_idents) == (Name.parse("N.f"), ())
+    assert [w.message for w in unit.warnings] == ["attribute command carries no blueprint attribute; ignored"]
+
+
+def test_indented_attribute_in_before_a_declaration_prefixes_it():
+    text = "namespace N\n  def f : Nat := 1\n\n  attribute [local simp] g in\n  theorem t : g = 1 := rfl\nend N\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    f, t = decls(unit)
+    assert (f.body_idents, t.name, t.signature_idents) == ((), Name.parse("N.t"), ("g",))
+    assert unit.warnings == ()
+
+
+def test_root_prefixed_declaration_leaves_the_namespace():
+    text = (
+        "namespace A\n@[blueprint \"t\"]\ntheorem _root_.t : True := trivial\n"
+        "protected def _root_.B.g := 1\ndef f := t\nend A\n"
+        "@[blueprint \"u\"]\ntheorem u : t := trivial\n"
+    )
+    t, g, f, _ = decls(parse_module_text(text, Name.parse("M")))
+    assert (t.name, g.name, f.name) == (Name.parse("t"), Name.parse("B.g"), Name.parse("A.f"))
+    assert label_view(store_from({"M": text}), "u").statement_uses == ("t",)
 
 
 def test_tagged_example_raises():
