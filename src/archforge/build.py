@@ -42,14 +42,6 @@ class Project(NamedTuple):
     cache_stale: bool  # a module was reparsed or has gone since the parse cache was written
     pickled: dict[Name, bytes]  # cache bytes of the reused units
 
-    @property
-    def warnings(self) -> list[str]:
-        from .infer import inference_warnings
-
-        out = [str(w) for name in self.store.topo_order for w in self.store.modules[name].warnings]
-        out.extend(inference_warnings(self.store))
-        return out
-
 
 class SourceFile(NamedTuple):
     """A discovered module; `text` and `hash` are None until its source is read."""
@@ -503,12 +495,13 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
     after the artifacts, the parse cache and the reuse state after it: a
     crash before that leaves the previous manifest, whose artifact digest
     no longer matches the tree, so the next extract takes this path again
-    and repairs it.
+    and repairs it.  The old reuse state is removed before the manifest is
+    replaced, so a state that fails to be written leaves none.
     """
 
     from .infer import closure_components
     from .latex import RenderOptions
-    from .reuse import ReuseState, plan_edit, read_reused, reuse_key, write_state
+    from .reuse import ReuseState, plan_edit, read_reused, reuse_key, state_path, write_state
 
     store = project.store
     config = project.config
@@ -581,6 +574,12 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         }
         tmp = out / MANIFEST_TMP
         tmp.write_bytes(_dump_json(manifest_data).encode("utf-8"))
+        # the old state could digest to the new manifest, so it goes first; a
+        # state that cannot be removed fails the build before the manifest changes
+        try:
+            state_path(config.root, out).unlink()
+        except (FileNotFoundError, NotADirectoryError):
+            pass
         os.replace(tmp, out / MANIFEST_NAME)
         if project.cache_stale:
             from .cache import write_units

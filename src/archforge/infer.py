@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotFoundError, ResolutionError
-from .names import LabelRef, Name, name_candidates
+from .names import LabelRef, Name, resolve
 from .records import Declaration
 from .store import Node, NodePart, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream, merged_nodes
 
@@ -100,9 +100,6 @@ class _ClosureGraph:
 class _InferCache:
     def __init__(self, store: NodeStore) -> None:
         self.refs: dict[Name, RefSets] = {}
-        # every name a reference may resolve to, mapped to itself
-        names = [*store.declarations, *store.by_name, *store.upstream_index]
-        self.constants: dict[tuple, Name] = dict(zip(names, names))
         # (namespace context, opens) -> token -> what resolve_references resolves it to
         self.resolved: dict[tuple, dict[str, Name | None]] = {}
         self.label_of = {name: node.latex_label for name, node in store.by_name.items()}
@@ -120,54 +117,6 @@ def _cache(store: NodeStore) -> _InferCache:
     return store._infer_cache  # type: ignore[return-value]
 
 
-def resolve_name(
-    raw: Name,
-    context: tuple[str, ...],
-    opens: tuple[Name, ...],
-    known: Callable[[Name], bool],
-) -> Name | None:
-    """Resolve a written name against enclosing namespaces and opens.
-
-    The first known `name_candidates` entry wins: innermost namespace
-    prefixes, then opened namespaces in order, then the bare name.  Dotted
-    names that still miss retry with their leading segment stripped, which
-    covers projection-style calls like `b.zero_add`.
-    """
-
-    probe: Name | None = raw
-    while probe is not None:
-        for cand in name_candidates(probe, context, opens):
-            if known(cand):
-                return cand
-        probe = probe.drop_head()
-    return None
-
-
-def _lookup(
-    raw: tuple[str, ...], context: tuple[str, ...], opens: tuple[Name, ...], constants: dict
-) -> Name | None:
-    """`resolve_name` with `known` as membership in `constants`, which maps each name to itself.
-
-    The candidates are probed as plain tuples, which hash and compare as
-    the `Name`s they spell, so no `Name` is built for a candidate that misses.
-    """
-
-    while raw:
-        for i in range(len(context), 0, -1):
-            hit = constants.get(context[:i] + raw)
-            if hit is not None:
-                return hit
-        for opened in opens:
-            hit = constants.get(opened + raw)
-            if hit is not None:
-                return hit
-        hit = constants.get(raw)
-        if hit is not None:
-            return hit
-        raw = raw[1:]
-    return None
-
-
 def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     """Resolve every lexical reference in a declaration to known constants.
 
@@ -180,8 +129,7 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
     if cached is not None:
         return cached
 
-    constants = cache.constants
-    known = constants.__contains__
+    constants = store.constants
     # the constants are the same for every declaration, so a token resolves
     # the same way wherever the context and opens are the same
     context, opens = decl.namespace_context, decl.opens
@@ -193,7 +141,7 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
             try:
                 hit = memo[tok]
             except KeyError:
-                hit = memo[tok] = _lookup(tuple(tok.split(".")), context, opens, constants)
+                hit = memo[tok] = resolve(tuple(tok.split(".")), context, opens, constants)
             if hit is not None:
                 out[hit] = None
         return out
@@ -212,7 +160,7 @@ def resolve_references(decl: Declaration, store: NodeStore) -> RefSets:
                     )
                 body.update(dict.fromkeys(targets))
             else:
-                hit = resolve_name(entry, context, opens, known)
+                hit = resolve(entry, context, opens, constants)
                 if hit is None:
                     raise ResolutionError(
                         f"sorry_using in '{decl.name}' names unknown constant '{entry}'"
@@ -395,21 +343,15 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
     context = decl.namespace_context if decl is not None else ()
     opens = decl.opens if decl is not None else ()
 
-    def known(name: Name) -> bool:
-        return name in store.by_name
-
-    def resolve_explicit(entry: Name, what: str) -> Name:
-        hit = resolve_name(entry, context, opens, known)
-        if hit is None:
-            raise ResolutionError(
-                f"{what} entry '{entry}' on node '{node.name}' does not name a blueprint node"
-            )
-        return hit
-
     # an insertion-ordered set of labels
     labels = dict.fromkeys(map(cache.label_of.__getitem__, status.inferred_uses))
     for entry in part_obj.uses:
-        labels[cache.label_of[resolve_explicit(entry, "uses")]] = None
+        hit = resolve(entry, context, opens, store.by_name)
+        if hit is None:
+            raise ResolutionError(
+                f"uses entry '{entry}' on node '{node.name}' does not name a blueprint node"
+            )
+        labels[hit.latex_label] = None
 
     def warn(warning: str) -> None:
         if warning not in cache.warnings:
@@ -423,11 +365,11 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
 
     excluded: set[str] = {node.latex_label, "sorryAx"}
     for entry in part_obj.excludes:
-        hit = resolve_name(entry, context, opens, known)
+        hit = resolve(entry, context, opens, store.by_name)
         if hit is None:
             warn(f"excludes entry '{entry}' on node '{node.name}' does not name a blueprint node")
             continue
-        excluded.add(store.by_name[hit].latex_label)
+        excluded.add(hit.latex_label)
     excluded.update(part_obj.excludes_labels)
 
     for lbl in excluded:

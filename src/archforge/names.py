@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, TypeVar
+
+V = TypeVar("V")
 
 
 class Name(tuple):
@@ -45,34 +47,43 @@ class Name(tuple):
     def last(self) -> str:
         return self[-1]
 
-    def join(self, other: "Name") -> "Name":
-        return Name(self + other)
-
     def parent(self) -> "Name | None":
         if len(self) == 1:
             return None
         return Name(self[:-1])
 
-    def drop_head(self) -> "Name | None":
-        if len(self) == 1:
-            return None
-        return Name(self[1:])
 
-
-def name_candidates(
-    raw: Name, context: tuple[str, ...], opens: tuple[Name, ...]
-) -> Iterator[Name]:
-    """The names `raw` may stand for, written under `context` and `opens`.
+def resolve(
+    raw: tuple[str, ...],
+    context: tuple[str, ...],
+    opens: tuple[Name, ...],
+    table: Mapping[tuple, V],
+    retry: bool = True,
+) -> V | None:
+    """The value in `table` of the first name that `raw` may stand for under `context` and `opens`.
 
     Innermost namespace prefixes come first, then opened namespaces in
-    order, then the bare name.
+    order, then the bare name.  With `retry`, a dotted name that still
+    misses tries again with its leading segment dropped, which covers
+    projection-style calls like `b.zero_add`.  None if nothing hits.  The
+    candidates are probed as plain tuples, which hash and compare as the
+    `Name`s they spell, so no `Name` is built for a candidate.
     """
 
-    for i in range(len(context), 0, -1):
-        yield Name(context[:i] + raw)
-    for opened in opens:
-        yield opened.join(raw)
-    yield raw
+    while raw:
+        for i in range(len(context), 0, -1):
+            hit = table.get(context[:i] + raw)
+            if hit is not None:
+                return hit
+        for opened in opens:
+            hit = table.get(opened + raw)
+            if hit is not None:
+                return hit
+        hit = table.get(raw)
+        if hit is not None or not retry:
+            return hit
+        raw = raw[1:]
+    return None
 
 
 class LabelRef:

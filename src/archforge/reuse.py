@@ -2,9 +2,10 @@
 
 `<root>/.archforge/reuse-<tag>.pickle`, where `tag` digests the output
 tree's absolute path, holds that path on its first line, then one
-`ReuseState`.  It is written after the manifest, and its artifact checks
-must digest to the manifest's `artifactDigest`, so a state that does not
-describe the tree as it stands is never used.  An edit with a usable state
+`ReuseState`.  It is removed before the manifest is replaced and written
+after it, and its artifact checks must digest to the manifest's
+`artifactDigest`, so a state that does not describe the tree as it stands
+is never used.  An edit with a usable state
 infers and renders again only the labels whose records name a module that
 changed; see `plan_edit`.  Loading admits no global but the state's own
 records and `Name`, and any failure reads as "no state".  Writing a state
@@ -81,8 +82,8 @@ def read_state(root: Path, out: Path) -> ReuseState | None:
 def write_state(root: Path, out: Path, state: ReuseState) -> None:
     """Replace the reuse state of `out`, then remove the states of trees without a manifest.
 
-    A failed write leaves none or the old one, which `plan_edit` uses only
-    while its checks digest to the tree's manifest.
+    A failed write leaves none: `extract` removed the old one before it
+    replaced the manifest.
     """
 
     import pickle

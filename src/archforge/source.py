@@ -134,22 +134,38 @@ def _word_end(text: str, start: int, kind: str) -> int:
 # The ASCII cases of the rules above; `tokenize` hands any token that touches
 # a non-ASCII character to `_word_end`, because `\w` and `\d` disagree with
 # them on Nl, No and Mn characters.
-_STRING_BODY = r"""(?:[^"\\\n]|\\[nt"\\'])*"""
+_ESCAPE_SYNTAX = r"""\\(?:[nrt"\\']|x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}|u\{[0-9A-Fa-f]+\})"""
+_STRING_BODY = r"""(?:[^"\\\n]|%s)*""" % _ESCAPE_SYNTAX
 _TOKEN = re.compile(
     r"""(?P<space>(?:[ \t\r\n]+|--[^\n]*)+)
       | (?P<comment>/-)
       | (?P<string>"%s")
       | (?P<ident>[A-Za-z_][\w'!?]*(?:\.[A-Za-z_][\w'!?]*)*)
       | (?P<number>\d+)
-      | (?P<char>'(?:[^'\\\n]|\\[nt"\\'])')
+      | (?P<char>'(?:[^'\\\n]|%s)')
       | (?P<symbol>:=|.)"""
-    % _STRING_BODY,
+    % (_STRING_BODY, _ESCAPE_SYNTAX),
     re.VERBOSE | re.DOTALL | re.ASCII,
 )
 _UNCLOSED_STRING = re.compile(_STRING_BODY)
 _COMMENT_DELIMITER = re.compile(r"/-|-/")
-_ESCAPE = re.compile(r"\\(.)")
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "'": "'"}
+_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|u\{([0-9A-Fa-f]+)\}|u([0-9A-Fa-f]{4})|(.))")
+_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\", "'": "'"}
+
+
+def _unescape(m: re.Match) -> str:
+    """The character an escape that `_ESCAPE_SYNTAX` admits stands for.
+
+    ValueError if it names no Unicode scalar value.
+    """
+
+    code = m[1] or m[2] or m[3]
+    if code is None:
+        return _ESCAPES[m[4]]
+    point = int(code, 16)
+    if point > 0x10FFFF or 0xD800 <= point < 0xE000:
+        raise ValueError(m[0])
+    return chr(point)
 
 
 def _comment_close(text: str, pos: int) -> int:
@@ -198,7 +214,10 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
                 continue
             kind, value = "docstring", _clean_docstring(text[start + 3 : close])
         elif kind in ("string", "char"):
-            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[start + 1 : pos - 1])
+            try:
+                value = _ESCAPE.sub(_unescape, text[start + 1 : pos - 1])
+            except ValueError as bad:
+                raise ParseError(f"unsupported string escape '{bad}'", path=path, line=line) from None
         elif text[start] == '"':
             bad = _UNCLOSED_STRING.match(text, start + 1).end()
             if text.startswith("\\", bad):
@@ -544,13 +563,31 @@ class _ModuleParser(_Cursor):
             if end is None:
                 return False
             tagged = any(self.peek(i).text == "blueprint" for i in range(2, end))
-            while (after := self.peek(end)) and after.kind == "ident" and after.text not in RESERVED_WORDS:
-                end += 1  # the target names
+            end = self.targets_end(end)
+            after = self.peek(end)
             if tagged or not after or after.text != "in":
                 return True
             # the `in` prefixes what follows: a declaration, or a tactic inside a proof
             ahead = end + 2 if (after := self.peek(end + 1)) and after.kind == "docstring" else end + 1
         return self.at_attr_list(ahead) or self.at_declaration(ahead)
+
+    def targets_end(self, ahead: int) -> int:
+        """How far ahead the token after the target names of an `attribute` command is.
+
+        The first name is the token `ahead` tokens ahead, on any line; the
+        names go on to the end of its line or to a token that is no name, such
+        as `in`.
+        """
+
+        first = self.peek(ahead)
+        while (
+            (tok := self.peek(ahead)) is not None
+            and tok.kind == "ident"
+            and tok.text not in RESERVED_WORDS
+            and tok.line == first.line
+        ):
+            ahead += 1
+        return ahead
 
     def at_attr_list(self, ahead: int = 0) -> bool:
         return self.at("@", ahead) and self.at("[", ahead + 1)
@@ -661,13 +698,12 @@ class _ModuleParser(_Cursor):
             return
         attrs, _close = self.parse_attr_list()
         blueprint = [a for a in attrs if a.name == "blueprint"]
-        tok = self.peek()
-        if tok is None or tok.kind != "ident" or tok.text in RESERVED_WORDS:
+        targets = [self.take() for _ in range(self.targets_end(0))]
+        if not targets:
             if blueprint:
                 raise self.error("'attribute [blueprint ...]' needs a target name", kw)
             self.warn("'attribute [...]' without target name", kw.line)
             return
-        self.take()
         if (after := self.peek()) is not None and after.kind == "ident" and after.text == "in":
             self.take()  # the attributes hold for the next command only
             self.prefixed = True
@@ -681,14 +717,10 @@ class _ModuleParser(_Cursor):
         spec = _parse_attribute_tokens(
             blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
         )
-        self.items.append(
-            UpstreamAttribution(
-                target=Name.parse(tok.text),
-                attribute=spec,
-                span=self.span_between(kw, tok),
-                namespace_context=self.context(),
-                opens=self.visible_opens(),
-            )
+        context, opens = self.context(), self.visible_opens()
+        self.items.extend(
+            UpstreamAttribution(Name.parse(tok.text), spec, self.span_between(kw, tok), context, opens)
+            for tok in targets
         )
 
     # -- attribute lists and declarations

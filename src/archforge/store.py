@@ -6,7 +6,7 @@ from typing import Iterable, NamedTuple
 
 from .config import DEFAULT_UPSTREAM_PREFIXES
 from .errors import NotFoundError, StoreError
-from .names import LabelRef, Name, name_candidates
+from .names import LabelRef, Name, resolve
 from .records import (
     AttributeSpec,
     Declaration,
@@ -49,7 +49,9 @@ class Node(NamedTuple):
 class NodeStore:
     """Everything later stages need, precomputed once per module set.
 
-    `infer` keeps what it derives from the store in `_infer_cache`.
+    `constants` maps every declared or upstream name to itself: the table
+    that written names resolve against.  `infer` keeps what it derives from
+    the store in `_infer_cache`.
     """
 
     def __init__(
@@ -64,6 +66,7 @@ class NodeStore:
         placements: dict[tuple[Name, int], Name],  # (module, item index) -> node name
         upstream_index: frozenset[Name],
         upstream_prefixes: tuple[str, ...],
+        constants: dict[tuple, Name],
     ) -> None:
         self.modules = modules
         self.by_name = by_name
@@ -75,6 +78,7 @@ class NodeStore:
         self.placements = placements
         self.upstream_index = upstream_index
         self.upstream_prefixes = upstream_prefixes
+        self.constants = constants
         self._infer_cache: object = None
 
     def topo_index(self, module: Name) -> int:
@@ -225,6 +229,8 @@ def build_store(
                 declarations[item.name] = item
                 decl_module[item.name] = mod_name
 
+    constants = dict(zip(declarations, declarations))
+    constants.update(zip(upstream_index, upstream_index))
     by_name: dict[Name, Node] = {}
     by_label: dict[str, list[Name]] = {}
     placements: dict[tuple[Name, int], Name] = {}
@@ -256,9 +262,8 @@ def build_store(
             elif isinstance(item, UpstreamAttribution):
                 # exact candidates only: unlike reference resolution there is no
                 # drop-head retry, which would tag `thing` for `Mathlib.Ghost.thing`
-                candidates = name_candidates(item.target, item.namespace_context, item.opens)
-                target = next(
-                    (c for c in candidates if c in declarations or c in upstream_index), None
+                target = resolve(
+                    item.target, item.namespace_context, item.opens, constants, retry=False
                 )
                 if target is None:
                     raise StoreError(
@@ -302,6 +307,7 @@ def build_store(
         placements=placements,
         upstream_index=upstream_index,
         upstream_prefixes=tuple(upstream_prefixes),
+        constants=constants,
     )
 
 

@@ -141,7 +141,7 @@ def test_load_project_tokenizes_each_module_once(tmp_path, monkeypatch):
 def test_load_project_collects_warnings(tmp_path):
     make_project(tmp_path, {"M": "namespace A\ndef x := 1\n"})
     project = load_project_at(tmp_path)
-    assert any("namespace" in w for w in project.warnings)
+    assert any("namespace" in w.message for w in project.store.modules[Name.parse("M")].warnings)
 
 
 # ---------------------------------------------------------------------------

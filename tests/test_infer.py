@@ -15,10 +15,9 @@ from archforge.infer import (
     label_view,
     part_status,
     reference_closure,
-    resolve_name,
     resolve_references,
 )
-from archforge.names import Name
+from archforge.names import Name, resolve
 from archforge.source import parse_module_text
 from archforge.store import SORRY_AX, build_store
 
@@ -36,45 +35,63 @@ def refs_for(store, name: str):
 
 
 # ---------------------------------------------------------------------------
-# resolve_name ladder
+# the resolution ladder
+
+
+def table(*names: str) -> dict[Name, Name]:
+    return {N(n): N(n) for n in names}
 
 
 def test_resolve_prefers_innermost_namespace():
-    known = {N("A.B.f"), N("A.f"), N("f")}
-    got = resolve_name(N("f"), ("A", "B"), (), known.__contains__)
+    got = resolve(N("f"), ("A", "B"), (), table("A.B.f", "A.f", "f"))
     assert got == N("A.B.f")
 
 
 def test_resolve_falls_outward():
-    known = {N("A.f")}
-    assert resolve_name(N("f"), ("A", "B"), (), known.__contains__) == N("A.f")
+    assert resolve(N("f"), ("A", "B"), (), table("A.f")) == N("A.f")
 
 
 def test_resolve_uses_opens_in_order():
-    known = {N("P.f"), N("Q.f")}
-    got = resolve_name(N("f"), (), (N("Q"), N("P")), known.__contains__)
+    got = resolve(N("f"), (), (N("Q"), N("P")), table("P.f", "Q.f"))
     assert got == N("Q.f")
 
 
 def test_resolve_bare_fallback():
-    known = {N("f")}
-    assert resolve_name(N("f"), ("A",), (N("P"),), known.__contains__) == N("f")
+    assert resolve(N("f"), ("A",), (N("P"),), table("f")) == N("f")
 
 
 def test_resolve_drop_head_retry():
     # projection-style call: b.zero_add resolves to MyNat.zero_add
-    known = {N("MyNat.zero_add")}
-    got = resolve_name(N("b.zero_add"), ("MyNat",), (), known.__contains__)
+    got = resolve(N("b.zero_add"), ("MyNat",), (), table("MyNat.zero_add"))
     assert got == N("MyNat.zero_add")
+    assert resolve(N("b.zero_add"), ("MyNat",), (), table("MyNat.zero_add"), retry=False) is None
 
 
 def test_resolve_unknown_is_none():
-    assert resolve_name(N("ghost"), ("A",), (N("P"),), lambda n: False) is None
+    assert resolve(N("ghost"), ("A",), (N("P"),), {}) is None
 
 
-def test_tuple_lookup_agrees_with_resolve_name():
+def naive_resolve(raw: Name, context, opens, known, retry: bool) -> Name | None:
+    """The ladder spelled out: one `Name` per candidate, in order, until one is known."""
+
+    probe: Name | None = raw
+    while probe is not None:
+        candidates = [Name(context[:i] + probe) for i in range(len(context), 0, -1)]
+        candidates += [Name(opened + probe) for opened in opens]
+        candidates.append(probe)
+        for cand in candidates:
+            if known(cand):
+                return cand
+        if not retry:
+            return None
+        probe = Name(probe[1:]) if len(probe) > 1 else None
+    return None
+
+
+def test_resolve_agrees_with_the_naive_ladder():
     # every token of every golden and generated declaration, also written under a
-    # projection head and resolved under namespaces and opens that do and do not exist
+    # projection head and resolved under namespaces and opens that do and do not
+    # exist, with and without the retry, against every constant and the tagged names
     scopes = [((), ()), (("MyNat",), ()), (("X", "Y"), (N("MyNat"), N("Z")))]
     stores = [store_from({"MyNat": golden_text()})]
     stores += [
@@ -82,15 +99,19 @@ def test_tuple_lookup_agrees_with_resolve_name():
         for seed in range(12)
     ]
     for i, store in enumerate(stores):
-        constants = infer._cache(store).constants
-        known = {*store.declarations, *store.by_name, *store.upstream_index}.__contains__
+        assert store.constants == {n: n for n in (*store.declarations, *store.upstream_index)}
         for decl in store.declarations.values():
             for tok in {*decl.signature_idents, *decl.body_idents, "sorryAx", "Gen.ghost"}:
                 for raw in (tok, f"b.{tok}"):
                     for context, opens in [(decl.namespace_context, decl.opens), *scopes]:
-                        want = resolve_name(N(raw), context, opens, known)
-                        got = infer._lookup(tuple(raw.split(".")), context, opens, constants)
-                        assert (got, type(got)) == (want, type(want)), (i, raw, context, opens)
+                        for retry in (True, False):
+                            for names in (store.constants, store.by_name):
+                                want = naive_resolve(N(raw), context, opens, names.__contains__, retry)
+                                want = None if want is None else names[want]
+                                got = resolve(tuple(raw.split(".")), context, opens, names, retry)
+                                where = (i, raw, context, opens, retry)
+                                assert (got, type(got)) == (want, type(want)), where
+                                assert resolve(N(raw), context, opens, names, retry) == got, where
 
 
 # ---------------------------------------------------------------------------

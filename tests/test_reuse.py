@@ -346,3 +346,34 @@ def test_writing_a_state_removes_those_of_deleted_trees(tmp_path, monkeypatch, c
     live = [trees[2], root / "build" / "blueprint"]
     assert sorted((root / ".archforge").glob("reuse-*")) == sorted(reuse.state_path(root, t) for t in live)
     assert all(reuse.read_state(root, t) is not None for t in live)
+
+
+def test_a_failed_state_write_leaves_no_state_of_an_older_build(tmp_path, monkeypatch, capsys):
+    # the middle build's tree comes out the same, so an older state would
+    # digest to its manifest and lend `top` a stale closure
+    modules = {
+        "K": "def other : Nat := 1\n",
+        "A": 'import K\n\n@[blueprint "a:base"]\ndef base := 1\n\ndef helper := base\n',
+        "C": 'import A\n\n@[blueprint "c:top"]\ntheorem top : base = 1 := by\n  exact helper\n',
+    }
+    root = make_project(tmp_path / "p", modules)
+    monkeypatch.chdir(root)
+    assert main(["extract"]) == 0
+    a = root / "src" / "A.lean"
+    a.write_text(modules["A"].replace("helper := base", "helper := base + other"), encoding="utf-8")
+    replace = reuse.os.replace
+
+    def failing_state_replace(src, dst):
+        if str(dst).endswith(".pickle"):
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(reuse.os, "replace", failing_state_replace)
+        assert main(["extract"]) == 0
+    (root / "src" / "K.lean").write_text("def other : Nat := by sorry\n", encoding="utf-8")
+    assert main(["extract"]) == 0
+    assert main(["extract", "--force", "--out", str(tmp_path / "fresh")]) == 0
+    tree = read_tree(root / "build" / "blueprint")
+    assert tree == read_tree(tmp_path / "fresh")
+    assert b"\\leanok" not in tree["nodes/c_top.tex"].split(b"\\begin{proof}")[1]

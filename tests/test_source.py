@@ -12,6 +12,7 @@ from archforge.infer import label_view
 from archforge.names import LabelRef, Name
 from archforge.source import (
     RESERVED_WORDS,
+    AttributeSpec,
     Declaration,
     ModuleUnit,
     RawComment,
@@ -144,6 +145,16 @@ TOKEN_TABLE = {
             ("char", "'\\n'", "\n", 13, 17, 1, 13),
         ],
     ),
+    # \r, \xHH, \uHHHH and \u{H...} stand for the characters they name
+    "lean_escapes": (
+        "\"\\r\\x41\\u03b1\\u{1F600}\" '\\x41' '\\u{3B1}' '\\r'",
+        [
+            ("string", "\"\\r\\x41\\u03b1\\u{1F600}\"", "\rA\u03b1\U0001f600", 0, 23, 1, 0),
+            ("char", "'\\x41'", "A", 24, 30, 1, 24),
+            ("char", "'\\u{3B1}'", "\u03b1", 31, 40, 1, 31),
+            ("char", "'\\r'", "\r", 41, 45, 1, 41),
+        ],
+    ),
     "primes_in_identifiers": (
         "h' f'' x'y",
         [
@@ -174,6 +185,11 @@ def test_token_table(case):
         ('x\n"\\q"', "unsupported string escape '\\q'", 2),
         ('x\n"ab\\', "unsupported string escape '\\'", 2),
         ('x "a\\\nb"', "unsupported string escape '\\\n'", 1),
+        ('"\\x4"', "unsupported string escape '\\x'", 1),
+        ('"\\u{}"', "unsupported string escape '\\u'", 1),
+        # no Unicode scalar value: a surrogate, or past U+10FFFF
+        ('"\\ud800"', "unsupported string escape '\\ud800'", 1),
+        ('"\\u{110000}"', "unsupported string escape '\\u{110000}'", 1),
         ('x\n"ab', "unterminated string literal", 2),
         ('"ab\n"', "unterminated string literal", 1),
         ("a\n\n/- x /- y -/", "unterminated block comment", 3),
@@ -191,6 +207,13 @@ def test_char_literals_add_no_reference_and_end_no_command():
     c, d, t = decls(parse_module_text(text, Name.parse("M")))
     assert (c.body_text, c.body_idents, d.body_idents) == ("'\"'", (), ())
     assert (t.name, t.signature_idents) == (Name.parse("t"), ("c", "d"))
+
+
+def test_lean_escapes_parse_and_add_no_reference():
+    text = 'def s := "\\x41"\ndef c : Char := \'\\x41\'\ndef u : Char := \'\\u{3B1}\'\n'
+    s, c, u = decls(parse_module_text(text, Name.parse("M")))
+    assert (s.body_idents, c.body_idents, u.body_idents) == ((), (), ())
+    assert c.body_text == "'\\x41'"
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +529,37 @@ def test_attribute_command_parses_target():
     assert isinstance(item, UpstreamAttribution)
     assert item.target == Name.parse("Mathlib.Order.le_trans")
     assert item.attribute.label == "ml:x"
+
+
+def test_attribute_command_tags_every_target_on_its_line():
+    text = 'def g := 1\ndef h := 2\nattribute [blueprint "x" (title := "T")] g h\ndef k := 3\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    attributions = [i for i in unit.items if isinstance(i, UpstreamAttribution)]
+    assert [a.target for a in attributions] == [Name.parse("g"), Name.parse("h")]
+    assert {a.attribute for a in attributions} == {AttributeSpec(label="x", title="T")}
+    assert [str(d.name) for d in decls(unit)] == ["g", "h", "k"]
+    assert unit.warnings == ()
+
+
+def test_untagged_attribute_command_with_targets_warns_once():
+    unit = parse_module_text("attribute [simp] g h\ndef f := 1\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["f"]
+    assert [w.message for w in unit.warnings] == ["attribute command carries no blueprint attribute; ignored"]
+    text = 'attribute [local simp] g h in\n@[blueprint "t"] theorem t : g = h := rfl\n'
+    unit = parse_module_text(text, Name.parse("M"))
+    (t,) = decls(unit)
+    assert (t.attribute.label, t.signature_idents) == ("t", ("g", "h"))
+    assert unit.warnings == ()
+
+
+def test_attribute_targets_end_with_their_line():
+    # at column 0 and indented alike: `h` on the next line starts a command of its own
+    for indent in ("", "  "):
+        text = f'namespace N\ndef f := 1\n{indent}attribute [blueprint "x"] g\n{indent}h\nend N\n'
+        unit = parse_module_text(text, Name.parse("M"))
+        (up,) = [i for i in unit.items if isinstance(i, UpstreamAttribution)]
+        assert up.target == Name.parse("g")
+        assert [w.message for w in unit.warnings] == ["unrecognized top-level command starting at 'h'"]
 
 
 def test_attribute_command_rejects_keyword_target():

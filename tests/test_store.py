@@ -20,9 +20,8 @@ def test_name_order_str_and_validation():
     n = Name.parse(" MyNat.add_comm ")
     assert (str(n), f"{n}", repr(n)) == ("MyNat.add_comm",) * 2 + ("Name('MyNat.add_comm')",)
     assert (n.segments, n.head, n.last) == (("MyNat", "add_comm"), "MyNat", "add_comm")
-    assert (n.parent(), n.drop_head()) == (Name.parse("MyNat"), Name.parse("add_comm"))
-    assert Name.parse("x").parent() is None and Name.parse("x").drop_head() is None
-    assert n.join(Name.parse("x.y")) == Name.parse("MyNat.add_comm.x.y")
+    assert n.parent() == Name.parse("MyNat")
+    assert Name.parse("x").parent() is None
     assert len({n, Name(("MyNat", "add_comm"))}) == 1
     for bad in ((), ("a", ""), ("",)):
         with pytest.raises(ValueError, match="invalid name segments"):
@@ -253,6 +252,14 @@ def test_upstream_attribution_target_matches_exactly():
         {"M": 'namespace A\ndef thing := 1\nattribute [blueprint "x"] thing\nend A\n'},
     )
     assert store.by_label["x"] == (Name.parse("A.thing"),)
+
+
+def test_attribute_command_targets_merge_under_its_label():
+    text = 'def g := 1\ndef h := 2\nattribute [blueprint "x"] g h\nattribute [blueprint] g2 h2\n'
+    store = store_from({"M": "def g2 := 1\ndef h2 := 1\n" + text})
+    assert store.by_label["x"] == (Name.parse("g"), Name.parse("h"))
+    assert (store.by_label["g2"], store.by_label["h2"]) == ((Name.parse("g2"),), (Name.parse("h2"),))
+    assert store.modules[Name.parse("M")].warnings == ()
 
 
 def test_is_upstream_by_module_head():

@@ -116,3 +116,49 @@ def test_every_record_field_has_a_reader():
         if field not in read and field not in UNREAD_FIELDS
     ]
     assert unread == []
+
+
+RUN = Path(__file__).parent.parent / "perfbench" / "run.py"
+PARSE_DIGESTS = Path(__file__).parent / "fixtures" / "perfbench_parse.json"
+PARSE_SEEDS = (1, 5, 21)
+
+
+def perfbench_parse_digests() -> dict[str, str]:
+    """One digest of the parsed units per (workload, seed, tagged) of the benchmark's projects."""
+
+    import hashlib
+    import sys
+
+    from archforge.names import Name
+    from archforge.source import parse_module_text
+
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(run)
+    finally:
+        del sys.modules[spec.name]
+    gen = run.gen
+    out = {}
+    for workload in sorted(run.WORKLOADS):
+        for seed in PARSE_SEEDS:
+            gp = gen.generate(run.WORKLOADS[workload].shape, seed)
+            for tagged in (True, False):
+                h = hashlib.blake2b(digest_size=16)
+                for m in range(gp.module_count):
+                    text = gen.module_source(gp, m, tagged=tagged)
+                    unit = parse_module_text(text, Name.parse(gen.module_name(m)))
+                    h.update(repr(unit).encode())
+                out[f"{workload}/{seed}/{'tagged' if tagged else 'untagged'}"] = h.hexdigest()
+    return out
+
+
+def test_perfbench_modules_parse_as_recorded():
+    # every parser change must leave the benchmark's 480 modules parsing to the
+    # recorded units; a change that means to alter them recomputes the fixture
+    # with `perfbench_parse_digests()` and says why
+    import json
+
+    want = json.loads(PARSE_DIGESTS.read_text(encoding="utf-8"))
+    assert perfbench_parse_digests() == want
