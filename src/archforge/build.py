@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sys
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__ as TOOL_VERSION
 from .config import ProjectConfig, files_digest, load_upstream_index, read_source, source_hash
-from .errors import BlueprintError, LockError, StoreError
+from .errors import LockError, ParseError, StoreError
 from .names import Name
 
 if TYPE_CHECKING:
@@ -36,13 +38,6 @@ CODE_FILES = tuple(
 )
 
 
-class Project(NamedTuple):
-    config: ProjectConfig
-    store: NodeStore
-    cache_stale: bool  # a module was reparsed or has gone since the parse cache was written
-    pickled: dict[Name, bytes]  # cache bytes of the reused units
-
-
 class SourceFile(NamedTuple):
     """A discovered module; `text` and `hash` are None until its source is read."""
 
@@ -50,6 +45,24 @@ class SourceFile(NamedTuple):
     path: Path
     text: str | None = None
     hash: str | None = None  # `source_hash` of the text
+
+
+class Survey(NamedTuple):
+    """What a command reads before it knows whether the tree is fresh, each once: see `survey`."""
+
+    config: ProjectConfig
+    out: Path  # the output tree
+    upstream: frozenset[Name]  # the upstream index's names
+    fingerprint: str  # `envFingerprint`
+    manifest: dict | None  # the tree's manifest if it is usable, else None
+    sources: list[SourceFile]  # discovered; read and hashed when `manifest` is not None
+
+
+class Project(NamedTuple):
+    surveyed: Survey  # the command's survey, with the config
+    store: NodeStore
+    cache_stale: bool  # a module was reparsed or has gone since the parse cache was written
+    pickled: dict[Name, bytes]  # cache bytes of the reused units
 
 
 def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
@@ -85,35 +98,64 @@ def discover_modules(config: ProjectConfig) -> list[tuple[Name, Path]]:
     return [found[key] for key in sorted(found)]
 
 
+def survey(config: ProjectConfig, out_dir: Path | None = None, force: bool = False) -> Survey:
+    """The inputs that `fresh_build`, `load_project` and `extract` share, each read once.
+
+    The manifest of the output tree is usable when `load_manifest` accepts
+    it and the same tool version and `envFingerprint` wrote it; with
+    `force` none is read.  Only with a usable manifest are the sources read
+    and hashed, since nothing else compares them.  A source that cannot be
+    read leaves every source unread and the manifest None, so that
+    `load_project` meets the error where a full load does.
+    """
+
+    out = out_dir if out_dir is not None else config.resolved_out_dir()
+    index = config.upstream_index_path
+    upstream = frozenset() if index is None else load_upstream_index(index)
+    fingerprint = _env_fingerprint(config, upstream)
+    manifest = None if force else load_manifest(out)
+    if manifest is not None and (
+        manifest.get("toolVersion") != TOOL_VERSION or manifest.get("envFingerprint") != fingerprint
+    ):
+        manifest = None
+    sources = [SourceFile(name, path) for name, path in discover_modules(config)]
+    if manifest is not None:
+        try:
+            texts = [read_source(f.path) for f in sources]
+        except (OSError, ParseError):
+            manifest = None
+        else:
+            sources = [
+                f._replace(text=text, hash=source_hash(text.encode("utf-8"))) for f, text in zip(sources, texts)
+            ]
+    return Survey(config, out, upstream, fingerprint, manifest, sources)
+
+
 def load_project(
-    config: ProjectConfig,
-    *,
-    use_cache: bool = True,
-    sources: list[SourceFile] | None = None,
-    warm: bool = True,
+    config: ProjectConfig, *, use_cache: bool = True, warm: bool = True, surveyed: Survey | None = None
 ) -> Project:
     """Parse the modules, build the store, and with `warm` warm all statuses.
 
-    `sources` are the modules as a freshness check found and read them;
-    without them (None or empty), the modules are discovered here.  A module whose name,
-    path and source hash match its entry in the parse cache reuses the
-    cached unit with its text; every other module goes through
-    `parse_module`.  `use_cache=False` parses them all.  Nothing here
-    writes the cache: `extract` does, when `cache_stale` says so.  Without
-    `warm`, `extract` infers what it needs.
+    `surveyed` is the command's `survey` of `config`, by default made here;
+    the sources it read are not read again.  A module whose name, path and
+    source hash match its entry in the parse cache reuses the cached unit
+    with its text; every other module goes through `parse_module`.
+    `use_cache=False` parses them all.  Nothing here writes the cache:
+    `extract` does, when `cache_stale` says so.  Without `warm`, `extract`
+    infers what it needs.
     """
 
     from .cache import read_units
     from .infer import warm_statuses
     from .store import build_store
 
+    if surveyed is None:
+        surveyed = survey(config)
     cached = read_units(config.root) if use_cache else {}
     units: list[ModuleUnit] = []
     pickled: dict[Name, bytes] = {}
     reparsed = False
-    if not sources:
-        sources = [SourceFile(name, path) for name, path in discover_modules(config)]
-    for name, path, text, text_hash in sources:
+    for name, path, text, text_hash in surveyed.sources:
         unit, data = cached.pop(name, (None, b""))
         if unit is not None:
             if text is None:
@@ -130,11 +172,11 @@ def load_project(
             unit = parse_module(path, name)
             reparsed = True
         units.append(unit)
-    store = build_store(units, _upstream_names(config), config.upstream_prefixes)
+    store = build_store(units, surveyed.upstream, config.upstream_prefixes)
     if warm:
         warm_statuses(store)
     stale = reparsed or bool(cached)  # what is left in `cached` names modules that are gone
-    return Project(config=config, store=store, cache_stale=stale, pickled=pickled)
+    return Project(surveyed, store, stale, pickled)
 
 
 STATUS_KEYS = {"nodes", "labels", "statementsLeanOk", "proofsTotal", "proofsLeanOk", "sorriedProofs",
@@ -176,20 +218,16 @@ def status_counts(
 # Manifest and staleness
 
 
-def _upstream_names(config: ProjectConfig) -> frozenset[Name]:
-    if config.upstream_index_path is None:
-        return frozenset()
-    return load_upstream_index(config.upstream_index_path)
-
-
 def _env_fingerprint(config: ProjectConfig, upstream: frozenset[Name]) -> str:
     """Inputs other than the sources that invalidate artifacts when they change.
 
-    archforge's own code is one of them.
+    archforge's own code is one of them, and so is the interpreter's
+    major.minor version, whose Unicode tables decide tokens.
     """
 
     h = hashlib.blake2b(digest_size=8)
     h.update(TOOL_VERSION.encode())
+    h.update(repr(sys.version_info[:2]).encode())
     h.update(files_digest(CODE_FILES))
     h.update(repr(sorted(config.upstream_prefixes)).encode())
     h.update(repr(config.emit_leanok_with_mathlibok).encode())
@@ -218,9 +256,10 @@ def transitive_hashes(store: NodeStore, fingerprint: str) -> dict[Name, str]:
 def load_manifest(out_dir: Path) -> dict | None:
     """The manifest in `out_dir`; None when it is missing, unreadable or in another layout.
 
-    A manifest whose `entries` is not a `{module: sourceHash}` map, or
-    whose `status` is not the `status_counts` of a store, was written by an
-    older layout, so the tree it describes is rebuilt once.
+    A manifest whose `entries` is not a `{module: sourceHash}` map, whose
+    `warnings` is not a list of strings, or whose `status` is not the
+    `status_counts` of a store, was written by an older layout, so the tree
+    it describes is rebuilt once.
     """
 
     path = out_dir / MANIFEST_NAME
@@ -232,6 +271,9 @@ def load_manifest(out_dir: Path) -> dict | None:
         return None
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, dict) or not all(isinstance(h, str) for h in entries.values()):
+        return None
+    warnings = data.get("warnings")
+    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
         return None
     status = data.get("status")  # `type` tells a bool from an int
     if not isinstance(status, dict) or status.keys() != STATUS_KEYS or {*map(type, status.values())} != {int}:
@@ -295,18 +337,13 @@ def _managed_files(out: Path) -> list[str]:
     return found
 
 
-def compute_staleness(manifest: dict | None, store: NodeStore, fingerprint: str) -> set[Name]:
+def compute_staleness(manifest: dict | None, store: NodeStore) -> set[Name]:
     """The changed modules: those whose source hash is not the one the manifest records.
 
-    Without a manifest, or when its tool version or `envFingerprint` is not
-    `fingerprint`, every module changed.
+    Without a usable manifest (see `survey`), every module changed.
     """
 
-    if (
-        manifest is None
-        or manifest.get("toolVersion") != TOOL_VERSION
-        or manifest.get("envFingerprint") != fingerprint
-    ):
+    if manifest is None:
         return set(store.topo_order)
     entries = manifest["entries"]
     return {name for name, unit in store.modules.items() if entries.get(str(name)) != unit.source_hash}
@@ -366,11 +403,10 @@ def render_project(
         owners[rel] = name
 
     if global_files:
-        from .graph import emit_graphs
+        from .graph import emit_graphs, lint_rows
 
         files["macros.tex"] = render_macros(store, node_paths)
-        views = [label_view(store, label) for label in every]
-        files["graph.dot"], files["graph.json"] = emit_graphs(views)
+        files["graph.dot"], files["graph.json"] = emit_graphs(lint_rows(store))
         files["blueprint.json"] = _dump_json(blueprint_json_data(store, node_paths))
         for rel in GLOBAL_FILES:
             owners[rel] = None
@@ -446,34 +482,19 @@ def _overwrite(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-class _BuildLock:
-    """Advisory exclusive lock so concurrent extracts cannot interleave."""
+@contextlib.contextmanager
+def _build_lock(out_dir: Path) -> Iterator[None]:
+    """Advisory exclusive lock so concurrent extracts cannot interleave; closing the file frees it."""
 
-    def __init__(self, out_dir: Path):
-        self.path = out_dir / LOCK_NAME
-        self.handle = None
+    import fcntl
 
-    def __enter__(self) -> "_BuildLock":
-        import fcntl
-
-        self.handle = open(self.path, "w")
+    path = out_dir / LOCK_NAME
+    with open(path, "w") as handle:
         try:
-            fcntl.flock(self.handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:
-            self.handle.close()
-            self.handle = None
-            raise LockError(
-                f"another archforge invocation holds the build lock at '{self.path}'"
-            ) from exc
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.handle is not None:
-            import fcntl
-
-            fcntl.flock(self.handle.fileno(), fcntl.LOCK_UN)
-            self.handle.close()
-            self.handle = None
+            raise LockError(f"another archforge invocation holds the build lock at '{path}'") from exc
+        yield
 
 
 def extract(project: Project, out_dir: Path | None = None, force: bool = False) -> ExtractResult:
@@ -481,8 +502,9 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 
     The changed modules are those whose source hash differs from the one the
     tree's manifest records (`compute_staleness`); with `force` or without
-    a usable manifest, every module.  The reuse state that the last extract
-    into this tree left may let it infer and render only the labels that
+    a usable manifest, every module.  The manifest is the one the project's
+    survey read, unless `out_dir` names another tree.  The reuse state that
+    the last extract into this tree left may let it infer and render only the labels that
     name a changed module (see `reuse.plan_edit`); without one, every label
     is inferred and every file rendered.  Every file it does not render must
     be on disk as recorded, else every file is rendered from the views in
@@ -504,17 +526,18 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
     from .reuse import ReuseState, plan_edit, read_reused, reuse_key, state_path, write_state
 
     store = project.store
-    config = project.config
+    config = project.surveyed.config
     out = out_dir if out_dir is not None else config.resolved_out_dir()
-    fingerprint = _env_fingerprint(config, store.upstream_index)
+    surveyed = project.surveyed if project.surveyed.out == out else survey(config, out, force)
+    fingerprint = surveyed.fingerprint
     key = reuse_key(store, fingerprint)
-    manifest = None if force else load_manifest(out)
-    changed = compute_staleness(manifest, store, fingerprint)
+    manifest = None if force else surveyed.manifest
+    changed = compute_staleness(manifest, store)
     # inference errors come before anything is created
     edit = plan_edit(project, out, manifest, key, changed)
     out.mkdir(parents=True, exist_ok=True)
 
-    with _BuildLock(out):
+    with _build_lock(out):
         options = RenderOptions(
             emit_leanok_with_mathlibok=config.emit_leanok_with_mathlibok
         )
@@ -596,84 +619,52 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 
 class FreshBuild(NamedTuple):  # an output tree that passed every freshness check
     result: ExtractResult  # what `extract` would return
-    manifest: dict
     artifacts: dict[str, bytes]  # the checked bytes of `READ_ARTIFACTS`, by file name
 
 
-def fresh_build(
-    config: ProjectConfig, out_dir: Path | None = None, sources: list[SourceFile] | None = None
-) -> FreshBuild | None:
-    """The build in the output directory if `extract` would have nothing to write, or None.
+def fresh_build(surveyed: Survey) -> FreshBuild | None:
+    """The surveyed build if `extract` would have nothing to write, or None.
 
-    Checks the manifest against the tool version, the configuration, the upstream index, the
-    modules' names, paths and source hashes, and every artifact's path, length and CRC-32 and
-    the status counts.  Takes no lock: a tree that an extract is rewriting has no manifest that
-    digests it.  Any mismatch, unreadable file or leftover `manifest.json.tmp` gives None.
-    When the check reads every source, `sources` receives them, for `load_project`.
+    The survey's manifest must be usable and digest the modules' names,
+    paths and source hashes, and every artifact's path, length and CRC-32
+    and the status counts.  Takes no lock: a tree that an extract is
+    rewriting has no manifest that digests it.  Any mismatch, unreadable
+    artifact or leftover `manifest.json.tmp` gives None.
     """
 
-    out = out_dir if out_dir is not None else config.resolved_out_dir()
-    try:
-        return _fresh_build(config, out, sources)
-    except (OSError, ValueError, BlueprintError):
-        return None
-
-
-def up_to_date(
-    config: ProjectConfig, out_dir: Path | None = None, sources: list[SourceFile] | None = None
-) -> ExtractResult | None:
-    """What `extract` would return if it had nothing to write, or None, as when the lock is held.
-
-    `sources` receives the sources the check read, as with `fresh_build`.
-    """
-
-    out = out_dir if out_dir is not None else config.resolved_out_dir()
-    try:
-        with _BuildLock(out):
-            fresh = fresh_build(config, out, sources)
-    except (OSError, BlueprintError):
-        return None
-    return None if fresh is None else fresh.result
-
-
-def _fresh_build(
-    config: ProjectConfig, out: Path, sources: list[SourceFile] | None
-) -> FreshBuild | None:
-    manifest = load_manifest(out)
+    manifest, out, sources = surveyed.manifest, surveyed.out, surveyed.sources
     if (
         manifest is None
-        or manifest.get("toolVersion") != TOOL_VERSION
-        or manifest.get("envFingerprint") != _env_fingerprint(config, _upstream_names(config))
-    ):
-        return None
-    modules = discover_modules(config)
-    read = []
-    for name, path in modules:
-        text = read_source(path)
-        read.append(SourceFile(name, path, text, source_hash(text.encode("utf-8"))))
-    if sources is not None:
-        sources[:] = read
-    if _sources_digest((f.name, f.path, f.hash) for f in read) != manifest.get("sourcesDigest"):
-        return None
-    warnings = manifest.get("warnings")
-    if (
-        not isinstance(warnings, list)
-        or not all(isinstance(w, str) for w in warnings)
+        or _sources_digest((f.name, f.path, f.hash) for f in sources) != manifest.get("sourcesDigest")
         or os.path.lexists(out / MANIFEST_TMP)
     ):
         return None
     checks: dict[str, int] = {}
     kept: dict[str, bytes] = {}
     root = os.fspath(out)
-    for rel in [*GLOBAL_FILES, *_managed_files(out)]:
-        with open(f"{root}/{rel}", "rb") as f:
-            data = f.read()
-        checks[rel] = artifact_check(data)
-        if rel in READ_ARTIFACTS:
-            kept[rel] = data
+    try:
+        for rel in [*GLOBAL_FILES, *_managed_files(out)]:
+            with open(f"{root}/{rel}", "rb") as f:
+                data = f.read()
+            checks[rel] = artifact_check(data)
+            if rel in READ_ARTIFACTS:
+                kept[rel] = data
+    except OSError:
+        return None
     if artifact_digest(checks, manifest["status"]) != manifest.get("artifactDigest"):
         return None
     result = ExtractResult(
-        stale=set(), fresh={name for name, _ in modules}, written=[], deleted=[], warnings=warnings
+        stale=set(), fresh={f.name for f in sources}, written=[], deleted=[], warnings=manifest["warnings"]
     )
-    return FreshBuild(result, manifest, kept)
+    return FreshBuild(result, kept)
+
+
+def up_to_date(surveyed: Survey) -> ExtractResult | None:
+    """What `extract` would return if it had nothing to write, or None, as when the lock is held."""
+
+    try:
+        with _build_lock(surveyed.out):
+            fresh = fresh_build(surveyed)
+    except (OSError, LockError):
+        return None
+    return None if fresh is None else fresh.result

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .build import _dump_json, extract, fresh_build, load_project, up_to_date
+from .build import _dump_json, extract, fresh_build, load_project, survey, up_to_date
 from .build import status_counts  # `archforge.cli.status_counts` stays importable
 from .config import load_config
 from .errors import BlueprintError
@@ -29,10 +29,10 @@ if TYPE_CHECKING:
 def cmd_extract(args: argparse.Namespace) -> int:
     config = load_config()
     out = Path(args.out) if args.out else None
-    sources: list = []  # what a failed freshness check read
-    result = None if args.force else up_to_date(config, out, sources)
+    surveyed = survey(config, out, args.force)
+    result = None if args.force else up_to_date(surveyed)
     if result is None:
-        project = load_project(config, use_cache=not args.force, sources=sources, warm=False)
+        project = load_project(config, use_cache=not args.force, warm=False, surveyed=surveyed)
         result = extract(project, out_dir=out, force=args.force)
     for line in result.summary_lines():
         print(line)
@@ -49,16 +49,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     config = load_config()
-    sources: list = []  # what a failed freshness check read
-    fresh = fresh_build(config, sources=sources)
+    surveyed = survey(config)
+    fresh = fresh_build(surveyed)
     if fresh is not None:  # the build holds exactly the bytes a full load would emit
         payload = fresh.artifacts[f"graph.{args.format}"].decode("utf-8")
     else:
-        from .graph import emit_graphs
-        from .infer import label_view
+        from .graph import emit_graphs, lint_rows
 
-        store = load_project(config, sources=sources).store
-        dot, json_text = emit_graphs([label_view(store, label) for label in sorted(store.by_label)])
+        dot, json_text = emit_graphs(lint_rows(load_project(config, surveyed=surveyed).store))
         payload = json_text if args.format == "json" else dot
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -133,21 +131,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .graph import blueprint_lint_rows, lint_rows, run_lints
 
     config = load_config()
-    sources: list = []
-    fresh = fresh_build(config, sources=sources)
-    if fresh is not None:  # the digested blueprint.json holds every fact the lints read
+    surveyed = survey(config)
+    fresh = fresh_build(surveyed)
+    if fresh is not None:  # the digested blueprint.json holds every label's view
         data = json.loads(fresh.artifacts["blueprint.json"])
-        rows = blueprint_lint_rows(data)
-        anchors = {node["label"]: node["module"] for node in data["nodes"]}
+        views = blueprint_lint_rows(data)
         module_names = set(data["modules"])
     else:
-        from .infer import label_view
-
-        store = load_project(config, sources=sources).store
-        rows = lint_rows(store)
-        anchors = {label: str(label_view(store, label).module) for label in store.by_label}
+        store = load_project(config, surveyed=surveyed).store
+        views = lint_rows(store)
         module_names = {str(m) for m in store.modules}
-    findings = run_lints(rows, strict=args.strict)
+    anchors = {view.label: str(view.module) for view in views}
+    findings = run_lints(views, strict=args.strict)
     findings.extend(blueprint_cross_findings(config.blueprint_tex_files, anchors, module_names))
     findings.sort(key=lambda f: (f.code, f.label))
     for finding in findings:
@@ -165,12 +160,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     config = load_config()
-    sources: list = []
-    fresh = fresh_build(config, sources=sources)
-    if fresh is not None:
-        counts = fresh.manifest["status"]
+    surveyed = survey(config)
+    if fresh_build(surveyed) is not None:
+        counts = surveyed.manifest["status"]
     else:
-        counts = status_counts(load_project(config, sources=sources).store)
+        counts = status_counts(load_project(config, surveyed=surveyed).store)
     if args.json:
         sys.stdout.write(_dump_json(counts))
         return 0

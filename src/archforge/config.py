@@ -143,14 +143,25 @@ def load_config(path: str | Path | None = None, cwd: str | Path | None = None) -
 
 
 def load_upstream_index(path: str | Path) -> frozenset[Name]:
-    """Read a newline-separated list of fully qualified upstream constants."""
+    """Read a newline-separated list of fully qualified upstream constants.
 
+    A file that cannot be read, or a line that is no name, raises ConfigError.
+    """
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # a decoding error is a ValueError
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read upstream index: {reason}") from exc
     out: set[Name] = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        out.add(Name.parse(line))
+        try:
+            out.add(Name.parse(line))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{number}: invalid upstream name {line!r}: {exc}") from exc
     return frozenset(out)
 
 

@@ -1,4 +1,4 @@
-"""Label-level dependency graph, DOT/JSON emission, and lint checks."""
+"""The label views, the label-level dependency graph, DOT/JSON emission, and lint checks."""
 
 from __future__ import annotations
 
@@ -6,12 +6,39 @@ from collections import defaultdict
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from .names import Name
+
 if TYPE_CHECKING:
-    from .infer import LabelView
     from .store import NodeStore
 
 # `label_view` is imported where it is used, so `check` on a fresh build loads
 # neither inference nor the store.
+
+
+class LabelView(NamedTuple):
+    """Every fact the emitters and lints need about one label, merged over its nodes.
+
+    `infer.label_view` builds it from a store and `blueprint_lint_rows` from
+    `blueprint.json`.  `names` are in placement order (module topo index,
+    item index).  Flags and texts merge as README's merged-label paragraph
+    says.  `proof_ok` is None when no constituent has a proof; `proof_uses`
+    and `proof_text` are then empty.
+    """
+
+    label: str
+    names: tuple[str, ...]
+    envs: tuple[str, ...]  # deduplicated; more than one is a conflict
+    title: str | None
+    discussion: int | None
+    not_ready: bool
+    upstream: bool
+    statement_ok: bool
+    statement_uses: tuple[str, ...]
+    statement_text: str
+    proof_ok: bool | None
+    proof_uses: tuple[str, ...]
+    proof_text: str
+    module: Name  # where the first node is placed
 
 
 class VertexInfo(NamedTuple):
@@ -67,9 +94,7 @@ def _vertex(view: LabelView) -> VertexInfo:
 def build_graph(store: NodeStore) -> DepGraph:
     """One vertex per label; an edge u->v when v uses u in some part."""
 
-    from .infer import label_view
-
-    views = [label_view(store, label) for label in sorted(store.by_label)]
+    views = lint_rows(store)
     vertices = {view.label: _vertex(view) for view in views}
     # `label_view` dedups each part's uses, so no (dep, label, part) repeats
     edges: list[Edge] = []
@@ -222,60 +247,41 @@ def graph_json_data(graph: DepGraph) -> dict:
     }
 
 
-class LintRow(NamedTuple):
-    """What `run_lints` reads about one label, from its `LabelView` or its `blueprint.json` node."""
-
-    label: str
-    names: tuple[str, ...]
-    envs: tuple[str, ...]  # more than one is a conflict
-    statement_uses: tuple[str, ...]
-    proof_uses: tuple[str, ...]
-    proof_ok: bool | None
-    upstream: bool
-
-
-def lint_rows(store: NodeStore) -> list[LintRow]:
-    """One row per label of the store, in label order."""
+def lint_rows(store: NodeStore) -> list[LabelView]:
+    """The store's label views in label order, as `run_lints` and `emit_graphs` read them."""
 
     from .infer import label_view
 
-    rows = []
-    for label in sorted(store.by_label):
-        v = label_view(store, label)
-        rows.append(
-            LintRow(label, v.names, v.envs, v.statement_uses, v.proof_uses, v.proof_ok, v.upstream)
-        )
-    return rows
+    return [label_view(store, label) for label in sorted(store.by_label)]
 
 
-def blueprint_lint_rows(data: dict) -> list[LintRow]:
-    """One row per node of a `blueprint.json` document, in its (label) order.
+def blueprint_lint_rows(data: dict) -> list[LabelView]:
+    """The label views that a `blueprint.json` document records, in its (label) order.
 
-    `extract` refuses a label with conflicting environments, so a node has one.
+    `extract` refuses a label with conflicting environments, so a node has
+    one.  Each module name is parsed once.
     """
 
-    rows = []
+    modules = {module: Name.parse(module) for module in data["modules"]}
+    views = []
     for node in data["nodes"]:
-        statement, proof = node["statement"], node["proof"]
-        rows.append(
-            LintRow(
-                node["label"],
-                tuple(node["names"]),
-                (node["env"],),
-                tuple(statement["uses"]),
-                () if proof is None else tuple(proof["uses"]),
-                None if proof is None else proof["leanOk"],
-                statement["mathlibOk"],
+        statement, proof = node["statement"], node["proof"] or {"leanOk": None, "uses": (), "text": ""}
+        views.append(
+            LabelView(
+                node["label"], tuple(node["names"]), (node["env"],), node["title"], node["discussion"],
+                node["notReady"], statement["mathlibOk"], statement["leanOk"], tuple(statement["uses"]),
+                statement["text"], proof["leanOk"], tuple(proof["uses"]), proof["text"],
+                modules[node["module"]],
             )
         )
-    return rows
+    return views
 
 
-def run_lints(rows: list[LintRow], strict: bool = False) -> list[LintFinding]:
-    """Structural health checks over one row per declared label.
+def run_lints(rows: list[LabelView], strict: bool = False) -> list[LintFinding]:
+    """Structural health checks over the view of every declared label.
 
     A label's dependencies are its statement and proof uses; its dependents
-    are the labels whose uses name it, and a used label with no row dangles.
+    are the labels whose uses name it, and a used label with no view dangles.
     Findings come back sorted by (code, label).  `strict` also reports
     upstream nodes that nothing depends on.
     """

@@ -6,6 +6,7 @@ from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotFoundError, ResolutionError
+from .graph import LabelView
 from .names import LabelRef, Name, resolve
 from .records import Declaration
 from .store import Node, NodePart, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream, merged_nodes
@@ -34,31 +35,6 @@ class RefSets(NamedTuple):
 class PartStatus(NamedTuple):
     inferred_uses: tuple[Name, ...]
     lean_ok: bool
-
-
-class LabelView(NamedTuple):
-    """Every fact the emitters need about one label, merged over its nodes.
-
-    `names` are in placement order (module topo index, item index).  Flags
-    and texts merge as README's merged-label paragraph says.  `proof_ok` is
-    None when no constituent has a proof; `proof_uses` and `proof_text` are
-    then empty.
-    """
-
-    label: str
-    names: tuple[str, ...]
-    envs: tuple[str, ...]  # deduplicated; more than one is a conflict
-    title: str | None
-    discussion: int | None
-    not_ready: bool
-    upstream: bool
-    statement_ok: bool
-    statement_uses: tuple[str, ...]
-    statement_text: str
-    proof_ok: bool | None
-    proof_uses: tuple[str, ...]
-    proof_text: str
-    module: Name  # where the first node is placed
 
 
 class LabelRecord(NamedTuple):

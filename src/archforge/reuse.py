@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .build import MANIFEST_NAME, artifact_check, artifact_digest
 from .cache import CACHE_DIR, load_restricted
-from .infer import Components, LabelRecord, LabelView, adopt, label_record
+from .graph import LabelView
+from .infer import Components, LabelRecord, adopt, label_record
 from .names import Name
 
 if TYPE_CHECKING:
@@ -152,7 +153,7 @@ def plan_edit(
     """
 
     store = project.store
-    state = None if manifest is None else read_state(project.config.root, out)
+    state = None if manifest is None else read_state(project.surveyed.config.root, out)
     digest = None if state is None else artifact_digest(state.artifacts, manifest["status"])
     if state is None or state.key != key or digest != manifest.get("artifactDigest"):
         every = sorted(store.by_label)

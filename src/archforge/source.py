@@ -39,9 +39,15 @@ DECL_KEYWORDS = frozenset(
 # May precede a declaration keyword; the declaration keeps its plain name.
 DECL_MODIFIERS = frozenset({"private", "protected", "noncomputable", "partial", "unsafe"})
 
-# Commands that declare no constant: skipped without a warning.  A `... in`
-# ends one, so that the declaration after it stays whole.
-SKIPPED_COMMANDS = frozenset({"variable", "universe", "include", "set_option", "notation", "macro"})
+# Commands that declare no constant: skipped without a warning, as is a
+# `#check`-like command (`#` then a word).  A `... in` ends one of
+# `_PREFIX_COMMANDS`, so that the declaration after it stays whole; the others
+# may hold a term-level `in` (`for x in xs`) and run to the next command.
+_PREFIX_COMMANDS = frozenset({"variable", "universe", "include", "omit", "set_option", "notation", "macro"})
+SKIPPED_COMMANDS = _PREFIX_COMMANDS | {
+    "alias", "export", "syntax", "macro_rules", "elab", "initialize", "assert_not_exists",
+    "suppress_compilation",
+}
 
 # May precede `notation`; before any other word they start no command.
 NOTATION_PREFIXES = ("local", "scoped")
@@ -133,13 +139,15 @@ def _word_end(text: str, start: int, kind: str) -> int:
 
 # The ASCII cases of the rules above; `tokenize` hands any token that touches
 # a non-ASCII character to `_word_end`, because `\w` and `\d` disagree with
-# them on Nl, No and Mn characters.
+# them on Nl, No and Mn characters.  In a string, a gap (`\`, a newline and
+# the next line's indentation) stands for nothing.  A raw string `r"…"` or
+# `r#…#"…"#…#` ends at the first `"` with as many `#` after it as it opened with.
 _ESCAPE_SYNTAX = r"""\\(?:[nrt"\\']|x[0-9A-Fa-f]{2}|u[0-9A-Fa-f]{4}|u\{[0-9A-Fa-f]+\})"""
-_STRING_BODY = r"""(?:[^"\\\n]|%s)*""" % _ESCAPE_SYNTAX
+_STRING_BODY = r"""(?:[^"\\\n]|%s|\\\n[ \t]*)*""" % _ESCAPE_SYNTAX
 _TOKEN = re.compile(
     r"""(?P<space>(?:[ \t\r\n]+|--[^\n]*)+)
       | (?P<comment>/-)
-      | (?P<string>"%s")
+      | (?P<string>"%s"|r(?P<hashes>\#*)".*?"(?P=hashes))
       | (?P<ident>[A-Za-z_][\w'!?]*(?:\.[A-Za-z_][\w'!?]*)*)
       | (?P<number>\d+)
       | (?P<char>'(?:[^'\\\n]|%s)')
@@ -149,7 +157,7 @@ _TOKEN = re.compile(
 )
 _UNCLOSED_STRING = re.compile(_STRING_BODY)
 _COMMENT_DELIMITER = re.compile(r"/-|-/")
-_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|u\{([0-9A-Fa-f]+)\}|u([0-9A-Fa-f]{4})|(.))")
+_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|u\{([0-9A-Fa-f]+)\}|u([0-9A-Fa-f]{4})|(.)|\n[ \t]*)")
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\", "'": "'"}
 
 
@@ -161,7 +169,7 @@ def _unescape(m: re.Match) -> str:
 
     code = m[1] or m[2] or m[3]
     if code is None:
-        return _ESCAPES[m[4]]
+        return _ESCAPES[m[4]] if m[4] else ""  # a gap stands for nothing
     point = int(code, 16)
     if point > 0x10FFFF or 0xD800 <= point < 0xE000:
         raise ValueError(m[0])
@@ -184,7 +192,8 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
     """Split source text into tokens, dropping comments.
 
     Docstrings survive as tokens because blueprint extraction consumes them.
-    A `'` that does not continue an identifier opens a char literal.
+    A `'` that does not continue an identifier opens a char literal.  A raw
+    string is a "string" token whose value is its body as written.
     Unterminated docstrings, comments and strings raise ParseError.
     """
 
@@ -214,10 +223,14 @@ def tokenize(text: str, *, path: str | None = None) -> list[Token]:
                 continue
             kind, value = "docstring", _clean_docstring(text[start + 3 : close])
         elif kind in ("string", "char"):
-            try:
-                value = _ESCAPE.sub(_unescape, text[start + 1 : pos - 1])
-            except ValueError as bad:
-                raise ParseError(f"unsupported string escape '{bad}'", path=path, line=line) from None
+            if text[start] == "r":  # a raw string: its body as written
+                hashes = len(m["hashes"])
+                value = text[start + hashes + 2 : pos - hashes - 1]
+            else:
+                try:
+                    value = _ESCAPE.sub(_unescape, text[start + 1 : pos - 1])
+                except ValueError as bad:
+                    raise ParseError(f"unsupported string escape '{bad}'", path=path, line=line) from None
         elif text[start] == '"':
             bad = _UNCLOSED_STRING.match(text, start + 1).end()
             if text.startswith("\\", bad):
@@ -458,6 +471,9 @@ class _ModuleParser(_Cursor):
             if self.at_attr_list():
                 self.parse_attributed_block()
                 continue
+            if self.at_hash_command():
+                self.skip_command(tok)
+                continue
             if tok.kind != "ident":
                 self.skip_unrecognized(tok)
                 continue
@@ -483,7 +499,7 @@ class _ModuleParser(_Cursor):
             elif word == "blueprint_comment":
                 self.parse_blueprint_comment()
             elif word in SKIPPED_COMMANDS or self.at_notation():
-                self.skip_command(tok, ends_at_in=True)
+                self.skip_command(tok, ends_at_in=word in _PREFIX_COMMANDS or word in NOTATION_PREFIXES)
             elif self.at_declaration():
                 self.parse_declaration([], None, tok)
             else:
@@ -530,11 +546,17 @@ class _ModuleParser(_Cursor):
         prefix = self.peek().text in NOTATION_PREFIXES
         return prefix and after is not None and after.text == "notation"
 
+    def at_hash_command(self) -> bool:
+        """Whether a `#` and then, with no space between, a word (`#check`) come next."""
+
+        tok, after = self.peek(), self.peek(1)
+        return tok.text == "#" and after is not None and after.kind == "ident" and after.start == tok.end
+
     def at_block_start(self, tok: Token) -> bool:
         """Whether `tok`, the next token, ends the command before it.
 
         At column 0 every command keyword, `local` or `scoped` before
-        `notation`, docstring and `@[` does.  At any
+        `notation`, `#check`-like command, docstring and `@[` does.  At any
         indentation, so does the first token on a line that begins a
         declaration (`@[`, modifiers and a declaration keyword, or a
         docstring before either) or an `attribute [...]` command, unless it
@@ -545,7 +567,10 @@ class _ModuleParser(_Cursor):
         """
 
         if tok.col == 0 and (
-            tok.kind == "docstring" or tok.text in COMMAND_KEYWORDS or self.at_notation()
+            tok.kind == "docstring"
+            or tok.text in COMMAND_KEYWORDS
+            or self.at_notation()
+            or self.at_hash_command()
         ):
             return True
         if tok.col and self.tokens[self.pos - 1].end > tok.start - tok.col:
@@ -822,6 +847,8 @@ class _ModuleParser(_Cursor):
         depth = 0
         last = name_tok
         while (tok := self.peek()) is not None:
+            if tok.text == "end" and tok.kind == "ident":  # a reserved word: the top level reads it
+                break
             if (
                 tok.text == "@"
                 or tok.kind == "docstring"

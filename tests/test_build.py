@@ -20,6 +20,7 @@ from archforge.build import (
     load_manifest,
     load_project,
     status_counts,
+    survey,
     up_to_date,
 )
 from archforge.config import load_config
@@ -204,7 +205,7 @@ def test_manifest_schema(tmp_path):
     }
     assert manifest["warnings"] == []
     assert manifest["status"] == status_counts(project.store)
-    fingerprint = _env_fingerprint(project.config, project.store.upstream_index)
+    fingerprint = _env_fingerprint(project.surveyed.config, project.store.upstream_index)
     assert manifest["envFingerprint"] == fingerprint
     # each module's own source hash, nothing else
     modules = project.store.modules
@@ -300,11 +301,11 @@ def test_old_manifest_format_rebuilds_all_once(tmp_path):
         for module, h in manifest["entries"].items()
     }
     _set_manifest_key(out, "entries", old_entries)
-    assert up_to_date(config_at(tmp_path)) is None
+    assert up_to_date(survey(config_at(tmp_path))) is None
     result = extract(load_project_at(tmp_path))
     assert len(result.stale) == 3
     assert all(isinstance(h, str) for h in load_manifest(out)["entries"].values())
-    assert up_to_date(config_at(tmp_path)) is not None
+    assert up_to_date(survey(config_at(tmp_path))) is not None
     assert extract(load_project_at(tmp_path)).stale == set()
 
 
@@ -348,7 +349,7 @@ def test_changed_program_rebuilds_all(tmp_path, monkeypatch):
     # a fix under the same version number must not replay the old build
     make_project(tmp_path, dict(CHAIN))
     extract(load_project_at(tmp_path))
-    assert up_to_date(load_config(tmp_path / "architect.json")) is not None
+    assert up_to_date(survey(load_config(tmp_path / "architect.json"))) is not None
     original = Path(build.__file__).with_name("source.py")
     assert original in build.CODE_FILES
     edited = tmp_path / original.name
@@ -356,7 +357,7 @@ def test_changed_program_rebuilds_all(tmp_path, monkeypatch):
     monkeypatch.setattr(
         build, "CODE_FILES", tuple(edited if p == original else p for p in build.CODE_FILES)
     )
-    assert up_to_date(load_config(tmp_path / "architect.json")) is None
+    assert up_to_date(survey(load_config(tmp_path / "architect.json"))) is None
     result = extract(load_project_at(tmp_path))
     assert result.stale == {Name.parse(m) for m in CHAIN}
 
@@ -382,6 +383,81 @@ def test_edit_reads_each_code_file_once(tmp_path, monkeypatch, capsys):
     assert main(["extract"]) == 0
     assert "module A: stale (rebuilt)" in capsys.readouterr().out
     assert sorted(p for p in reads if p in build.CODE_FILES) == sorted(build.CODE_FILES)
+
+
+def test_interpreter_version_change_rebuilds_all(tmp_path, monkeypatch):
+    # the interpreter's Unicode tables decide tokens, so a tree from another Python is not fresh
+    import sys
+
+    make_project(tmp_path, dict(CHAIN))
+    extract(load_project_at(tmp_path))
+    assert up_to_date(survey(config_at(tmp_path))) is not None
+    major, minor = sys.version_info[:2]
+    monkeypatch.setattr(sys, "version_info", (major, minor + 1, 0, "final", 0))
+    assert up_to_date(survey(config_at(tmp_path))) is None
+    assert extract(load_project_at(tmp_path)).stale == {Name.parse(m) for m in CHAIN}
+
+
+SURVEYED = ("load_manifest", "load_upstream_index", "_env_fingerprint", "read_source")
+
+
+def count_survey_reads(monkeypatch) -> dict[str, int]:
+    """Calls of each of `SURVEYED` through `build`, the module that makes them."""
+
+    calls = dict.fromkeys(SURVEYED, 0)
+    for fn in SURVEYED:
+        real = getattr(build, fn)
+
+        def spy(*args, _real=real, _fn=fn, **kwargs):
+            calls[_fn] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(build, fn, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv", [["extract"], ["status"], ["graph", "--format", "json"], ["check"]], ids=" ".join
+)
+def test_a_command_on_a_stale_tree_reads_each_input_once(tmp_path, monkeypatch, capsys, argv):
+    from archforge.cli import main
+
+    make_project(tmp_path, dict(CHAIN), upstream_names=["Mathlib.one"])
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract"]) == 0
+    edit_module(tmp_path, "A", CHAIN["A"] + "-- a note\n")
+    capsys.readouterr()
+    calls = count_survey_reads(monkeypatch)
+    assert main(argv) == 0
+    assert calls == {
+        "load_manifest": 1, "load_upstream_index": 1, "_env_fingerprint": 1, "read_source": len(CHAIN)
+    }
+    if argv == ["extract"]:
+        assert "module A: stale (rebuilt)" in capsys.readouterr().out
+
+
+def test_forced_extract_reads_no_manifest_and_no_artifact(tmp_path, monkeypatch):
+    import builtins
+
+    from archforge.cli import main
+
+    make_project(tmp_path, dict(CHAIN), upstream_names=["Mathlib.one"])
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract"]) == 0
+    out = tmp_path / "build" / "blueprint"
+    calls = count_survey_reads(monkeypatch)
+    opened = []
+    real_open = builtins.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and str(out) in os.fspath(file):
+            opened.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    assert main(["extract", "--force"]) == 0
+    assert calls == {"load_manifest": 0, "load_upstream_index": 1, "_env_fingerprint": 1, "read_source": 0}
+    assert opened == []
 
 
 def test_incremental_writes_only_changed_files(tmp_path):
@@ -547,7 +623,7 @@ def config_at(root):
 def test_up_to_date_matches_full_noop(tmp_path):
     make_project(tmp_path, {"MyNat": golden_text(), "W": "end Ghost\n", **CHAIN})
     extract(load_project_at(tmp_path))
-    fast = up_to_date(config_at(tmp_path))
+    fast = up_to_date(survey(config_at(tmp_path)))
     full = extract(load_project_at(tmp_path))
     assert full.warnings and full.fresh and not full.stale
     assert fast == full
@@ -555,7 +631,7 @@ def test_up_to_date_matches_full_noop(tmp_path):
 
 def test_up_to_date_without_output_creates_nothing(tmp_path):
     make_project(tmp_path, {"MyNat": golden_text()})
-    assert up_to_date(config_at(tmp_path)) is None
+    assert up_to_date(survey(config_at(tmp_path))) is None
     assert not (tmp_path / "build").exists()
 
 
@@ -601,15 +677,15 @@ def test_changed_input_or_tree_falls_back(tmp_path, change):
     make_project(tmp_path, {"MyNat": golden_text(), **CHAIN}, upstream_names=["Mathlib.one"])
     out = tmp_path / "build" / "blueprint"
     extract(load_project_at(tmp_path))
-    assert up_to_date(config_at(tmp_path)) is not None
+    assert up_to_date(survey(config_at(tmp_path))) is not None
     FALLBACKS[change](tmp_path, out)
-    assert up_to_date(config_at(tmp_path)) is None
+    assert up_to_date(survey(config_at(tmp_path))) is None
 
     extract(load_project_at(tmp_path))
     fresh = tmp_path / "fresh"
     extract(load_project_at(tmp_path), out_dir=fresh, force=True)
     assert read_tree(out) == read_tree(fresh)
-    assert up_to_date(config_at(tmp_path)) is not None
+    assert up_to_date(survey(config_at(tmp_path))) is not None
 
 
 def test_moved_project_falls_back(tmp_path):
@@ -619,7 +695,7 @@ def test_moved_project_falls_back(tmp_path):
     extract(load_project_at(old))
     new = tmp_path / "new"
     shutil.copytree(old, new)
-    assert up_to_date(config_at(new)) is None
+    assert up_to_date(survey(config_at(new))) is None
     result = extract(load_project_at(new))
     assert result.warnings and all(str(new) in w for w in result.warnings)
 
@@ -647,10 +723,10 @@ def test_interrupted_manifest_write_keeps_old_manifest(tmp_path, monkeypatch):
 
     # the sources match the old manifest again, the artifacts written before the failure do not
     edit_module(tmp_path, "A", CHAIN["A"])
-    assert up_to_date(config_at(tmp_path)) is None
+    assert up_to_date(survey(config_at(tmp_path))) is None
     # as after a crash before the manifest write began
     os.remove(out / MANIFEST_TMP)
-    assert up_to_date(config_at(tmp_path)) is None
+    assert up_to_date(survey(config_at(tmp_path))) is None
     extract(load_project_at(tmp_path))
     fresh = tmp_path / "fresh"
     extract(load_project_at(tmp_path), out_dir=fresh, force=True)

@@ -280,7 +280,7 @@ def test_noop_extract_parses_nothing(tmp_path, monkeypatch, capsys, modules, arg
     assert main(["extract"]) == 0
     capsys.readouterr()
     with monkeypatch.context() as m:
-        m.setattr(cli, "up_to_date", lambda config, out_dir=None, sources=None: None)
+        m.setattr(cli, "up_to_date", lambda surveyed: None)
         full_code = main(["extract", *args])
     full = capsys.readouterr()
 
@@ -293,6 +293,26 @@ def test_noop_extract_parses_nothing(tmp_path, monkeypatch, capsys, modules, arg
     assert (fast.out, fast.err) == (full.out, full.err)
     assert "wrote 0 files, deleted 0" in fast.out
     assert ("warning:" in fast.err) == (modules is WARNS)
+
+
+@pytest.mark.parametrize(
+    "argv", [["extract"], ["status"], ["graph"], ["check"], ["extract", "--force"]], ids=" ".join
+)
+@pytest.mark.parametrize(
+    "index, where",
+    [(None, ": cannot read upstream index: "), ("# known\nMathlib.one\nMathlib..bad\n", ":3: invalid ")],
+    ids=["missing", "empty-segment"],
+)
+def test_bad_upstream_index_is_a_config_error(tmp_path, monkeypatch, capsys, argv, index, where):
+    make_project(tmp_path, {"MyNat": golden_text()}, config={"upstreamIndexPath": "upstream.txt"})
+    if index is not None:
+        (tmp_path / "upstream.txt").write_text(index, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tmp_path / 'upstream.txt'}{where}")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from archforge.source import (
     tokenize,
 )
 
-from conftest import golden_text, store_from
+from conftest import FIXTURES, golden_text, store_from
 
 import _gen
 
@@ -163,6 +164,26 @@ TOKEN_TABLE = {
             ("ident", "x'y", "x'y", 7, 10, 1, 7),
         ],
     ),
+    # a gap (`\\`, a newline, the next line's indentation) drops out of the value
+    "string_gap": (
+        'x "a\\\nb" "c\\\n  \td" y',
+        [
+            ("ident", "x", "x", 0, 1, 1, 0),
+            ("string", '"a\\\nb"', "ab", 2, 8, 1, 2),
+            ("string", '"c\\\n  \td"', "cd", 9, 18, 2, 3),
+            ("ident", "y", "y", 19, 20, 3, 6),
+        ],
+    ),
+    # a raw string is one token whose value is its body as written
+    "raw_strings": (
+        'r"a\\b" r#"a"b"# r##"x"#y"## rw',
+        [
+            ("string", 'r"a\\b"', "a\\b", 0, 6, 1, 0),
+            ("string", 'r#"a"b"#', 'a"b', 7, 15, 1, 7),
+            ("string", 'r##"x"#y"##', 'x"#y', 16, 27, 1, 16),
+            ("ident", "rw", "rw", 28, 30, 1, 28),
+        ],
+    ),
     "docstring_then_ident": (
         "/-- A\n  /- b -/ -/ c",
         [
@@ -184,7 +205,6 @@ def test_token_table(case):
     [
         ('x\n"\\q"', "unsupported string escape '\\q'", 2),
         ('x\n"ab\\', "unsupported string escape '\\'", 2),
-        ('x "a\\\nb"', "unsupported string escape '\\\n'", 1),
         ('"\\x4"', "unsupported string escape '\\x'", 1),
         ('"\\u{}"', "unsupported string escape '\\u'", 1),
         # no Unicode scalar value: a surrogate, or past U+10FFFF
@@ -214,6 +234,43 @@ def test_lean_escapes_parse_and_add_no_reference():
     s, c, u = decls(parse_module_text(text, Name.parse("M")))
     assert (s.body_idents, c.body_idents, u.body_idents) == ((), (), ())
     assert c.body_text == "'\\x41'"
+
+
+def test_string_gaps_and_raw_strings_parse_and_add_no_reference():
+    text = 'def s := "a\\\n  b"\ndef r := r"a\\b"\ndef q := r#"a"b"#\ndef f := q\n'
+    s, r, q, f = decls(parse_module_text(text, Name.parse("M")))
+    assert (s.body_idents, r.body_idents, q.body_idents, f.body_idents) == ((), (), (), ("q",))
+    assert (r.body_text, q.body_text) == ('r"a\\b"', 'r#"a"b"#')
+
+
+# ---------------------------------------------------------------------------
+# the idiom corpus: Lean 4 commands and lexemes as real sources write them
+
+IDIOMS = FIXTURES / "idioms"
+IDIOM_EXPECTED = json.loads((IDIOMS / "expected.json").read_text(encoding="utf-8"))
+
+
+def test_idiom_corpus_has_one_expectation_per_snippet():
+    assert sorted(p.stem for p in IDIOMS.glob("*.lean")) == sorted(IDIOM_EXPECTED)
+
+
+@pytest.mark.parametrize("case", sorted(IDIOM_EXPECTED))
+def test_idiom_corpus(case):
+    """`<case>.lean` gives the declarations `expected.json` names, in order, each with
+    its body's reference candidates, and exactly the `[line, message]` warnings listed."""
+
+    unit = parse_module_text((IDIOMS / f"{case}.lean").read_text(encoding="utf-8"), Name.parse("M"))
+    expected = IDIOM_EXPECTED[case]
+    assert [[str(d.name), list(d.body_idents)] for d in decls(unit)] == expected["declarations"]
+    assert [[w.line, w.message] for w in unit.warnings] == expected["warnings"]
+
+
+def test_end_on_a_declarations_line_closes_its_namespace():
+    text = "namespace X\ntheorem a : True := trivial end X\ntheorem b : True := trivial\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    a, b = decls(unit)
+    assert (a.name, a.body_text, a.body_idents) == (Name.parse("X.a"), "trivial", ())
+    assert b.name == Name.parse("b") and unit.warnings == ()
 
 
 # ---------------------------------------------------------------------------
