@@ -83,9 +83,11 @@ ATTRIBUTE_KEYS = {
     "notReady": "not_ready", "discussion": "discussion", "latexEnv": "latex_env",
 }
 
-# What may begin a declaration (`@` of `@[`, a modifier or a keyword) or an
-# upstream attribution (`attribute`) at an indented line start.
-_LINE_STARTS = DECL_KEYWORDS | DECL_MODIFIERS | {"@", "attribute"}
+# The words that may end a command: anywhere on a line (`@` of `@[`, a bare
+# `end`), or at an indented line start (a declaration's modifier or keyword,
+# `attribute`).  Docstrings and column-0 tokens may end one too.
+_ENDS_ANYWHERE = frozenset({"@", "end"})
+_LINE_STARTS = DECL_KEYWORDS | DECL_MODIFIERS | {"attribute"}
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -465,14 +467,12 @@ class _ModuleParser(_Cursor):
             if not self.prefixed:  # done with the command that an `open ... in` prefixed
                 self.opens_in = ()
             self.prefixed = False
-            if tok.kind == "docstring":
-                self.parse_docstring_block()
-                continue
-            if self.at_attr_list():
-                self.parse_attributed_block()
+            if tok.kind == "docstring" or self.at_attr_list() or self.at_declaration():
+                self.parse_declaration()
                 continue
             if self.at_hash_command():
-                self.skip_command(tok)
+                self.take()
+                self.skip_command()
                 continue
             if tok.kind != "ident":
                 self.skip_unrecognized(tok)
@@ -499,9 +499,8 @@ class _ModuleParser(_Cursor):
             elif word == "blueprint_comment":
                 self.parse_blueprint_comment()
             elif word in SKIPPED_COMMANDS or self.at_notation():
-                self.skip_command(tok, ends_at_in=word in _PREFIX_COMMANDS or word in NOTATION_PREFIXES)
-            elif self.at_declaration():
-                self.parse_declaration([], None, tok)
+                self.take()
+                self.skip_command(ends_at_in=word in _PREFIX_COMMANDS or word in NOTATION_PREFIXES)
             else:
                 self.skip_unrecognized(tok)
 
@@ -525,19 +524,29 @@ class _ModuleParser(_Cursor):
 
     def skip_unrecognized(self, tok: Token) -> None:
         self.warn(f"unrecognized top-level command starting at {tok.text!r}", tok.line)
-        self.skip_command(tok)
+        self.take()
+        self.skip_command()
 
-    def skip_command(self, tok: Token, ends_at_in: bool = False) -> None:
-        """Take tokens up to the next block start on a later line, or with `ends_at_in` an `in`."""
+    def skip_command(self, ends_at_in: bool = False) -> None:
+        """Take the rest of the command whose first token is taken, up to the token that ends it.
 
-        line = tok.line
+        With `ends_at_in`, an `in` ends it too and is taken: the command prefixes the next one.
+        """
+
+        last = self.tokens[self.pos - 1]
         while (tok := self.peek()) is not None:
-            if (tok.line != line or tok.text == "@" or tok.kind == "docstring") and self.at_block_start(tok):
-                break
-            self.take()
+            # the one cheap filter in front of `ends_command`: no token it rejects can end a command
+            if (
+                tok.text in _ENDS_ANYWHERE
+                or tok.kind == "docstring"
+                or tok.line != last.line and (tok.col == 0 or tok.text in _LINE_STARTS)
+            ) and self.ends_command(tok):
+                return
+            self.pos += 1
+            last = tok
             if ends_at_in and tok.kind == "ident" and tok.text == "in":
                 self.prefixed = True
-                break
+                return
 
     def at_notation(self) -> bool:
         """Whether `local notation` or `scoped notation` comes next."""
@@ -552,37 +561,32 @@ class _ModuleParser(_Cursor):
         tok, after = self.peek(), self.peek(1)
         return tok.text == "#" and after is not None and after.kind == "ident" and after.start == tok.end
 
-    def at_block_start(self, tok: Token) -> bool:
+    def ends_command(self, tok: Token) -> bool:
         """Whether `tok`, the next token, ends the command before it.
 
-        At column 0 every command keyword, `local` or `scoped` before
-        `notation`, `#check`-like command, docstring and `@[` does.  At any
-        indentation, so does the first token on a line that begins a
-        declaration (`@[`, modifiers and a declaration keyword, or a
-        docstring before either) or an `attribute [...]` command, unless it
-        ends in an `in` that no declaration follows (as inside a proof) and
-        its list lacks `blueprint`.  Anywhere on a line, so does an `@[` list
-        that a declaration (or a docstring and one) follows, and a docstring
-        that such a list and then a declaration follow.
+        The tests, in order: a bare `end` does, anywhere, since Lean reserves
+        the word.  At column 0, so does a command keyword, a docstring,
+        `local` or `scoped` before `notation`, and a `#check`-like command.
+        After another token on its line, so does an `@[` list that a
+        declaration follows, with a docstring before the list or after it.
+        At the first token of an indented line, so does an `attribute [...]`
+        command, unless its list lacks `blueprint` and it ends in an `in`
+        that no declaration follows (as inside a proof); and so does an `@[`
+        or a declaration's modifiers and keyword, alone or after a docstring.
         """
 
-        if tok.col == 0 and (
-            tok.kind == "docstring"
-            or tok.text in COMMAND_KEYWORDS
-            or self.at_notation()
-            or self.at_hash_command()
+        doc = tok.kind == "docstring"
+        if tok.text == "end" or tok.col == 0 and (
+            doc or tok.text in COMMAND_KEYWORDS or self.at_notation() or self.at_hash_command()
         ):
             return True
-        if tok.col and self.tokens[self.pos - 1].end > tok.start - tok.col:
-            # not the first token on its line
-            doc = tok.kind == "docstring"
-            ahead = self.attr_list_end(1 if doc else 0)
-            if ahead is None:
+        ahead = 1 if doc else 0
+        if self.tokens[self.pos - 1].end > tok.start - tok.col:  # not the first token on its line
+            if not self.at("@", ahead) or (ahead := self.list_end(ahead + 1)) is None:
                 return False
-            after = self.peek(ahead)
-            docstring_after = not doc and after is not None and after.kind == "docstring"
-            return self.at_declaration(ahead + 1 if docstring_after else ahead)
-        ahead = 1 if tok.kind == "docstring" else 0
+            if not doc and (after := self.peek(ahead)) is not None and after.kind == "docstring":
+                ahead += 1
+            return self.at_declaration(ahead)
         if tok.text == "attribute":
             end = self.list_end(1)
             if end is None:
@@ -617,16 +621,11 @@ class _ModuleParser(_Cursor):
     def at_attr_list(self, ahead: int = 0) -> bool:
         return self.at("@", ahead) and self.at("[", ahead + 1)
 
-    def attr_list_end(self, ahead: int = 0) -> int | None:
-        """How far ahead the token after the `@[...]` list that starts `ahead` tokens ahead is.
+    def list_end(self, ahead: int) -> int | None:
+        """How far ahead the token after the `[...]` list that starts `ahead` tokens ahead is.
 
         None if no list starts there or it is unclosed.
         """
-
-        return self.list_end(ahead + 1) if self.at("@", ahead) else None
-
-    def list_end(self, ahead: int) -> int | None:
-        """Likewise for the `[...]` list that starts `ahead` tokens ahead."""
 
         if not self.at("[", ahead):
             return None
@@ -722,26 +721,21 @@ class _ModuleParser(_Cursor):
             self.warn("'attribute' without '[...]' list", kw.line)
             return
         attrs, _close = self.parse_attr_list()
-        blueprint = [a for a in attrs if a.name == "blueprint"]
+        tagged = any(a.name == "blueprint" for a in attrs)
         targets = [self.take() for _ in range(self.targets_end(0))]
         if not targets:
-            if blueprint:
+            if tagged:
                 raise self.error("'attribute [blueprint ...]' needs a target name", kw)
             self.warn("'attribute [...]' without target name", kw.line)
             return
         if (after := self.peek()) is not None and after.kind == "ident" and after.text == "in":
             self.take()  # the attributes hold for the next command only
             self.prefixed = True
-        if not blueprint:
+        if not tagged:
             if not self.prefixed:  # as `set_option ... in`, a prefix declares nothing
                 self.warn("attribute command carries no blueprint attribute; ignored", kw.line)
             return
-        if len(blueprint) > 1:
-            self.warn("duplicate blueprint attribute; keeping the first", kw.line)
-        # a bad configuration raises: ignoring it would drop the tag
-        spec = _parse_attribute_tokens(
-            blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
-        )
+        spec = self.blueprint_spec(attrs, kw.line)
         context, opens = self.context(), self.visible_opens()
         self.items.extend(
             UpstreamAttribution(Name.parse(tok.text), spec, self.span_between(kw, tok), context, opens)
@@ -778,29 +772,21 @@ class _ModuleParser(_Cursor):
             items.append(_AttrItem(name=name_tok.text, config_tokens=config, start_tok=name_tok))
         return items, self.take()
 
-    def parse_docstring_block(self) -> None:
-        doc = self.take()
-        if self.at_attr_list():
-            self.parse_attributed_block(doc)
-            return
-        if self.at_declaration():
-            self.parse_declaration([], doc, doc)
-            return
-        self.warn("docstring is not attached to a declaration; ignored", doc.line)
+    def blueprint_spec(self, attrs: list[_AttrItem], line: int) -> AttributeSpec | None:
+        """The configuration of the first `blueprint` in `attrs`, or None without one.
 
-    def parse_attributed_block(self, doc: Token | None = None) -> None:
-        at = self.take()  # '@'
-        first = doc if doc is not None else at
-        attrs, close = self.parse_attr_list()
-        tok = self.peek()
-        if doc is None and tok is not None and tok.kind == "docstring":
-            doc = self.take()
-        if not self.at_declaration():
-            if any(a.name == "blueprint" for a in attrs):
-                raise self.error("blueprint attribute is not attached to a declaration", at)
-            self.warn("attribute block is not attached to a declaration; ignored", at.line)
-            return
-        self.parse_declaration(attrs, doc, first, attr_close=close)
+        More than one warns at `line`.  A bad configuration raises: ignoring
+        it would drop the tag.
+        """
+
+        blueprint = [a for a in attrs if a.name == "blueprint"]
+        if not blueprint:
+            return None
+        if len(blueprint) > 1:
+            self.warn("duplicate blueprint attribute; keeping the first", line)
+        return _parse_attribute_tokens(
+            blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
+        )
 
     def at_declaration(self, ahead: int = 0) -> bool:
         """Whether modifiers, if any, then a declaration keyword come next."""
@@ -809,70 +795,70 @@ class _ModuleParser(_Cursor):
             ahead += 1
         return tok is not None and tok.text in DECL_KEYWORDS
 
-    def parse_declaration(
-        self,
-        attrs: list[_AttrItem],
-        doc: Token | None,
-        first_tok: Token,
-        attr_close: Token | None = None,
-    ) -> None:
+    def parse_declaration(self) -> None:
+        """Read `[doc] [@[…] [doc]] modifiers* keyword name`, then the rest of the command.
+
+        A header that no declaration follows is ignored with a warning, but
+        for an untagged `@[…]` list before a command that declares nothing
+        (`@[deprecated] alias h := g`), which the top level skips with it.  A
+        declaration without a name, or an `example`, is skipped whole.
+        """
+
+        first = self.peek()
+        doc = self.take() if first.kind == "docstring" else None
+        attrs: list[_AttrItem] = []
+        attr_close = None
+        if self.at_attr_list():
+            at = self.take()
+            attrs, attr_close = self.parse_attr_list()
+            if doc is None and (tok := self.peek()) is not None and tok.kind == "docstring":
+                doc = self.take()
+        tagged = any(a.name == "blueprint" for a in attrs)
+        if not self.at_declaration():
+            if attr_close is None:
+                self.warn("docstring is not attached to a declaration; ignored", first.line)
+            elif tagged:
+                raise self.error("blueprint attribute is not attached to a declaration", at)
+            elif (tok := self.peek()) is None or tok.text not in SKIPPED_COMMANDS:
+                self.warn("attribute block is not attached to a declaration; ignored", at.line)
+            return
         lead = kw = self.take()  # the first modifier, else the keyword
         while kw.text in DECL_MODIFIERS:
             kw = self.take()
         name_tok = self.peek()
-        blueprint = [a for a in attrs if a.name == "blueprint"]
         if kw.text == "example" or name_tok is None or name_tok.kind != "ident":
-            if blueprint:
+            if tagged:
                 raise self.error(f"'{kw.text}' tagged with blueprint needs a name", kw)
-            if kw.text == "example":
-                self.skip_command(kw)  # declares no constant
-            else:
+            if kw.text != "example":
                 self.warn(f"'{kw.text}' without a name; skipped", kw.line)
+            self.skip_command()  # declares no constant
             return
         self.take()
+        spec = self.blueprint_spec(attrs, kw.line)
 
-        if len(blueprint) > 1:
-            self.warn("duplicate blueprint attribute; keeping the first", kw.line)
-        spec = None
-        if blueprint:
-            # a bad configuration raises: ignoring it would leave the declaration untagged
-            spec = _parse_attribute_tokens(
-                blueprint[0].config_tokens, path=self.path, line=blueprint[0].start_tok.line
-            )
-
-        takes_body = kw.text not in ("inductive", "structure")
-        sig_tokens: list[Token] = []
-        body_tokens: list[Token] = []
-        in_body = False
+        start = self.pos
+        self.skip_command()
+        toks = self.tokens[start : self.pos]
+        split = None  # the `:=` that starts the body
         depth = 0
-        last = name_tok
-        while (tok := self.peek()) is not None:
-            if tok.text == "end" and tok.kind == "ident":  # a reserved word: the top level reads it
-                break
-            if (
-                tok.text == "@"
-                or tok.kind == "docstring"
-                or tok.line != last.line and (tok.col == 0 or tok.text in _LINE_STARTS)
-            ) and self.at_block_start(tok):
-                break
+        for i, tok in enumerate(toks):
             if tok.kind == "symbol":
                 if tok.text in ("(", "[", "{"):
                     depth += 1
                 elif tok.text in (")", "]", "}"):
                     depth -= 1
-                elif tok.text == ":=" and depth == 0 and not in_body and takes_body:
-                    self.take()
-                    in_body = True
-                    last = tok
-                    continue
-            self.take()
-            (body_tokens if in_body else sig_tokens).append(tok)
-            last = tok
-        if tok is not None and depth != 0:  # the next command starts inside a bracket
+                elif tok.text == ":=" and depth == 0 and split is None:
+                    split = i
+        if depth != 0 and self.peek() is not None:  # the next command starts inside a bracket
             self.warn(f"unbalanced brackets in declaration '{name_tok.text}'", kw.line)
+        if kw.text in ("inductive", "structure"):  # no body: a `:=` there belongs to a field
+            split = None
+        sig_tokens = toks if split is None else toks[:split]
+        body_tokens = [] if split is None else toks[split + 1 :]
+        last = toks[-1] if toks else name_tok
 
         signature_text = self.slice_tokens(sig_tokens)
-        body_text = self.slice_tokens(body_tokens) if in_body else None
+        body_text = None if split is None else self.slice_tokens(body_tokens)
 
         tactic_docs: list[str] = []
         markers: list[SorryMarker] = []
@@ -921,7 +907,7 @@ class _ModuleParser(_Cursor):
                 sorry_markers=tuple(markers),
                 namespace_context=self.context(),
                 opens=self.visible_opens(),
-                span=self.span_between(first_tok, last),
+                span=self.span_between(first, last),
                 keyword_line_start=lead.start - lead.col,
                 attr_close=attr_close.start if attr_close is not None else None,
             )

@@ -5,7 +5,8 @@ transformed: runs of declarations wrapped in sections, `set_option ... in`
 or `attribute [local simp] x in` before declarations, `universe`,
 `variable` and `notation` lines between them, every block (declarations
 and `attribute [blueprint ...]` commands alike) indented by two spaces,
-`-- a note` lines inside blocks, CRLF line ends.  The transformed project
+`-- a note` lines inside blocks, `/- c -/` in place of a space between two
+tokens on a line, CRLF line ends.  The transformed project
 must give the same declarations (names, kinds, attributes, signature and
 body identifiers, `sorry` markers), the same label views (statuses, uses,
 texts) and the same warning messages.  Spans and warning lines may differ.
@@ -14,6 +15,7 @@ texts) and the same warning messages.  Spans and warning lines may differ.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -98,6 +100,22 @@ def comments_between_lines(blocks: list[str], gp: _gen.GenProject, rng: random.R
     return out
 
 
+# a string, a docstring or comment, a line comment, a run of blank characters, or one other character
+_LEXEME = re.compile(r'"(?:[^"\\\n]|\\.)*"|/-.*?-/|--[^\n]*|\s+|.', re.DOTALL)
+
+
+def comments_between_tokens(blocks: list[str], gp: _gen.GenProject, rng: random.Random) -> list[str]:
+    out: list[str] = []
+    for b in blocks:
+        parts: list[str] = []
+        for m in _LEXEME.finditer(b):
+            lexeme = m[0]
+            between = lexeme.strip(" ") == "" and m.start() and b[m.start() - 1] != "\n" and m.end() < len(b)
+            parts.append(lexeme[:-1] + "/- c -/" if between and rng.random() < 0.5 else lexeme)
+        out.append("".join(parts))
+    return out
+
+
 def crlf(blocks: list[str], gp: _gen.GenProject, rng: random.Random) -> list[str]:
     return blocks  # `_render` turns every line end into CRLF
 
@@ -106,7 +124,7 @@ TRANSFORMS = {
     f.__name__: f
     for f in (
         wrap_in_sections, set_option_before, lines_between, crlf, attribute_in_before, indent,
-        comments_between_lines,
+        comments_between_lines, comments_between_tokens,
     )
 }
 

@@ -774,6 +774,13 @@ def test_open_inside_section_ends_at_its_end():
     assert unit.warnings == ()
 
 
+@pytest.mark.parametrize("command", ["variable (x : Nat)", "set_option pp.all true", "#check g"])
+def test_bare_end_on_a_commands_line_closes_the_section(command):
+    unit = parse_module_text(f"section\n{command} end\ndef f := 1\n", Name.parse("M"))
+    assert [str(d.name) for d in decls(unit)] == ["f"]
+    assert unit.warnings == ()
+
+
 def test_section_end_mismatch_and_unclosed_section_warn():
     unit = parse_module_text("section S\ndef f := 1\nend T\nsection\n", Name.parse("M"))
     assert [str(d.name) for d in decls(unit)] == ["f"]
@@ -1121,10 +1128,10 @@ def test_tagged_anonymous_instance_raises():
 
 
 @pytest.mark.parametrize(
-    "decl", ["class MyGroup (G : Type) where\n  one : G", "opaque secret : Nat"]
+    "decl", ["class MyGroup (G : Type) where\n  one : G", "opaque secret : Nat", "alias h := f"]
 )
 def test_tagged_attribute_block_without_declaration_raises(decl):
-    # `class` and `opaque` are outside the dialect: the tag would be lost
+    # `class` and `opaque` are outside the dialect, and `alias` declares nothing in it: the tag would be lost
     text = f'def f := 1\n@[blueprint "c:group"]\n{decl}\n'
     with pytest.raises(ParseError, match="blueprint attribute is not attached to a declaration") as info:
         parse_module_text(text, Name.parse("M"))
@@ -1142,6 +1149,22 @@ def test_untagged_anonymous_instance_warns():
     unit = parse_module_text("@[simp]\ninstance : Foo Nat := 1\ndef g := 2\n", Name.parse("M"))
     assert [str(d.name) for d in decls(unit)] == ["g"]
     assert "'instance' without a name; skipped" in [w.message for w in unit.warnings]
+
+
+@pytest.mark.parametrize(
+    "head", ["instance : Inhabited Nat := ⟨0⟩", "instance (priority := 100) : Inhabited Nat :=\n  ⟨0⟩"]
+)
+def test_unnamed_declaration_is_skipped_whole_with_one_warning(head):
+    unit = parse_module_text(f"{head}\ndef g := 2\n", Name.parse("M"))
+    assert [[str(d.name), list(d.body_idents)] for d in decls(unit)] == [["g", []]]
+    assert [(w.line, w.message) for w in unit.warnings] == [(1, "'instance' without a name; skipped")]
+
+
+@pytest.mark.parametrize("doc", ["", "/-- Old name. -/\n"])
+def test_untagged_attribute_block_before_a_command_that_declares_nothing_is_skipped_with_it(doc):
+    unit = parse_module_text(f"def g := 1\n{doc}@[deprecated] alias h := g\ndef k := 2\n", Name.parse("M"))
+    assert [[str(d.name), list(d.body_idents)] for d in decls(unit)] == [["g", []], ["k", []]]
+    assert unit.warnings == ()
 
 
 @pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
