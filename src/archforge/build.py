@@ -17,6 +17,7 @@ from .errors import LockError, ParseError, StoreError
 from .names import Name
 
 if TYPE_CHECKING:
+    from .infer import LabelRecord
     from .latex import RenderOptions
     from .records import ModuleUnit
     from .store import NodeStore
@@ -131,22 +132,18 @@ def survey(config: ProjectConfig, out_dir: Path | None = None, force: bool = Fal
     return Survey(config, out, upstream, fingerprint, manifest, sources)
 
 
-def load_project(
-    config: ProjectConfig, *, use_cache: bool = True, warm: bool = True, surveyed: Survey | None = None
-) -> Project:
-    """Parse the modules, build the store, and with `warm` warm all statuses.
+def load_project(config: ProjectConfig, *, use_cache: bool = True, surveyed: Survey | None = None) -> Project:
+    """Parse the modules and build the store; the command infers what it needs.
 
     `surveyed` is the command's `survey` of `config`, by default made here;
     the sources it read are not read again.  A module whose name, path and
     source hash match its entry in the parse cache reuses the cached unit
     with its text; every other module goes through `parse_module`.
     `use_cache=False` parses them all.  Nothing here writes the cache:
-    `extract` does, when `cache_stale` says so.  Without `warm`, `extract`
-    infers what it needs.
+    `extract` does, when `cache_stale` says so.
     """
 
     from .cache import read_units
-    from .infer import warm_statuses
     from .store import build_store
 
     if surveyed is None:
@@ -173,8 +170,6 @@ def load_project(
             reparsed = True
         units.append(unit)
     store = build_store(units, surveyed.upstream, config.upstream_prefixes)
-    if warm:
-        warm_statuses(store)
     stale = reparsed or bool(cached)  # what is left in `cached` names modules that are gone
     return Project(surveyed, store, stale, pickled)
 
@@ -183,29 +178,24 @@ STATUS_KEYS = {"nodes", "labels", "statementsLeanOk", "proofsTotal", "proofsLean
                "upstreamNodes", "notReadyNodes"}  # of `status_counts`; a manifest holds all eight
 
 
-def status_counts(
-    store: NodeStore, lean_oks: Mapping[Name, tuple[bool, bool | None]] | None = None
-) -> dict:
-    """The progress counts; `lean_oks` gives each node's statement and proof leanOk
-    (None without a proof), as `LabelRecord.lean_oks` holds them, else they are inferred."""
+def status_counts(store: NodeStore, records: Mapping[str, LabelRecord] | None = None) -> dict:
+    """The progress counts, each node's leanOk read from its label's `LabelRecord.lean_oks`.
+
+    `records` holds every label's record; by default `warm_statuses` infers them.
+    """
 
     from .store import is_upstream
 
-    if lean_oks is None:
-        from .infer import part_status
+    if records is None:
+        from .infer import warm_statuses
 
-        lean_oks = {
-            name: (
-                part_status(store, node, "statement").lean_ok,
-                None if node.proof is None else part_status(store, node, "proof").lean_ok,
-            )
-            for name, node in store.by_name.items()
-        }
-    proofs = [proof for _, proof in lean_oks.values() if proof is not None]
+        records = warm_statuses(store)
+    lean_oks = [ok for record in records.values() for ok in record.lean_oks]
+    proofs = [proof for _, proof in lean_oks if proof is not None]
     return {
         "nodes": len(store.by_name),
         "labels": len(store.by_label),
-        "statementsLeanOk": sum(statement for statement, _ in lean_oks.values()),
+        "statementsLeanOk": sum(statement for statement, _ in lean_oks),
         "proofsTotal": len(proofs),
         "proofsLeanOk": sum(proofs),
         "sorriedProofs": len(proofs) - sum(proofs),
@@ -571,12 +561,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         stale = changed | {plan.owners[rel] for rel in written if plan.owners[rel] is not None}
 
         records = edit.records
-        lean_oks = {
-            name: ok
-            for label, record in records.items()
-            for name, ok in zip(store.by_label[label], record.lean_oks)
-        }
-        counts = status_counts(store, lean_oks)
+        counts = status_counts(store, records)
         deleted = [rel for rel in _managed_files(out) if rel not in checks]
         for rel in deleted:
             (out / rel).unlink()

@@ -32,7 +32,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     surveyed = survey(config, out, args.force)
     result = None if args.force else up_to_date(surveyed)
     if result is None:
-        project = load_project(config, use_cache=not args.force, warm=False, surveyed=surveyed)
+        project = load_project(config, use_cache=not args.force, surveyed=surveyed)
         result = extract(project, out_dir=out, force=args.force)
     for line in result.summary_lines():
         print(line)

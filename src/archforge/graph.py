@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 class LabelView(NamedTuple):
     """Every fact the emitters and lints need about one label, merged over its nodes.
 
-    `infer.label_view` builds it from a store and `blueprint_lint_rows` from
+    `infer.label_record` builds it from a store and `blueprint_lint_rows` from
     `blueprint.json`.  `names` are in placement order (module topo index,
     item index).  Flags and texts merge as README's merged-label paragraph
     says.  `proof_ok` is None when no constituent has a proof; `proof_uses`

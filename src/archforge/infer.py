@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotFoundError, ResolutionError
 from .graph import LabelView
 from .names import LabelRef, Name, resolve
 from .records import Declaration
-from .store import Node, NodePart, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream, merged_nodes
+from .store import Node, NodeStore, PROOF_KINDS, SORRY_AX, is_upstream, merged_nodes
 
 
 def _dedup(seq: Iterable) -> tuple:
@@ -20,6 +20,12 @@ def _dedup(seq: Iterable) -> tuple:
 
 def _merge_texts(texts: Iterable[str]) -> str:
     return "\n".join(_dedup(t for t in texts if t))
+
+
+def _merge_uses(parts: list[tuple[str, ...]]) -> tuple[str, ...]:
+    """The `effective_uses` of a label's parts in order, deduped; one part's already is."""
+
+    return parts[0] if len(parts) == 1 else _dedup(chain.from_iterable(parts))
 
 
 class RefSets(NamedTuple):
@@ -38,7 +44,7 @@ class PartStatus(NamedTuple):
 
 
 class LabelRecord(NamedTuple):
-    """What a later edit may reuse of one label instead of inferring it again."""
+    """All that is inferred of one label, once: what the outputs read and a later edit reuses."""
 
     view: LabelView
     lean_oks: tuple[tuple[bool, bool | None], ...]  # per node: statement, proof (None without one)
@@ -80,10 +86,8 @@ class _InferCache:
         self.resolved: dict[tuple, dict[str, Name | None]] = {}
         self.label_of = {name: node.latex_label for name, node in store.by_name.items()}
         self.status: dict[tuple[Name, str], PartStatus] = {}
-        self.effective: dict[tuple[Name, str], tuple[str, ...]] = {}
-        self.views: dict[str, LabelView] = {}
-        self.warnings: dict[str, None] = {}  # insertion-ordered set
-        self.label_warnings: dict[str, list[str]] = {}  # the same, by the label that gave each
+        self.warnings: dict[str, list[str]] = {}  # per label, the inference warnings it gave, each once
+        self.records: dict[str, LabelRecord] = {}
         self.graph: _ClosureGraph | None = None
 
 
@@ -300,20 +304,12 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
 
     Inferred dependencies come first, then explicit names, then explicit
     labels; excludes and the node's own label are removed; duplicates keep
-    their first position.
+    their first position.  A warning is kept once under the node's label.
     """
 
+    status = part_status(store, node, part)  # raises for a part the node lacks
+    part_obj = node.statement if part == "statement" else node.proof
     cache = _cache(store)
-    key = (node.name, part)
-    cached = cache.effective.get(key)
-    if cached is not None:
-        return cached
-
-    part_obj: NodePart | None = node.statement if part == "statement" else node.proof
-    if part_obj is None:
-        raise NotFoundError(f"node '{node.name}' has no proof part")
-
-    status = part_status(store, node, part)
 
     decl = store.declarations.get(node.name)
     context = decl.namespace_context if decl is not None else ()
@@ -330,9 +326,9 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
         labels[hit.latex_label] = None
 
     def warn(warning: str) -> None:
-        if warning not in cache.warnings:
-            cache.warnings[warning] = None
-            cache.label_warnings.setdefault(node.latex_label, []).append(warning)
+        given = cache.warnings.setdefault(node.latex_label, [])
+        if warning not in given:
+            given.append(warning)
 
     for lbl in part_obj.uses_labels:
         if lbl not in store.by_label:
@@ -350,34 +346,48 @@ def effective_uses(store: NodeStore, node: Node, part: str) -> tuple[str, ...]:
 
     for lbl in excluded:
         labels.pop(lbl, None)
-    result = tuple(labels)
-    cache.effective[key] = result
-    return result
+    return tuple(labels)
 
 
-def label_view(store: NodeStore, label: str) -> LabelView:
-    """The merged record of one label, built once per store."""
+def label_record(store: NodeStore, label: str) -> LabelRecord:
+    """The merged record of one label, inferred once per store in one walk over its nodes.
+
+    Node by node in placement order, the statement's status and uses, then
+    the proof's: that order fixes which inference warning or error comes
+    first.  Its modules are those defining or placing its nodes and those
+    whose declarations its parts' closures walked.  Every other input of the
+    view is a name, a label or a setting that the build's reuse key covers,
+    so the record stays the same while none of these modules changes.
+    """
 
     cache = _cache(store)
-    cached = cache.views.get(label)
-    if cached is not None:
-        return cached
+    record = cache.records.get(label)
+    if record is not None:
+        return record
 
     nodes = merged_nodes(store, label)
-    stmt_ok = proof_ok = True
-    stmt_uses: list[str] = []
-    proof_uses: list[str] = []
-    proved: list[Node] = []
-    # statement status, statement uses, then proof, node by node: that order
-    # fixes which inference warning or error comes first
+    positions = store.topo_positions
+    modules = 0
+    lean_oks = []
+    uses: dict[str, list[tuple[str, ...]]] = {"statement": [], "proof": []}
     for node in nodes:
-        stmt_ok &= part_status(store, node, "statement").lean_ok
-        stmt_uses.extend(effective_uses(store, node, "statement"))
-        if node.proof is not None:
-            proved.append(node)
-            proof_ok &= part_status(store, node, "proof").lean_ok
-            proof_uses.extend(effective_uses(store, node, "proof"))
+        own = node.origin != "upstream"
+        modules |= 1 << positions[node.placement_module]
+        if own:
+            modules |= 1 << positions[node.module]
+        oks = []
+        for part in ("statement", "proof") if node.proof is not None else ("statement",):
+            oks.append(part_status(store, node, part).lean_ok)
+            uses[part].append(effective_uses(store, node, part))
+            if own:  # the closure graph exists once a project part's status is inferred
+                graph = cache.graph
+                for name in _closure_start(store, node, part):
+                    i = graph.ids.get(name, 0)
+                    if i >= graph.sinks:
+                        modules |= graph.modules[graph.comp[i]]
+        lean_oks.append((oks[0], oks[1] if node.proof is not None else None))
 
+    proved = [n for n in nodes if n.proof is not None]
     view = LabelView(
         label=label,
         names=tuple(str(n.name) for n in nodes),
@@ -386,69 +396,35 @@ def label_view(store: NodeStore, label: str) -> LabelView:
         discussion=next((n.discussion for n in nodes if n.discussion is not None), None),
         not_ready=any(n.not_ready for n in nodes),
         upstream=any(is_upstream(store, n.name) for n in nodes),
-        statement_ok=stmt_ok,
-        statement_uses=_dedup(stmt_uses),
+        statement_ok=all(ok for ok, _ in lean_oks),
+        statement_uses=_merge_uses(uses["statement"]),
         statement_text=_merge_texts(n.statement.text for n in nodes),
-        proof_ok=proof_ok if proved else None,
-        proof_uses=_dedup(proof_uses),
+        proof_ok=all(ok for _, ok in lean_oks if ok is not None) if proved else None,
+        proof_uses=_merge_uses(uses["proof"]),
         proof_text=_merge_texts(n.proof.text for n in proved),
         module=nodes[0].placement_module,
     )
-    cache.views[label] = view
-    return view
+    record = LabelRecord(view, tuple(lean_oks), tuple(cache.warnings.get(label, ())), modules)
+    cache.records[label] = record
+    return record
 
 
-def warm_statuses(store: NodeStore) -> None:
-    """Precompute every part status and effective-uses set, in `label_view` order.
+def label_view(store: NodeStore, label: str) -> LabelView:
+    return label_record(store, label).view
 
-    Label by label in sorted order, node by node, the statement's status and
-    uses and then the proof's: that order fixes which inference warning or
-    error comes first, no matter which consumer runs first.  The views
-    themselves are merged by `label_view` when a caller asks for them.
+
+def warm_statuses(store: NodeStore) -> dict[str, LabelRecord]:
+    """Every label's record, inferred in sorted label order.
+
+    That order fixes which inference warning or error comes first, whichever
+    command asks.
     """
 
-    for label in sorted(store.by_label):
-        for node in merged_nodes(store, label):
-            parts = ("statement", "proof") if node.proof is not None else ("statement",)
-            for part in parts:
-                part_status(store, node, part)
-                effective_uses(store, node, part)
+    return {label: label_record(store, label) for label in sorted(store.by_label)}
 
 
 def inference_warnings(store: NodeStore) -> tuple[str, ...]:
-    return tuple(_cache(store).warnings)
-
-
-def label_record(store: NodeStore, label: str) -> LabelRecord:
-    """The label's view with what an edit needs to reuse it.
-
-    Its modules are those defining or placing its nodes and those whose
-    declarations its parts' closures walked.  Every other input of the view
-    is a name, a label or a setting that the build's reuse key covers, so
-    the view stays the same while none of these modules changes.
-    """
-
-    view = label_view(store, label)
-    nodes = merged_nodes(store, label)
-    graph = _cache(store).graph
-    positions = store.topo_positions
-    modules = 0
-    oks = []
-    for node in nodes:
-        modules |= 1 << positions[node.placement_module]
-        statement_ok = part_status(store, node, "statement").lean_ok
-        proof_ok = None if node.proof is None else part_status(store, node, "proof").lean_ok
-        oks.append((statement_ok, proof_ok))
-        if node.origin == "upstream":
-            continue
-        modules |= 1 << positions[node.module]
-        for part in ("statement", "proof") if node.proof is not None else ("statement",):
-            for name in _closure_start(store, node, part):
-                i = graph.ids.get(name, 0)
-                if i >= graph.sinks:
-                    modules |= graph.modules[graph.comp[i]]
-    warnings = tuple(_cache(store).label_warnings.get(label, ()))
-    return LabelRecord(view, tuple(oks), warnings, modules)
+    return tuple(w for given in _cache(store).warnings.values() for w in given)
 
 
 Components = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -471,18 +447,18 @@ def closure_components(store: NodeStore) -> Components:
 
 
 def adopt(
-    store: NodeStore, views: Iterable[LabelView], components: Components, changed: int
+    store: NodeStore, records: Iterable[LabelRecord], components: Components, changed: int
 ) -> None:
-    """Start `store`'s inference over from an earlier build's views and closure components.
+    """Start `store`'s inference over from an earlier build's records and closure components.
 
-    `label_view` returns the views as they are.  A component is kept when
+    `label_record` returns the records as they are.  A component is kept when
     none of the modules it reaches is in the bitset `changed`, so a closure
     that reaches it stops there; the others are searched again if reached.
     The earlier build must have had the same tagged and declared names.
     """
 
     cache = store._infer_cache = _InferCache(store)
-    cache.views.update((view.label, view) for view in views)
+    cache.records.update((record.view.label, record) for record in records)
     graph = cache.graph = _ClosureGraph(store)
     comp, reach, modules = components
     if len(comp) == len(graph.comp):

@@ -19,10 +19,11 @@ import os
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import infer
 from .build import MANIFEST_NAME, artifact_check, artifact_digest
 from .cache import CACHE_DIR, load_restricted
 from .graph import LabelView
-from .infer import Components, LabelRecord, adopt, label_record
+from .infer import Components, LabelRecord
 from .names import Name
 
 if TYPE_CHECKING:
@@ -143,7 +144,7 @@ def plan_edit(
     status counts of `manifest` (None with `--force` or without a usable
     manifest), digest to that manifest's `artifactDigest`.  A label
     is dirty when its record names a module in `changed`.  Every other
-    label's view is adopted, and so is every closure component that reaches
+    label's record is adopted, and so is every closure component that reaches
     no changed module.  What is rendered again: the node files of the labels
     whose view changed or whose first node a changed module places, the
     fragments of the changed modules and of the modules placing a node of a
@@ -156,18 +157,17 @@ def plan_edit(
     state = None if manifest is None else read_state(project.surveyed.config.root, out)
     digest = None if state is None else artifact_digest(state.artifacts, manifest["status"])
     if state is None or state.key != key or digest != manifest.get("artifactDigest"):
-        every = sorted(store.by_label)
-        records = {label: label_record(store, label) for label in every}
-        return Edit(None, every, list(store.topo_order), True, records)
+        records = infer.warm_statuses(store)
+        return Edit(None, list(records), list(store.topo_order), True, records)
     positions = store.topo_positions
     changed_bits = sum(1 << positions[name] for name in changed)
     records = dict(state.labels)
     dirty = [label for label in sorted(records) if records[label].modules & changed_bits]
-    kept = [record.view for record in records.values() if not record.modules & changed_bits]
-    adopt(store, kept, state.components, changed_bits)
+    kept = [record for record in records.values() if not record.modules & changed_bits]
+    infer.adopt(store, kept, state.components, changed_bits)
     labels, rendered, views_changed = [], changed_bits, False
     for label in dirty:
-        record = records[label] = label_record(store, label)
+        record = records[label] = infer.label_record(store, label)
         placed = [positions[store.by_name[name].placement_module] for name in store.by_label[label]]
         if record.view != state.labels[label].view:
             labels.append(label)

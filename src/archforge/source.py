@@ -621,13 +621,13 @@ class _ModuleParser(_Cursor):
     def at_attr_list(self, ahead: int = 0) -> bool:
         return self.at("@", ahead) and self.at("[", ahead + 1)
 
-    def list_end(self, ahead: int) -> int | None:
+    def list_end(self, ahead: int, opener: str = "[") -> int | None:
         """How far ahead the token after the `[...]` list that starts `ahead` tokens ahead is.
 
-        None if no list starts there or it is unclosed.
+        None if no list starts there or it is unclosed.  With `opener` "(", a `(...)` group.
         """
 
-        if not self.at("[", ahead):
+        if not self.at(opener, ahead):
             return None
         depth = 0
         while (tok := self.peek(ahead)) is not None:
@@ -660,10 +660,10 @@ class _ModuleParser(_Cursor):
         self.scopes.append(("namespace", name))
 
     def name_on_line(self, kw: Token) -> tuple[str, ...]:
-        """Take the name after a command keyword, if one is on the keyword's line."""
+        """Take the next word if it is on `kw`'s line and does not end the command (a bare `end`)."""
 
         tok = self.peek()
-        if tok is None or tok.kind != "ident" or tok.line != kw.line:
+        if tok is None or tok.kind != "ident" or tok.line != kw.line or self.ends_command(tok):
             return ()
         self.take()
         return tuple(tok.text.split("."))
@@ -690,12 +690,11 @@ class _ModuleParser(_Cursor):
 
         kw = self.take()
         names: list[Name] = []
-        while (tok := self.peek()) is not None and tok.kind == "ident" and tok.line == kw.line:
-            self.take()
-            if tok.text == "in":
+        while name := self.name_on_line(kw):
+            if name == ("in",):
                 self.prefixed = True
                 break
-            names.append(Name.parse(tok.text))
+            names.append(Name(name))
         if not names:
             self.warn("'open' without names", kw.line)
         elif self.prefixed:
@@ -825,6 +824,8 @@ class _ModuleParser(_Cursor):
         lead = kw = self.take()  # the first modifier, else the keyword
         while kw.text in DECL_MODIFIERS:
             kw = self.take()
+        if kw.text == "instance" and (after := self.peek(1)) is not None and after.text == "priority":
+            self.pos += self.list_end(0, "(") or 0  # the name follows `(priority := …)`
         name_tok = self.peek()
         if kw.text == "example" or name_tok is None or name_tok.kind != "ident":
             if tagged:

@@ -57,17 +57,16 @@ def test_status_json(golden_project, capsys):
     }
 
 
-def test_status_builds_no_label_view(golden_project, monkeypatch, capsys):
+def test_full_path_commands_build_one_record_per_label(golden_project, monkeypatch, capsys):
     from archforge import infer
 
     built = []
-    view = infer.LabelView
-    monkeypatch.setattr(infer, "LabelView", lambda **kw: built.append(kw["label"]) or view(**kw))
-    assert main(["status"]) == 0
-    assert main(["status", "--json"]) == 0
-    assert built == []
-    assert main(["graph"]) == 0  # the probe sees the views that graph merges
-    assert len(built) == 5
+    record = infer.LabelRecord
+    monkeypatch.setattr(infer, "LabelRecord", lambda view, *rest: built.append(view.label) or record(view, *rest))
+    for argv in (["status"], ["status", "--json"], ["graph"], ["check"]):
+        built.clear()
+        assert main(argv) == 0
+        assert built == sorted(set(built)) and len(built) == 5, argv
 
 
 def test_status_after_filling_a_sorry(golden_project, capsys):
@@ -248,6 +247,43 @@ def test_extract_strict_inference_warnings_exit_two(tmp_path, monkeypatch, capsy
     noop = capsys.readouterr()
     assert noop.out.endswith("wrote 0 files, deleted 0\n")
     assert noop.err == full.err
+
+
+def test_every_command_meets_the_same_inference_error_first(tmp_path, monkeypatch, capsys):
+    # label `b` is placed first and `a` sorts first: each raises its own ResolutionError
+    make_project(
+        tmp_path,
+        {
+            "M": '@[blueprint "b" (uses := [ghostB])]\ndef b := 1\n\n'
+            '@[blueprint "a"]\ntheorem a : True := by\n  sorry_using [ghostA]\n'
+        },
+    )
+    monkeypatch.chdir(tmp_path)
+    first = "error: sorry_using in 'a' names unknown constant 'ghostA'\n"
+    for argv in (["extract", "--force"], ["status"], ["graph"], ["check"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == first, argv
+
+
+def test_extract_strict_prints_inference_warnings_label_by_label(tmp_path, monkeypatch, capsys):
+    # labels in sorted order, their nodes in placement order, each statement before its proof
+    make_project(
+        tmp_path,
+        {
+            "M": '@[blueprint "z" (uses := ["ghost1"])]\ntheorem z : True := trivial\n\n'
+            '@[blueprint "m" (uses := ["ghost2"]) (proofUses := ["ghost3"])]\n'
+            "theorem mb : True := by trivial\n\n"
+            '@[blueprint "m" (excludes := [Nowhere])]\ntheorem ma : True := by trivial\n'
+        },
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", "--strict"]) == 2
+    assert capsys.readouterr().err == (
+        "warning: node 'mb' (statement) uses label 'ghost2' that no declaration carries\n"
+        "warning: node 'mb' (proof) uses label 'ghost3' that no declaration carries\n"
+        "warning: excludes entry 'Nowhere' on node 'ma' does not name a blueprint node\n"
+        "warning: node 'z' (statement) uses label 'ghost1' that no declaration carries\n"
+    )
 
 
 def test_extract_force_rewrites(golden_project, capsys):
@@ -643,6 +679,17 @@ def test_convert_keep_uses(legacy_project):
     assert main(["convert", "--blueprint", "bp.tex", "--keep-uses"]) == 0
     src = (legacy_project / "src" / "Core.lean").read_text(encoding="utf-8")
     assert '(uses := ["thm:main"])' in src
+
+
+def test_convert_does_not_infer(legacy_project, capsys):
+    # an existing tag whose `uses` names no node fails inference, which convert never runs
+    (legacy_project / "src" / "Extra.lean").write_text(
+        '@[blueprint "x" (uses := [ghost])]\ndef x := 1\n', encoding="utf-8"
+    )
+    assert main(["convert", "--blueprint", "bp.tex"]) == 0
+    assert "source insertions: 2, latex replacements: 2, skipped nodes: 0" in capsys.readouterr().out
+    assert main(["status"]) == 1
+    assert capsys.readouterr().err == "error: uses entry 'ghost' on node 'x' does not name a blueprint node\n"
 
 
 def test_convert_error_reported(legacy_project, capsys):

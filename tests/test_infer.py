@@ -463,7 +463,7 @@ def test_label_view_merges_constituents():
         }
     )
     view = label_view(store, "pair")
-    assert view is infer._cache(store).views["pair"]  # merged once per store
+    assert view is infer._cache(store).records["pair"].view  # merged once per store
     assert view.names == ("first", "second", "third")
     assert view.envs == ("definition", "theorem")
     assert (view.title, view.discussion) == ("Second", 7)

@@ -781,6 +781,16 @@ def test_bare_end_on_a_commands_line_closes_the_section(command):
     assert unit.warnings == ()
 
 
+@pytest.mark.parametrize(
+    "head", ["section\nopen Foo", "section\nopen Foo Bar", "section"], ids=["open", "open-two", "section"]
+)
+def test_bare_end_after_names_on_a_line_closes_the_section(head):
+    # the names a command takes from its line stop at the `end` that closes the section
+    unit = parse_module_text(f"{head} end\ndef f := 1\n", Name.parse("M"))
+    (f,) = decls(unit)
+    assert (str(f.name), f.opens) == ("f", ()) and unit.warnings == ()
+
+
 def test_section_end_mismatch_and_unclosed_section_warn():
     unit = parse_module_text("section S\ndef f := 1\nend T\nsection\n", Name.parse("M"))
     assert [str(d.name) for d in decls(unit)] == ["f"]
@@ -1158,6 +1168,16 @@ def test_unnamed_declaration_is_skipped_whole_with_one_warning(head):
     unit = parse_module_text(f"{head}\ndef g := 2\n", Name.parse("M"))
     assert [[str(d.name), list(d.body_idents)] for d in decls(unit)] == [["g", []]]
     assert [(w.line, w.message) for w in unit.warnings] == [(1, "'instance' without a name; skipped")]
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+def test_instance_name_after_a_priority_is_read(tagged):
+    attr = '@[blueprint "i:foo"]\n' if tagged else ""
+    text = f"def g := 1\n{attr}instance (priority := 100) foo : Inhabited Nat := ⟨g⟩\n"
+    unit = parse_module_text(text, Name.parse("M"))
+    g, foo = decls(unit)
+    assert (str(foo.name), foo.kind, foo.signature_text, foo.body_idents) == ("foo", "instance", ": Inhabited Nat", ("g",))
+    assert (foo.attribute is not None) == tagged and unit.warnings == ()
 
 
 @pytest.mark.parametrize("doc", ["", "/-- Old name. -/\n"])
