@@ -513,18 +513,15 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
 
     from .infer import closure_components
     from .latex import RenderOptions
-    from .reuse import ReuseState, plan_edit, read_reused, reuse_key, state_path, write_state
+    from .reuse import ReuseState, plan_edit, read_reused, state_path, write_state
 
     store = project.store
     config = project.surveyed.config
     out = out_dir if out_dir is not None else config.resolved_out_dir()
     surveyed = project.surveyed if project.surveyed.out == out else survey(config, out, force)
-    fingerprint = surveyed.fingerprint
-    key = reuse_key(store, fingerprint)
-    manifest = None if force else surveyed.manifest
-    changed = compute_staleness(manifest, store)
     # inference errors come before anything is created
-    edit = plan_edit(project, out, manifest, key, changed)
+    edit = plan_edit(project, out, None if force else surveyed.manifest)
+    changed = edit.changed
     out.mkdir(parents=True, exist_ok=True)
 
     with _build_lock(out):
@@ -573,7 +570,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
         warnings.extend(w for label in sorted(records) for w in records[label].warnings)
         manifest_data = {
             "toolVersion": TOOL_VERSION,
-            "envFingerprint": fingerprint,
+            "envFingerprint": surveyed.fingerprint,
             "sourcesDigest": sources,
             "artifactDigest": artifact_digest(checks, counts),
             "warnings": warnings,
@@ -593,7 +590,7 @@ def extract(project: Project, out_dir: Path | None = None, force: bool = False) 
             from .cache import write_units
 
             write_units(config.root, store.modules.values(), project.pickled)
-        state = ReuseState(key, records, closure_components(store), checks)
+        state = ReuseState(edit.key, records, closure_components(store), checks)
         write_state(config.root, out, state)
 
     fresh = set(store.topo_order) - stale

@@ -15,7 +15,10 @@ from .config import load_config
 from .errors import BlueprintError
 
 if TYPE_CHECKING:
+    from .build import FreshBuild, Survey
     from .graph import LintFinding
+    from .infer import LabelRecord
+    from .store import NodeStore
 
 # Every other module is imported by the command that uses it: a no-op `extract`, and
 # `status` or `graph` on a fresh build, load none of them; `check` on a fresh build loads
@@ -44,19 +47,38 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the queries: status, graph and check
+
+
+def plan_query() -> tuple[Survey, FreshBuild | None, NodeStore | None, dict[str, LabelRecord]]:
+    """What a query answers from: the survey of the configured tree, and the tree if it is fresh.
+
+    Else the project's store and every label's record in label order, planned as `extract`
+    plans them (`reuse.plan_edit`), which writes nothing.  A query takes no lock.
+    """
+
+    surveyed = survey(load_config())
+    fresh = fresh_build(surveyed)
+    if fresh is not None:
+        return surveyed, fresh, None, {}
+    from .reuse import plan_edit
+
+    project = load_project(surveyed.config, surveyed=surveyed)
+    return surveyed, None, project.store, plan_edit(project, surveyed.out, surveyed.manifest).records
+
+
+# ---------------------------------------------------------------------------
 # graph
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    config = load_config()
-    surveyed = survey(config)
-    fresh = fresh_build(surveyed)
+    _, fresh, _, records = plan_query()
     if fresh is not None:  # the build holds exactly the bytes a full load would emit
         payload = fresh.artifacts[f"graph.{args.format}"].decode("utf-8")
     else:
-        from .graph import emit_graphs, lint_rows
+        from .graph import emit_graphs
 
-        dot, json_text = emit_graphs(lint_rows(load_project(config, surveyed=surveyed).store))
+        dot, json_text = emit_graphs([record.view for record in records.values()])
         payload = json_text if args.format == "json" else dot
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
@@ -94,56 +116,37 @@ def blueprint_cross_findings(
         referenced_labels |= labels
         referenced_modules |= modules
 
-    findings: list[LintFinding] = []
-    for label in sorted(referenced_labels - anchors.keys()):
-        findings.append(
-            LintFinding(
-                "unknown-label",
-                label,
-                "\\inputleannode names a label with no blueprint node",
-                "error",
-            )
-        )
-    for module in sorted(referenced_modules - module_names):
-        findings.append(
-            LintFinding(
-                "unknown-module",
-                module,
-                "\\inputleanmodule names an unknown module",
-                "error",
-            )
-        )
-    for label in sorted(anchors):
-        if label in referenced_labels or anchors[label] in referenced_modules:
-            continue
-        findings.append(
-            LintFinding(
-                "unreferenced-label",
-                label,
-                "node is never pulled into the blueprint by \\inputleannode or \\inputleanmodule",
-                "warning",
-            )
-        )
+    findings = [
+        LintFinding("unknown-label", label, "\\inputleannode names a label with no blueprint node", "error")
+        for label in sorted(referenced_labels - anchors.keys())
+    ]
+    findings += [
+        LintFinding("unknown-module", module, "\\inputleanmodule names an unknown module", "error")
+        for module in sorted(referenced_modules - module_names)
+    ]
+    unreferenced = "node is never pulled into the blueprint by \\inputleannode or \\inputleanmodule"
+    findings += [
+        LintFinding("unreferenced-label", label, unreferenced, "warning")
+        for label in sorted(anchors)
+        if label not in referenced_labels and anchors[label] not in referenced_modules
+    ]
     return findings
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .graph import blueprint_lint_rows, lint_rows, run_lints
+    from .graph import blueprint_lint_rows, run_lints
 
-    config = load_config()
-    surveyed = survey(config)
-    fresh = fresh_build(surveyed)
+    surveyed, fresh, store, records = plan_query()
     if fresh is not None:  # the digested blueprint.json holds every label's view
         data = json.loads(fresh.artifacts["blueprint.json"])
         views = blueprint_lint_rows(data)
         module_names = set(data["modules"])
     else:
-        store = load_project(config, surveyed=surveyed).store
-        views = lint_rows(store)
+        views = [record.view for record in records.values()]
         module_names = {str(m) for m in store.modules}
     anchors = {view.label: str(view.module) for view in views}
     findings = run_lints(views, strict=args.strict)
-    findings.extend(blueprint_cross_findings(config.blueprint_tex_files, anchors, module_names))
+    findings.extend(blueprint_cross_findings(surveyed.config.blueprint_tex_files, anchors, module_names))
     findings.sort(key=lambda f: (f.code, f.label))
     for finding in findings:
         print(str(finding))
@@ -159,12 +162,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    config = load_config()
-    surveyed = survey(config)
-    if fresh_build(surveyed) is not None:
-        counts = surveyed.manifest["status"]
-    else:
-        counts = status_counts(load_project(config, surveyed=surveyed).store)
+    surveyed, fresh, store, records = plan_query()
+    counts = surveyed.manifest["status"] if fresh is not None else status_counts(store, records)
     if args.json:
         sys.stdout.write(_dump_json(counts))
         return 0

@@ -286,11 +286,9 @@ def run_lints(rows: list[LabelView], strict: bool = False) -> list[LintFinding]:
     upstream nodes that nothing depends on.
     """
 
-    # one entry per use: a label used by both parts of a row shows twice
-    dependents: dict[str, list[str]] = {}
+    used: set[str] = set()
     for row in rows:
-        for dep in (*row.statement_uses, *row.proof_uses):
-            dependents.setdefault(dep, []).append(row.label)
+        used.update(row.statement_uses, row.proof_uses)
 
     findings: list[LintFinding] = []
 
@@ -308,10 +306,9 @@ def run_lints(rows: list[LabelView], strict: bool = False) -> list[LintFinding]:
             )
 
         uses = bool(row.statement_uses or row.proof_uses)
-        used = label in dependents
-        if not uses and not used:
+        if not uses and label not in used:
             add("isolated-node", label, "no dependencies in either direction")
-        elif uses and not used and (strict or not row.upstream):
+        elif uses and label not in used and (strict or not row.upstream):
             add("unused-node", label, "nothing depends on this node")
 
         if row.proof_ok and not row.proof_uses and not row.upstream:
@@ -321,9 +318,15 @@ def run_lints(rows: list[LabelView], strict: bool = False) -> list[LintFinding]:
                 "proof is complete but no dependencies were inferred or declared",
             )
 
-    for label in dependents.keys() - {row.label for row in rows}:
-        users = ", ".join(sorted(dependents[label]))
-        add("dangling-label", label, f"used by {users} but no declaration carries it")
+    # the users of each dangling label, one entry per part: a row using it in both shows twice
+    dependents: dict[str, list[str]] = {label: [] for label in used - {row.label for row in rows}}
+    if dependents:
+        for row in rows:
+            for dep in (*row.statement_uses, *row.proof_uses):
+                if dep in dependents:
+                    dependents[dep].append(row.label)
+    for label, users in dependents.items():
+        add("dangling-label", label, f"used by {', '.join(sorted(users))} but no declaration carries it")
 
     findings.sort(key=lambda f: (f.code, f.label))
     return findings

@@ -423,10 +423,6 @@ def warm_statuses(store: NodeStore) -> dict[str, LabelRecord]:
     return {label: label_record(store, label) for label in sorted(store.by_label)}
 
 
-def inference_warnings(store: NodeStore) -> tuple[str, ...]:
-    return tuple(w for given in _cache(store).warnings.values() for w in given)
-
-
 Components = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 

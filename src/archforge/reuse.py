@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import infer
-from .build import MANIFEST_NAME, artifact_check, artifact_digest
+from .build import MANIFEST_NAME, artifact_check, artifact_digest, compute_staleness
 from .cache import CACHE_DIR, load_restricted
 from .graph import LabelView
 from .infer import Components, LabelRecord
@@ -132,37 +132,41 @@ class Edit(NamedTuple):
     labels: list[str]  # whose node files are rendered again, sorted
     modules: list[Name]  # whose fragments are rendered again
     global_files: bool  # some label's view changed, or there is no state
-    records: dict[str, LabelRecord]  # of every label, the dirty ones new
+    records: dict[str, LabelRecord]  # of every label in label order, the dirty ones new
+    changed: set[Name]  # `compute_staleness` of the manifest
+    key: str  # `reuse_key` of the project
 
 
-def plan_edit(
-    project: Project, out: Path, manifest: dict | None, key: str, changed: set[Name]
-) -> Edit:
+def plan_edit(project: Project, out: Path, manifest: dict | None) -> Edit:
     """The extract that the reuse state of `out` allows, with the dirty labels inferred.
 
-    The state is usable when it has `key` and its artifact checks, with the
-    status counts of `manifest` (None with `--force` or without a usable
-    manifest), digest to that manifest's `artifactDigest`.  A label
-    is dirty when its record names a module in `changed`.  Every other
-    label's record is adopted, and so is every closure component that reaches
-    no changed module.  What is rendered again: the node files of the labels
-    whose view changed or whose first node a changed module places, the
-    fragments of the changed modules and of the modules placing a node of a
-    label whose view changed, and the global files if a view changed.
-    Without a usable state every label is dirty and inferred in sorted
-    order, and every file is rendered: the full build.
+    `manifest` is that of `out`, None with `--force` or without a usable one.
+    The changed modules are those whose source hash it does not record
+    (`compute_staleness`).  The state is usable when it has the project's
+    `reuse_key` and its artifact checks, with the manifest's status counts,
+    digest to the manifest's `artifactDigest`.  A label is dirty when its
+    record names a changed module.  Every other label's record is adopted,
+    and so is every closure component that reaches no changed module.
+    What is rendered again: the node files of the labels whose view changed
+    or whose first node a changed module places, the fragments of the
+    changed modules and of the modules placing a node of a label whose view
+    changed, and the global files if a view changed.  Without a usable
+    state every label is dirty and inferred in sorted order, and every file
+    is rendered: the full build.  Nothing is written, so a query plans alike.
     """
 
     store = project.store
+    key = reuse_key(store, project.surveyed.fingerprint)
+    changed = compute_staleness(manifest, store)
     state = None if manifest is None else read_state(project.surveyed.config.root, out)
     digest = None if state is None else artifact_digest(state.artifacts, manifest["status"])
     if state is None or state.key != key or digest != manifest.get("artifactDigest"):
         records = infer.warm_statuses(store)
-        return Edit(None, list(records), list(store.topo_order), True, records)
+        return Edit(None, list(records), list(store.topo_order), True, records, changed, key)
     positions = store.topo_positions
     changed_bits = sum(1 << positions[name] for name in changed)
-    records = dict(state.labels)
-    dirty = [label for label in sorted(records) if records[label].modules & changed_bits]
+    records = {label: state.labels[label] for label in sorted(state.labels)}
+    dirty = [label for label, record in records.items() if record.modules & changed_bits]
     kept = [record for record in records.values() if not record.modules & changed_bits]
     infer.adopt(store, kept, state.components, changed_bits)
     labels, rendered, views_changed = [], changed_bits, False
@@ -177,7 +181,7 @@ def plan_edit(
         elif changed_bits >> placed[0] & 1:  # its module's files are written unread
             labels.append(label)
     modules = [name for i, name in enumerate(store.topo_order) if rendered >> i & 1]
-    return Edit(state, labels, modules, views_changed, records)
+    return Edit(state, labels, modules, views_changed, records, changed, key)
 
 
 def read_reused(out: Path, state: ReuseState, plan: RenderPlan) -> bool:

@@ -690,14 +690,21 @@ class _ModuleParser(_Cursor):
 
         kw = self.take()
         names: list[Name] = []
+        opened = None  # how many of `names` open: those before `hiding`, none with `scoped` or `renaming`
         while name := self.name_on_line(kw):
             if name == ("in",):
                 self.prefixed = True
                 break
+            if opened is None and name in (("hiding",), ("scoped",), ("renaming",)):
+                opened = len(names) if name == ("hiding",) else 0
+                if name == ("renaming",):  # `x → y, …` up to the next command or an `in`
+                    self.skip_command(ends_at_in=True)
+                    break
             names.append(Name(name))
         if not names:
             self.warn("'open' without names", kw.line)
-        elif self.prefixed:
+        names = names[:opened]
+        if self.prefixed:
             self.opens_in += tuple(names)
         else:
             depth = len(self.scopes)

@@ -250,19 +250,34 @@ def test_extract_strict_inference_warnings_exit_two(tmp_path, monkeypatch, capsy
 
 
 def test_every_command_meets_the_same_inference_error_first(tmp_path, monkeypatch, capsys):
+    from archforge import reuse
+
     # label `b` is placed first and `a` sorts first: each raises its own ResolutionError
-    make_project(
-        tmp_path,
-        {
-            "M": '@[blueprint "b" (uses := [ghostB])]\ndef b := 1\n\n'
-            '@[blueprint "a"]\ntheorem a : True := by\n  sorry_using [ghostA]\n'
-        },
+    broken = (
+        '@[blueprint "b" (uses := [ghostB])]\ndef b := 1\n\n'
+        '@[blueprint "a"]\ntheorem a : True := by\n  sorry_using [ghostA]\n'
     )
+    make_project(tmp_path, {"M": broken})
     monkeypatch.chdir(tmp_path)
     first = "error: sorry_using in 'a' names unknown constant 'ghostA'\n"
     for argv in (["extract", "--force"], ["status"], ["graph"], ["check"]):
         assert main(argv) == 1
         assert capsys.readouterr().err == first, argv
+    # the same on a stale tree whose reuse state is usable: both labels are dirty
+    source = tmp_path / "src" / "M.lean"
+    mended = broken.replace(" (uses := [ghostB])", "").replace("sorry_using [ghostA]", "sorry")
+    source.write_text(mended, encoding="utf-8")
+    assert main(["extract"]) == 0
+    source.write_text(broken, encoding="utf-8")
+    capsys.readouterr()
+    states = []
+    read_state = reuse.read_state
+    monkeypatch.setattr(reuse, "read_state", lambda *a: states.append(read_state(*a)) or states[-1])
+    monkeypatch.setattr(reuse.infer, "warm_statuses", None)  # the stateless plan would call it
+    for argv in (["status"], ["graph"], ["check"], ["extract"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == first, argv
+    assert len(states) == 4 and None not in states
 
 
 def test_extract_strict_prints_inference_warnings_label_by_label(tmp_path, monkeypatch, capsys):

@@ -187,6 +187,17 @@ def test_dangling_label_lint():
     assert "no declaration carries it" in f.message
 
 
+def test_dangling_label_lists_a_user_once_per_part():
+    store = store_from(
+        {
+            "M": '@[blueprint "a" (uses := ["ghost"]) (proofUses := ["ghost"])]\ntheorem a : x := by trivial\n\n'
+            '@[blueprint "b" (uses := ["ghost", "a"])]\ndef b := 1\n'
+        }
+    )
+    (f,) = [f for f in run_lints(lint_rows(store)) if f.code == "dangling-label"]
+    assert (f.label, f.message) == ("ghost", "used by a, a, b but no declaration carries it")
+
+
 def test_empty_proof_uses():
     store = store_from(
         {

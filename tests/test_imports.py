@@ -160,12 +160,11 @@ def test_leaf_edit_parses_the_edited_module(built):
 @pytest.mark.parametrize(
     "argv", [("status", "--json"), ("graph", "--format", "json"), ("check",)], ids=" ".join
 )
-def test_full_read_command_skips_the_reuse_state(built, argv):
+def test_full_read_command_opens_no_reuse_state(built, argv):
     shutil.rmtree(built / "build" / "blueprint")  # no build to answer from: load the project
-    proc, loaded = run(built, *argv)
+    proc, _ = run(built, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert "archforge.reuse" not in loaded
-    assert not opened_states(proc)
+    assert not opened_states(proc)  # without a manifest no state can be used
 
 
 def test_convert_loads_the_converter(tmp_path):

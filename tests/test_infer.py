@@ -11,11 +11,11 @@ from archforge import infer
 from archforge.errors import NotFoundError, ResolutionError
 from archforge.infer import (
     effective_uses,
-    inference_warnings,
     label_view,
     part_status,
     reference_closure,
     resolve_references,
+    warm_statuses,
 )
 from archforge.names import Name, resolve
 from archforge.source import parse_module_text
@@ -28,6 +28,12 @@ import _gen
 
 def N(s: str) -> Name:
     return Name.parse(s)
+
+
+def inference_warnings(store) -> tuple[str, ...]:
+    """Every label's `LabelRecord.warnings`, labels in sorted order."""
+
+    return tuple(w for record in warm_statuses(store).values() for w in record.warnings)
 
 
 def refs_for(store, name: str):
@@ -212,6 +218,21 @@ def test_same_token_resolves_per_context_and_opens():
         for label in ("ta", "tb", "oa", "ob", "bare")
     }
     assert uses == {"ta": ("a",), "tb": ("b",), "oa": ("a",), "ob": ("b",), "bare": ()}
+
+
+@pytest.mark.parametrize(
+    "opening", ["open Foo hiding bar", "open scoped bar", "open Foo renaming bar → baz"]
+)
+def test_open_modifiers_open_no_namespace_after_them(opening):
+    # Lean resolves `x` to the root `x`: `hiding`, `scoped` and `renaming` open no `bar`
+    store = store_from(
+        {
+            "M": 'namespace bar\n@[blueprint "bx"]\ndef x := 1\nend bar\n\n'
+            f'@[blueprint "rx"]\ndef x := 2\n\n{opening}\n\n@[blueprint "f"]\ndef f := x\n'
+        }
+    )
+    assert label_view(store, "f").statement_uses == ("rx",)
+    assert store.modules[N("M")].warnings == ()
 
 
 def test_upstream_index_names_resolve():

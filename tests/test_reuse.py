@@ -5,7 +5,9 @@ of two output trees of the project.  Each step's `extract` runs twice from
 the same directory: first with the reuse state hidden, then, after the
 directory is restored from a copy, with it.  Both must print the same
 stdout and stderr, exit alike and leave the same tree, and that tree must
-equal `extract --force` into a fresh directory.
+equal `extract --force` into a fresh directory.  Before it, each query
+(`status`, `graph`, `check`) on the stale tree prints what it prints with
+the state hidden.
 """
 
 from __future__ import annotations
@@ -176,8 +178,11 @@ def spies(monkeypatch):
     return seen
 
 
+QUERIES = (["status", "--json"], ["graph", "--format", "json"], ["check"])
+
+
 def test_edit_sequences_equal_builds_without_the_state(tmp_path, monkeypatch, spies):
-    proof_edits = rendered = labels_seen = 0
+    proof_edits = rendered = labels_seen = planned_queries = 0
     for seed in range(10):
         rng = random.Random(seed)
         gp = _gen.gen_project(100 + seed, max_decls=24)
@@ -201,6 +206,14 @@ def test_edit_sequences_equal_builds_without_the_state(tmp_path, monkeypatch, sp
             if out.is_dir() and roll >= 0.85:
                 tamper(out, rng)
                 since[tree] = "tampered"
+
+            for argv in QUERIES:
+                spies["edits"].clear()
+                got = run_cli(root, argv, monkeypatch)
+                planned_queries += spies["edits"] == [True]
+                with monkeypatch.context() as m:
+                    m.setattr(reuse, "read_state", lambda *args: None)
+                    assert got == run_cli(root, argv, monkeypatch), (seed, step, kind, argv)
 
             aside = tmp_path / "aside"
             shutil.rmtree(aside, ignore_errors=True)
@@ -231,7 +244,7 @@ def test_edit_sequences_equal_builds_without_the_state(tmp_path, monkeypatch, sp
             assert (forced[0], forced[2]) == (got[0], got[2]), where
             if got[0] == 0:
                 assert read_tree(fresh) == read_tree(out), where
-    assert proof_edits >= 10
+    assert proof_edits >= 10 and planned_queries >= 10, (proof_edits, planned_queries)
     assert rendered < labels_seen, (rendered, labels_seen)
 
 
@@ -331,6 +344,78 @@ def test_proof_edit_renders_only_the_labels_it_reaches(tmp_path, monkeypatch, ca
     spies["renders"] = 0
     assert main(["extract"]) == 0
     assert spies["edits"] == [False, True, True] and spies["renders"] == 1
+
+
+# ---------------------------------------------------------------------------
+# queries on a stale tree
+
+
+def snapshot(root: Path) -> dict[str, tuple[bytes, int] | None]:
+    """Every entry under the output tree and `.archforge/`: a file's bytes and mtime, a directory's None."""
+
+    return {
+        str(path.relative_to(root)): (path.read_bytes(), path.stat().st_mtime_ns) if path.is_file() else None
+        for top in (root / "build", root / ".archforge")
+        for path in sorted(top.rglob("*"))
+    }
+
+
+def test_stale_tree_queries_infer_the_dirty_labels_and_write_nothing(tmp_path, monkeypatch, capsys, spies):
+    from archforge import infer
+
+    root = make_project(tmp_path, dict(CHAIN))
+    monkeypatch.chdir(root)
+    assert main(["extract"]) == 0
+    (root / "src" / "C.lean").write_text(CHAIN["C"].replace("apply helper", "sorry"), encoding="utf-8")
+    before = snapshot(root)
+    built = []
+    record = infer.LabelRecord
+    monkeypatch.setattr(infer, "LabelRecord", lambda view, *rest: built.append(view.label) or record(view, *rest))
+    monkeypatch.setattr(infer, "warm_statuses", None)  # the stateless plan would call it
+    spies["edits"].clear()
+    for argv in (["status"], ["status", "--json"], ["graph"], ["graph", "--format", "json"], ["check"]):
+        built.clear()
+        assert main(argv) == 0, argv
+        assert built == ["c:top"], argv  # the one label that names C
+        assert snapshot(root) == before, argv
+    assert spies["edits"] == [True] * 5
+    assert "proofs leanOk: 1 of 2\n" in capsys.readouterr().out
+
+
+def test_extract_between_a_querys_survey_and_its_state_read(tmp_path, monkeypatch, capsys, spies):
+    """The state that the extract leaves digests to its own manifest, not the one the query
+    surveyed, so the query plans without it, from the sources it parsed."""
+
+    root = make_project(tmp_path, dict(CHAIN))
+    monkeypatch.chdir(root)
+    read_state = reuse.read_state
+    for argv in QUERIES:
+        for name in ("A", "C"):
+            (root / "src" / f"{name}.lean").write_text(CHAIN[name], encoding="utf-8")
+        assert main(["extract"]) == 0
+        (root / "src" / "C.lean").write_text(CHAIN["C"].replace("apply helper", "sorry"), encoding="utf-8")
+        with monkeypatch.context() as m:
+            m.setattr(reuse, "read_state", lambda *args: None)
+            want = run_cli(root, argv, monkeypatch)
+        extracted = []
+
+        def extract_first(*args):
+            if not extracted:  # a second edit, which the query did not survey, and its extract
+                extracted.append(None)
+                a = root / "src" / "A.lean"
+                edited = CHAIN["A"].replace('"a:base"', '"a:base" (notReady := true) (uses := ["ghost"])')
+                a.write_text(edited, encoding="utf-8")
+                extracted[0] = run_cli(root, ["extract"], monkeypatch)[0]
+            return read_state(*args)
+
+        spies["edits"].clear()
+        with monkeypatch.context() as m:
+            m.setattr(reuse, "read_state", extract_first)
+            assert run_cli(root, argv, monkeypatch) == want, argv
+        # the extract, inside the query's plan, used its state; the query did not
+        assert extracted == [0] and spies["edits"] == [True, False], argv
+        # the extract's tree answers the second edit
+        assert run_cli(root, argv, monkeypatch)[1] != want[1], argv
 
 
 def test_writing_a_state_removes_those_of_deleted_trees(tmp_path, monkeypatch, capsys):

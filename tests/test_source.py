@@ -257,11 +257,14 @@ def test_idiom_corpus_has_one_expectation_per_snippet():
 @pytest.mark.parametrize("case", sorted(IDIOM_EXPECTED))
 def test_idiom_corpus(case):
     """`<case>.lean` gives the declarations `expected.json` names, in order, each with
-    its body's reference candidates, and exactly the `[line, message]` warnings listed."""
+    its body's reference candidates (and, where listed, its opened namespaces), and
+    exactly the `[line, message]` warnings listed."""
 
     unit = parse_module_text((IDIOMS / f"{case}.lean").read_text(encoding="utf-8"), Name.parse("M"))
     expected = IDIOM_EXPECTED[case]
     assert [[str(d.name), list(d.body_idents)] for d in decls(unit)] == expected["declarations"]
+    if "opens" in expected:
+        assert [list(map(str, d.opens)) for d in decls(unit)] == expected["opens"]
     assert [[w.line, w.message] for w in unit.warnings] == expected["warnings"]
 
 
